@@ -219,10 +219,11 @@ def _cmd_dtree_verify(args) -> int:
                 continue  # brute force cap
             cells.extend((d, q, r) for r in range(0, r_top + 1))
     print("d,Q,r,formula,blockmin,brutemin,balanced,facets")
-    if args.threads > 1:
+    bound = min(args.threads, len(cells), os.cpu_count() or 1)
+    if bound > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=bound) as pool:
             for row in pool.map(_grid_row, cells, chunksize=4):
                 print(row)
     else:

@@ -12,6 +12,7 @@ faces of dimension >= 1, after which no surviving m-set can.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -206,14 +207,30 @@ def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.
     return np.concatenate(us), np.concatenate(vs)
 
 
+# row b holds the 8 bits of byte value b, most significant first (packbits order)
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(bool)
+
+
 def _triangle_pass(
     sample: LevelSample, threshold: int, *, collect: bool
 ) -> tuple[int, np.ndarray | None]:
-    """Stream gated triangle candidates (common neighbors above each edge)."""
+    """Stream gated triangle candidates (common neighbors above each edge).
+
+    For each edge u < v the candidates are the w > v adjacent to both, read
+    from the AND of the bit-packed adjacency rows of u and v with the packed
+    mask of columns above v.  Common neighbors are sparse (density about
+    p^2), so only the non-zero bytes of a chunk's AND are expanded: their
+    flat positions give (edge, byte), and a 256x8 bit table gives the set
+    bits of each byte.  Flat positions ascend row by row and the table lists
+    bits most significant first, which packbits assigns to the lowest
+    column, so candidates come out in edge order and then w ascending: the
+    same order, hashed ranks and triangles array as a dense unpack.
+    """
     n = sample.n
     key = level_key(sample.seed, 3)
     packed = np.packbits(sample.adjacency(), axis=1)
     cut = np.packbits(np.triu(np.ones((n, n), dtype=bool), k=1), axis=1)
+    nbytes = packed.shape[1]
     comb2 = np.array([math.comb(x, 2) for x in range(n)], dtype=np.int64)
     comb3 = np.array([math.comb(x, 3) for x in range(n)], dtype=np.int64)
     count = 0
@@ -222,20 +239,21 @@ def _triangle_pass(
     for lo in range(0, len(eu), _EDGE_CHUNK):
         u_c = eu[lo : lo + _EDGE_CHUNK]
         v_c = ev[lo : lo + _EDGE_CHUNK]
-        common = packed[u_c] & packed[v_c] & cut[v_c]
-        flat = np.unpackbits(common, axis=1, count=n)
-        ei, w = np.nonzero(flat)
-        if not len(ei):
+        common = (packed[u_c] & packed[v_c] & cut[v_c]).ravel()
+        at = np.flatnonzero(common)
+        if not len(at):
             continue
+        hit = np.flatnonzero(_BYTE_BITS[common[at]])
+        at = at[hit >> 3]
+        ei = at // nbytes
+        w = (at % nbytes) * 8 + (hit & 7)
         uu = u_c[ei].astype(np.int64)
         vv = v_c[ei].astype(np.int64)
         ranks = (uu + comb2[vv] + comb3[w]).astype(np.uint64)
         ok = rank_u53_np(key, ranks) < np.uint64(threshold)
         count += int(ok.sum())
         if collect and ok.any():
-            kept.append(
-                np.stack([uu[ok], vv[ok], w[ok].astype(np.int64)], axis=1).astype(np.int32)
-            )
+            kept.append(np.stack([uu[ok], vv[ok], w[ok]], axis=1).astype(np.int32))
     tris = None
     if collect:
         tris = np.concatenate(kept) if kept else np.zeros((0, 3), dtype=np.int32)
@@ -547,7 +565,9 @@ def growth_experiment(
 
     Per trial: p = n^(-1/(s-1)) via an exact integer threshold, pruning at
     z = (s-1)(m+1), total face count of the pruned complex recorded, exact
-    f(m) whenever C(n,m) fits under the enumeration limit.
+    f(m) whenever C(n,m) fits under the enumeration limit.  With workers > 1
+    the trials run in a pool of at most min(workers, trial count, CPU count)
+    processes.
     """
     s = Fraction(s)
     if s < 2:
@@ -564,10 +584,11 @@ def growth_experiment(
         for trial in range(trials):
             trial_seed = derive_seed(seed, n, trial)
             jobs.append((s, m, n, t, threshold, trial_seed, exact_limit, scan_limit))
-    if workers > 1:
+    bound = min(workers, len(jobs), os.cpu_count() or 1)
+    if bound > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=bound) as pool:
             reports = list(pool.map(_growth_trial_star, jobs, chunksize=1))
     else:
         reports = [_growth_trial(*job) for job in jobs]
@@ -698,18 +719,17 @@ def bondy_hajnal_probe(
         threshold = inverse_power_threshold(n, 1 / (s - 1))
         for trial in range(trials):
             trial_seed = derive_seed(seed, n, trial)
-            sample = sample_levels(n, t, Fraction(threshold, 1 << 53), trial_seed)
             pruning = "skipped"
             if max_possible_dim_ge1_span(m, t) < math.ceil(z):
                 pruning = "shortcut"
             elif math.comb(n, m) <= scan_limit:
-                cx = materialize(
-                    sample_levels(n, t, Fraction(threshold, 1 << 53), trial_seed, collect=True)
-                )
-                res = prune_bad_msets(cx, m, z, limit=scan_limit)
                 pruning = "scan"
-                remain = res.complex
-                sample = _levels_from_complex(remain, t, trial_seed, threshold)
+            sample = sample_levels(
+                n, t, Fraction(threshold, 1 << 53), trial_seed, collect=pruning == "scan"
+            )
+            if pruning == "scan":
+                res = prune_bad_msets(materialize(sample), m, z, limit=scan_limit)
+                sample = _levels_from_complex(res.complex, t, trial_seed, threshold)
             rng = random.Random(derive_seed(seed, n, trial, 0xBAD5E75))
             max_trace = m + 1  # any m isolated-ish vertices give m+1 traces
             for _ in range(subset_samples):

@@ -82,10 +82,6 @@ def trace(system: SetSystem, subset) -> SetSystem:
     return SetSystem.from_masks(system.n, (e & ymask for e in system.members))
 
 
-def trace_count(members: Iterable[int], ymask: int) -> int:
-    return len({e & ymask for e in members})
-
-
 def shatter_value(system: SetSystem, m: int) -> int:
     """max |trace(S,Y)| over all Y of size m, exhaustively.
 

@@ -73,6 +73,22 @@ def test_dtree_verify_threads_agree(capsys):
     assert seq == par  # cell order is merged deterministically
 
 
+def test_dtree_verify_pool_is_bounded(recording_pool, capsys):
+    code, par, _ = run_cli(capsys, "dtree", "verify", "--d-max", "1", "--Q-max", "2",
+                           "--threads", "64")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "dtree", "verify", "--d-max", "1", "--Q-max", "1",
+                         "--r-max", "1", "--threads", "64")
+    assert code == 0
+    code, seq, _ = run_cli(capsys, "dtree", "verify", "--d-max", "1", "--Q-max", "2",
+                           "--threads", "1")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "dtree", "verify", "--d-max", "0", "--threads", "64")
+    assert code == 0 and out.splitlines() == [seq.splitlines()[0]]
+    assert recording_pool == [3, 2]
+    assert par == seq
+
+
 def test_sample_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from shatterlab import scan
+from shatterlab import randgen, scan
 from shatterlab._bits import bits, mask_of
 from shatterlab._keyed import (
     inverse_power_threshold,
@@ -18,6 +18,7 @@ from shatterlab._keyed import (
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 from shatterlab.randgen import (
+    _EDGE_CHUNK,
     REPORT_CSV_HEADER,
     bondy_hajnal_probe,
     default_skeleton_p,
@@ -29,6 +30,7 @@ from shatterlab.randgen import (
     sample_complex,
     sample_levels,
     sample_skeleton_complex,
+    _triangle_pass,
 )
 
 
@@ -97,6 +99,23 @@ def test_fast_sampler_matches_reference():
         ref = sample_complex(n, t, p, seed)
         fast = materialize(sample_levels(n, t, p, seed, collect=True))
         assert ref == fast
+
+
+def test_fast_sampler_matches_reference_across_edge_chunks():
+    # two edge chunks, and n % 8 != 0 leaves a padding byte in each packed row
+    sample = sample_levels(123, 2, Fraction(3, 5), 4, collect=True)
+    assert sample.edge_count > _EDGE_CHUNK
+    assert materialize(sample) == sample_complex(123, 2, Fraction(3, 5), 4)
+
+
+def test_triangle_candidates_match_trace_of_cube():
+    # threshold 2^53 accepts every candidate, so the pass counts the graph's
+    # triangles: trace(A^3)/6, exact in float64 at this size
+    sample = sample_levels(1001, 1, Fraction(1, 5), 6)
+    count, tris = _triangle_pass(sample, 1 << 53, collect=False)
+    adj = sample.adjacency().astype(np.float64)
+    assert tris is None
+    assert count == int(np.trace(adj @ adj @ adj)) // 6 > 0
 
 
 def test_edge_count_mean_within_tolerance():
@@ -252,6 +271,15 @@ def test_growth_deterministic():
     assert [r.csv_row() for r in a.reports] == [r.csv_row() for r in b.reports]
 
 
+def test_growth_pool_is_bounded(recording_pool):
+    serial = growth_experiment(Fraction(3), 4, (32, 64), 2, 5).csv_lines()
+    assert growth_experiment(Fraction(3), 4, (32, 64), 2, 5, workers=8).csv_lines() == serial
+    growth_experiment(Fraction(3), 4, (32,), 2, 5, workers=8)
+    growth_experiment(Fraction(3), 4, (32, 64), 2, 5, workers=2)
+    growth_experiment(Fraction(3), 4, (32,), 1, 5, workers=8)  # one trial: no pool
+    assert recording_pool == [3, 2, 2]
+
+
 def test_growth_rejects_bad_s():
     with pytest.raises(InvalidArgumentError):
         growth_experiment(Fraction(3, 2), 4, (64,), 1, 0)
@@ -267,6 +295,32 @@ def test_probe_small_scale():
         assert inst.pruning in ("skipped", "shortcut", "scan")
     rows = probe.csv_lines()
     assert len(rows) == 5
+
+
+def test_probe_scan_mode_samples_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_levels(*args, **kwargs)
+
+    monkeypatch.setattr(randgen, "sample_levels", counted)
+    probe = bondy_hajnal_probe(2, 12, (16,), 3, 7, subset_samples=50, epsilon=Fraction(1, 100))
+    assert len(calls) == len(probe.instances) == 3
+    assert probe.csv_lines() == [
+        "seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked",
+        "10376855888541733689,16,0,13,79,1,scan,51",
+        "15656339630444168560,16,5,13,79,1,scan,51",
+        "12886109454472513690,16,0,13,79,1,scan,51",
+    ]
+    assert [i.spot_traces for i in probe.instances] == [
+        {"top_degree": 1}, {"top_degree": 6}, {"top_degree": 1}
+    ]
+    # faces left after pruning agree with the reference sampler
+    z = (probe.s - 1) * (probe.m + 1)
+    for inst, (n, t, p, seed) in zip(probe.instances, calls):
+        pruned = prune_bad_msets(sample_complex(n, t, p, seed), probe.m, z).complex
+        assert inst.faces_by_dim == tuple(len(pruned.faces_of_dim(d)) for d in range(3))
 
 
 def test_probe_rejects_small_m():
