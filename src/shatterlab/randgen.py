@@ -603,8 +603,12 @@ def growth_experiment(
 
 
 def _loglog_slope(n_list, means) -> float:
-    """Least-squares slope of log(mean) against log(n); nan for a single point."""
-    if len(n_list) < 2:
+    """Least-squares slope of log(mean) against log(n).
+
+    nan for a single point, or when some mean is <= 0 (pruning can empty
+    every instance at some n), where the log-log fit is undefined.
+    """
+    if len(n_list) < 2 or min(means) <= 0:
         return float("nan")
     xs = np.log(np.asarray(n_list, dtype=float))
     ys = np.log(np.asarray(means, dtype=float))

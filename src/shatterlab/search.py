@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
+
 from shatterlab._bits import submasks
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 from shatterlab.setsystem import SetSystem, shatter_value
 
-ORACLE_MAX_N = 6
+ORACLE_MAX_N = 5
 BRANCH_MAX_N = 16
 CANONICAL_MAX_N = 8
 
@@ -31,32 +33,50 @@ class ExtremalResult:
     method: str
 
 
+def _word_bits() -> np.ndarray:
+    """Entry [w, i] is 1 << (i % 64) if bit i of a canonical code lies in its
+    64-bit word w, else 0, so one gather gives word w of every image."""
+    bit = np.arange(1 << CANONICAL_MAX_N)
+    table = np.zeros((len(bit) // 64, len(bit)), dtype=np.uint64)
+    table[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    return table
+
+
+_WORD_BITS = _word_bits()
+
+
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each permutation of {0..n-1}, the induced map on all 2^n masks."""
-    tables = []
-    for perm in permutations(range(n)):
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                out |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-            table[mask] = out
-        tables.append(tuple(table))
-    return tuple(tables)
+def _perm_tables(n: int) -> np.ndarray:
+    """Read-only uint8 array (n!, 2^n): row p maps each mask to its image under
+    the p-th permutation of {0..n-1}, in itertools order (10 MB at n = 8)."""
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8).reshape(math.factorial(n), n)
+    masks = np.arange(1 << n)
+    table = np.zeros((len(perms), 1 << n), dtype=np.uint8)
+    for v in range(n):
+        table |= ((masks >> v) & 1).astype(np.uint8) << perms[:, v, None]
+    table.flags.writeable = False
+    return table
 
 
-def canonical_form(n: int, family: frozenset[int]) -> tuple[int, ...]:
-    """Minimum sorted mask tuple over all vertex permutations (n <= 8)."""
-    best = None
-    for table in _perm_tables(n):
-        cand = tuple(sorted(table[m] for m in family))
-        if best is None or cand < best:
-            best = cand
-    return best
+def canonical_form(n: int, family: frozenset[int]) -> int:
+    """Largest bitset code of the family over all vertex permutations (n <= 8).
+
+    The code of a relabelled family has bit `mask` set for each member, so two
+    families on n vertices get the same form exactly when they are isomorphic.
+    The code is compared 64-bit word by word from the top, keeping only the
+    permutations tied so far.
+    """
+    if not 0 <= n <= CANONICAL_MAX_N:
+        raise InvalidArgumentError(f"canonical form needs n in 0..{CANONICAL_MAX_N}")
+    images = _perm_tables(n)[:, np.fromiter(family, dtype=np.intp, count=len(family))]
+    form = 0
+    for word in reversed(range(max(1, (1 << n) // 64))):
+        codes = np.bitwise_or.reduce(_WORD_BITS[word][images], axis=1)
+        best = codes.max()
+        form = form << 64 | int(best)
+        if word:
+            images = images[codes == best]
+    return form
 
 
 def enumerate_downward_closed(n: int):

@@ -170,6 +170,19 @@ def vc_dimension(system: SetSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_ground_size(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_GROUND:
+        raise InvalidArgumentError(f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}")
+
+
+def _member_mask(n: int, labels: list) -> int:
+    """Mask of one parsed member; every label must be an int in 0..n-1."""
+    for v in labels:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+            raise InvalidArgumentError(f"vertex label {v!r} is not an integer in 0..{n - 1}")
+    return mask_of(labels)
+
+
 def parse_text(text: str) -> tuple[SetSystem, int]:
     """Parse the text format.  Returns (system, duplicates_dropped)."""
     lines = text.split("\n")
@@ -181,13 +194,14 @@ def parse_text(text: str) -> tuple[SetSystem, int]:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise InvalidArgumentError(f"bad ground size line {lines[0]!r}") from exc
+    _check_ground_size(n)
     masks = []
     for line in lines[1:]:
-        fields = line.split()
         try:
-            masks.append(mask_of(int(f) for f in fields))
+            labels = [int(f) for f in line.split()]
         except ValueError as exc:
             raise InvalidArgumentError(f"bad member line {line!r}") from exc
+        masks.append(_member_mask(n, labels))
     system = SetSystem.from_masks(n, masks)
     return system, len(masks) - len(system)
 
@@ -205,7 +219,10 @@ def parse_json(text: str) -> tuple[SetSystem, int]:
         sets = obj["sets"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"bad set-system JSON: {exc}") from exc
-    masks = [mask_of(s) for s in sets]
+    _check_ground_size(n)
+    if not isinstance(sets, list) or not all(isinstance(labels, list) for labels in sets):
+        raise InvalidArgumentError("bad set-system JSON: 'sets' must be a list of label lists")
+    masks = [_member_mask(n, labels) for labels in sets]
     system = SetSystem.from_masks(n, masks)
     return system, len(masks) - len(system)
 

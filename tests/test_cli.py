@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from shatterlab.cli import main
 from shatterlab.setsystem import parse_json
@@ -141,6 +144,25 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 4, "sets": [["a"]]}',  # label not an integer
+        '{"n": 4, "sets": [[-1]]}',  # label below 0
+        '{"n": "4", "sets": [[0]]}',  # ground size not an integer
+        '{"n": 4, "sets": [[true]]}',  # bool is not a label
+        '{"n": 4, "sets": [[4]]}',  # label above n - 1
+        '{"n": 4, "sets": [5]}',  # member not a list
+    ],
+)
+def test_shatter_rejects_malformed_json(tmp_path, capsys, text):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "shatter", "--in", str(path))
+    assert code == 2 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "4000", "--t", "1", "--p", "1/2",
                            "--limit-subsets", "1000")
@@ -156,3 +178,12 @@ def test_verify_paper_quick_suite(capsys):
     first = json.loads(lines[0])
     assert first["suite"] == "bounds" and first["status"] == "pass"
     assert lines[-1] == "# overall,pass"
+
+
+def test_exhaustive_oracle_is_capped_at_n5(capsys):
+    # n = 6 would enumerate all ~7.8M downward-closed families
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "search", "extremal", "--n", "6", "--m", "2", "--b", "3",
+                           "--oracle")
+    assert code == 3 and err.startswith("resource limit:")
+    assert time.perf_counter() - start < 5.0

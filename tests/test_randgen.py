@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -321,6 +322,17 @@ def test_probe_scan_mode_samples_once(monkeypatch):
     for inst, (n, t, p, seed) in zip(probe.instances, calls):
         pruned = prune_bad_msets(sample_complex(n, t, p, seed), probe.m, z).complex
         assert inst.faces_by_dim == tuple(len(pruned.faces_of_dim(d)) for d in range(3))
+
+
+def test_probe_exponent_is_nan_when_pruning_empties_every_instance():
+    # at n = 16 and 18 scan-mode pruning removes every face of all four
+    # instances; the log-log fit is undefined and must not take log(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probe = bondy_hajnal_probe(2, 13, (16, 18), 2, 7, subset_samples=50)
+    assert [sum(i.faces_by_dim) for i in probe.instances] == [0, 0, 0, 0]
+    assert math.isnan(probe.exponent)
+    assert probe.exceeds_k is False
 
 
 def test_probe_rejects_small_m():

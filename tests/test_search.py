@@ -1,5 +1,11 @@
+import random
+from functools import lru_cache
+from itertools import permutations
+from math import comb
+
 import pytest
 
+from shatterlab._bits import bits, mask_of
 from shatterlab.compression import is_downward_closed
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 from shatterlab.search import (
@@ -34,6 +40,69 @@ def test_canonical_form_invariant_under_relabeling():
     fam = frozenset({0, 1, 2, 3})  # {}, {0}, {1}, {0,1}
     relabeled = frozenset({0, 2, 4, 6})  # {}, {1}, {2}, {1,2}
     assert canonical_form(3, fam) == canonical_form(3, relabeled)
+
+
+# -- reference: the sorted-tuple canonical form, one Python loop per permutation
+
+
+def relabel(perm, mask: int) -> int:
+    return mask_of(perm[v] for v in bits(mask))
+
+
+@lru_cache(maxsize=None)
+def reference_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(relabel(perm, mask) for mask in range(1 << n)) for perm in permutations(range(n))
+    )
+
+
+def reference_canonical_form(n: int, family) -> tuple[int, ...]:
+    """Minimum sorted mask tuple over all vertex permutations."""
+    return min(tuple(sorted(table[m] for m in family)) for table in reference_tables(n))
+
+
+def test_canonical_form_classes_match_reference():
+    # downward-closed families up to isomorphism, empty set included
+    classes = {1: 2, 2: 4, 3: 9, 4: 29, 5: 209}
+    for n, want in classes.items():
+        pairs = {
+            (canonical_form(n, fam), reference_canonical_form(n, fam))
+            for fam in enumerate_downward_closed(n)
+        }
+        # a bijection between the two forms' classes: the same partition
+        assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs) == want
+
+
+def cycles_closure(n: int, lengths) -> frozenset[int]:
+    """Downward closure of disjoint cycles of the given lengths on 0..n-1."""
+    masks, at = {0}, 0
+    for length in lengths:
+        for i in range(length):
+            u, v = at + i, at + (i + 1) % length
+            masks.update({1 << u, 1 << v, 1 << u | 1 << v})
+        at += length
+    return frozenset(masks)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_canonical_form_across_words(n):
+    # 2^n bits span two (n = 7) or four (n = 8) 64-bit words
+    rng = random.Random(n)
+    for _ in range(3):
+        fam = frozenset(rng.sample(range(1 << n), rng.randrange(10, 60)))
+        form = canonical_form(n, fam)
+        assert form >= sum(1 << m for m in fam)  # the largest code
+        # the form is itself the code of a relabelling of the family
+        best = frozenset(i for i in range(1 << n) if form >> i & 1)
+        assert len(best) == len(fam) and canonical_form(n, best) == form
+        for _ in range(2):
+            perm = rng.sample(range(n), n)
+            assert canonical_form(n, frozenset(relabel(perm, m) for m in fam)) == form
+    # 2-regular graphs with the same face counts, not isomorphic
+    one_cycle = cycles_closure(n, [n])
+    two_cycles = cycles_closure(n, [3, n - 3])
+    assert len(one_cycle) == len(two_cycles)
+    assert canonical_form(n, one_cycle) != canonical_form(n, two_cycles)
 
 
 def test_extremal_trivial_cases():
@@ -84,6 +153,13 @@ def test_extremal_sauer_cap():
             assert res.max_size <= g_k(n, m - 1)
 
 
+def test_extremal_sauer_tight_at_n6():
+    # Sauer-Shelah is tight on the (m-1)-skeleton, out of the oracle's reach
+    for m in range(1, 7):
+        res = extremal_max_sets(6, m, (1 << m) - 1)
+        assert res.max_size == sum(comb(6, i) for i in range(m)), m
+
+
 def test_extremal_validation():
     with pytest.raises(InvalidArgumentError):
         extremal_max_sets(20, 2, 2)
@@ -93,6 +169,8 @@ def test_extremal_validation():
         extremal_max_sets(4, 2, 5)
     with pytest.raises(ResourceLimitError):
         extremal_oracle(9, 2, 3)
+    with pytest.raises(ResourceLimitError):
+        extremal_oracle(6, 2, 3)  # Dedekind M(6): about 7.8M families
 
 
 def test_kpartite_example():
