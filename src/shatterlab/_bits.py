@@ -46,13 +46,6 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def gosper_next(mask: int) -> int:
-    """Next int with the same popcount (colexicographic successor)."""
-    c = mask & -mask
-    r = mask + c
-    return (((r ^ mask) >> 2) // c) | r
-
-
 def iter_size_subsets(n: int, m: int):
     """All m-subsets of {0..n-1} as masks, in colexicographic order."""
     if m == 0:
@@ -64,4 +57,7 @@ def iter_size_subsets(n: int, m: int):
     top = 1 << n
     while mask < top:
         yield mask
-        mask = gosper_next(mask)
+        # Gosper's hack: the next int with the same popcount
+        c = mask & -mask
+        r = mask + c
+        mask = (((r ^ mask) >> 2) // c) | r

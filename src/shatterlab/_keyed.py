@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from shatterlab.errors import InvalidArgumentError
+
 GENERATOR_ID = "splitmix64-colex-v1"
 
 _M64 = (1 << 64) - 1
@@ -55,7 +57,7 @@ def probability_threshold(p) -> int:
     """floor(p * 2^53) as an exact integer; p may be Fraction, float, or int."""
     frac = Fraction(p)
     if frac < 0 or frac > 1:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
+        raise InvalidArgumentError(f"probability {p!r} outside [0, 1]")
     return (frac.numerator << 53) // frac.denominator
 
 
@@ -68,7 +70,7 @@ def inverse_power_threshold(n: int, exponent: Fraction) -> int:
     """
     b, a = exponent.numerator, exponent.denominator
     if n < 1 or b <= 0 or a <= 0:
-        raise ValueError("need n >= 1 and a positive exponent")
+        raise InvalidArgumentError("need n >= 1 and a positive exponent")
     target = 1 << (53 * a)
     nb = n**b
     t = int(2.0**53 * float(n) ** (-float(exponent))) + 1

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from shatterlab import bounds, compression, complexes, dtree, randgen, search, setsystem, verify
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+from shatterlab.scan import DEFAULT_SUBSET_LIMIT
 
 
 def _fraction(text: str) -> Fraction:
@@ -41,21 +42,29 @@ def _emit(args, rows: list[str] | None = None, obj=None) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # the global flags live on a parent parser with SUPPRESS defaults, so they
-    # are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--limit-subsets", type=int, default=argparse.SUPPRESS)
+def _global_flags(defaults: dict) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=defaults["seed"])
+    flags.add_argument("--threads", type=int, default=defaults["threads"])
+    flags.add_argument("--format", choices=("csv", "json"), default=defaults["format"])
+    flags.add_argument("--limit-subsets", type=int, default=defaults["limit_subsets"])
+    return flags
 
-    parser = argparse.ArgumentParser(prog="shatterlab", description=__doc__, parents=[common])
-    parser.set_defaults(
-        seed=verify.DEFAULT_SEED,
-        threads=os.cpu_count() or 1,
-        format="csv",
-        limit_subsets=scan_limit_default(),
+
+def build_parser() -> argparse.ArgumentParser:
+    # The global flags are accepted both before and after the subcommand.  The
+    # top-level parser holds the defaults; the subparsers get their own copies
+    # of the flags with SUPPRESS defaults, so a subparser writes a value only
+    # when the flag follows the subcommand and never resets an earlier one.
+    defaults = {
+        "seed": verify.DEFAULT_SEED,
+        "threads": os.cpu_count() or 1,
+        "format": "csv",
+        "limit_subsets": DEFAULT_SUBSET_LIMIT,
+    }
+    common = _global_flags(dict.fromkeys(defaults, argparse.SUPPRESS))
+    parser = argparse.ArgumentParser(
+        prog="shatterlab", description=__doc__, parents=[_global_flags(defaults)]
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -64,17 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--m", type=int, default=None)
+    p.set_defaults(func=_cmd_shatter)
 
     p = sub.add_parser(
         "compress", parents=[common], help="compress a set system to a simplicial complex"
     )
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
+    p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("complex", help="simplicial complex utilities")
     csub = p.add_subparsers(dest="subcommand", required=True)
     cstats = csub.add_parser("stats", parents=[common])
     cstats.add_argument("--in", dest="infile", required=True)
+    cstats.set_defaults(func=_cmd_complex_stats)
 
     p = sub.add_parser("dtree", help="canonical rooted d-trees")
     dsub = p.add_subparsers(dest="subcommand", required=True)
@@ -83,22 +95,26 @@ def build_parser() -> argparse.ArgumentParser:
     dbuild.add_argument("--Q", type=int, required=True)
     dbuild.add_argument("--r", type=int, required=True)
     dbuild.add_argument("--out", dest="outfile", default=None)
+    dbuild.set_defaults(func=_cmd_dtree_build)
     dverify = dsub.add_parser("verify", parents=[common])
     dverify.add_argument("--d-max", type=int, default=3)
     dverify.add_argument("--Q-max", type=int, default=5)
     dverify.add_argument("--r-max", type=int, default=None, help="default 2Q+1 per cell")
+    dverify.set_defaults(func=_cmd_dtree_verify)
 
     p = sub.add_parser("sample", parents=[common], help="seeded random complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--out", dest="outfile", default=None)
+    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("growth", parents=[common], help="sample -> prune sweeps and slope")
     p.add_argument("--s", type=_fraction, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated sizes")
     p.add_argument("--trials", type=int, default=5)
+    p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser(
         "bh-probe", parents=[common], help="Bondy-Hajnal premise + growth-trend probe"
@@ -108,12 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1))
+    p.set_defaults(func=_cmd_bh_probe)
 
     p = sub.add_parser("bounds", help="closed-form bound evaluation")
     bsub = p.add_subparsers(dest="subcommand", required=True)
     beval = bsub.add_parser("eval", parents=[common])
     beval.add_argument("--kind", required=True, choices=bounds.QUERY_KINDS)
     beval.add_argument("--params", default="", help="k=2,m=13,n=256,s=7/2,d=1")
+    beval.set_defaults(func=_cmd_bounds_eval)
 
     p = sub.add_parser("search", help="finite extremal search")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -122,22 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
     sx.add_argument("--m", type=int, required=True)
     sx.add_argument("--b", type=int, required=True)
     sx.add_argument("--oracle", action="store_true")
+    sx.set_defaults(func=_cmd_search_extremal)
     sk = ssub.add_parser("kpartite", parents=[common])
     sk.add_argument("--n", type=int, required=True)
     sk.add_argument("--k", type=int, required=True)
     sk.add_argument("--out", dest="outfile", default=None)
+    sk.set_defaults(func=_cmd_search_kpartite)
 
     p = sub.add_parser("verify-paper", parents=[common], help="run the acceptance suites")
     p.add_argument("--tier", choices=("quick", "full"), default="full")
     p.add_argument("--suite", action="append", default=None, help="repeatable")
+    p.set_defaults(func=_cmd_verify_paper)
 
     return parser
-
-
-def scan_limit_default() -> int:
-    from shatterlab.scan import DEFAULT_SUBSET_LIMIT
-
-    return DEFAULT_SUBSET_LIMIT
 
 
 def _cmd_shatter(args) -> int:
@@ -308,7 +323,10 @@ def _parse_params(text: str) -> dict:
         key, _, value = item.partition("=")
         if not value:
             raise InvalidArgumentError(f"bad parameter {item!r}")
-        out[key.strip()] = Fraction(value) if "/" in value or "." in value else int(value)
+        try:
+            out[key.strip()] = Fraction(value) if "/" in value or "." in value else int(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidArgumentError(f"bad parameter {item!r}") from exc
     return out
 
 
@@ -362,37 +380,13 @@ def _cmd_verify_paper(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "shatter":
-            return _cmd_shatter(args)
-        if args.command == "compress":
-            return _cmd_compress(args)
-        if args.command == "complex":
-            return _cmd_complex_stats(args)
-        if args.command == "dtree":
-            if args.subcommand == "build":
-                return _cmd_dtree_build(args)
-            return _cmd_dtree_verify(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "growth":
-            return _cmd_growth(args)
-        if args.command == "bh-probe":
-            return _cmd_bh_probe(args)
-        if args.command == "bounds":
-            return _cmd_bounds_eval(args)
-        if args.command == "search":
-            if args.subcommand == "extremal":
-                return _cmd_search_extremal(args)
-            return _cmd_search_kpartite(args)
-        if args.command == "verify-paper":
-            return _cmd_verify_paper(args)
-    except (InvalidArgumentError, FileNotFoundError) as exc:
+        return args.func(args)
+    except (InvalidArgumentError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unhandled command")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Faces are bitmasks held in a hash set plus per-dimension indexes, so
 membership tests are O(1) and superset scans stay cheap at desk scale.
 Vertices may be any labels 0..n-1 (Python ints are arbitrary precision, so
-n is not capped here; only the conversion to a SetSystem needs n <= 64).
+n is capped only for complexes read from a file; the conversion to a
+SetSystem needs n <= 64).
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from fractions import Fraction
 
 from shatterlab._bits import bits, iter_bits, submasks
 from shatterlab.errors import EmptyDomainError, InvalidArgumentError
-from shatterlab.setsystem import SetSystem, _as_vertex_mask
+from shatterlab.setsystem import SetSystem, _as_vertex_mask, _parse_members_json
+
+# cap on n for a complex read from a file, so one label cannot build a huge mask
+MAX_FILE_VERTICES = 1 << 16
 
 
 class SimplicialComplex:
@@ -259,14 +263,7 @@ def overlap_witness(cx: SimplicialComplex, rho, d: int, m: int) -> OverlapWitnes
 
 
 def parse_complex_json(text: str) -> SimplicialComplex:
-    import json
-
-    try:
-        obj = json.loads(text)
-        n = obj["n"]
-        facets = obj["facets"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"bad complex JSON: {exc}") from exc
+    n, facets = _parse_members_json(text, "facets", "complex", MAX_FILE_VERTICES)
     return SimplicialComplex.from_facets(n, facets)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from shatterlab import scan
-from shatterlab._bits import bits, mask_of
+from shatterlab._bits import bits, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
     derive_seed,
@@ -40,13 +40,6 @@ _PAIR_CHUNK = 1 << 21
 _EDGE_CHUNK = 1 << 12
 
 
-def _threshold(p) -> int:
-    try:
-        return probability_threshold(p)
-    except ValueError as exc:
-        raise InvalidArgumentError(str(exc)) from exc
-
-
 def sample_complex(
     n: int, t: int, p, seed: int, *, limit: int = DEFAULT_SUBSET_LIMIT
 ) -> SimplicialComplex:
@@ -58,33 +51,22 @@ def sample_complex(
     """
     if n < 1 or t < 1:
         raise InvalidArgumentError("need n >= 1 and t >= 1")
-    threshold = _threshold(p)
+    threshold = probability_threshold(p)
     faces: set[int] = {1 << v for v in range(n)}
     for k in range(2, t + 2):
         total = math.comb(n, k)
         if total > limit:
             raise ResourceLimitError(f"level {k} has {total} candidates (limit {limit})")
         key = level_key(seed, k)
-        rank = 0
-        if k > n:
-            break
-        mask = (1 << k) - 1
-        top = 1 << n
-        while mask < top:
-            gated = True
+        for rank, mask in enumerate(iter_size_subsets(n, k)):
             rest = mask
-            while rest:
+            while rest:  # gated on every facet of the candidate being a face
                 low = rest & -rest
                 if mask ^ low not in faces:
-                    gated = False
                     break
                 rest ^= low
-            if gated and rank_u53(key, rank) < threshold:
+            if not rest and rank_u53(key, rank) < threshold:
                 faces.add(mask)
-            rank += 1
-            c = mask & -mask
-            r = mask + c
-            mask = (((r ^ mask) >> 2) // c) | r
     return SimplicialComplex(n, faces, validate=False)
 
 
@@ -138,6 +120,18 @@ class LevelSample:
             adj[self.edges_v, self.edges_u] = True
             self._adj = adj
         return self._adj
+
+    def remove_vertices(self, removed) -> None:
+        """Drop the given vertices and every edge and triangle that touches them."""
+        present = np.ones(self.n, dtype=bool)
+        present[list(removed)] = False
+        keep = present[self.edges_u] & present[self.edges_v]
+        self.edges_u, self.edges_v = self.edges_u[keep], self.edges_v[keep]
+        if self.triangles is not None:
+            self.triangles = self.triangles[present[self.triangles].all(axis=1)]
+            self.tri_count = len(self.triangles)
+        self.present = present
+        self._adj = None
 
     def degrees(self) -> np.ndarray:
         return self.adjacency().sum(axis=1)
@@ -268,7 +262,7 @@ def sample_levels(
         raise InvalidArgumentError("vectorized sampling supports t in {1, 2}")
     if n < 1:
         raise InvalidArgumentError("need n >= 1")
-    thr = _threshold(p)
+    thr = probability_threshold(p)
     thresholds = tuple(thr for _ in range(2, t + 2))
     us, vs = _sample_edges_np(n, thr, seed)
     sample = LevelSample(n, t, seed, thresholds, us, vs)
@@ -374,31 +368,19 @@ def sample_skeleton_complex(
         raise InvalidArgumentError("m must exceed d")
     if n < d + 1:
         raise InvalidArgumentError("need n >= d + 1")
-    threshold = _threshold(p)
+    threshold = probability_threshold(p)
     skeleton_total = sum(math.comb(n, i) for i in range(1, d + 1))
     if skeleton_total > limit or math.comb(n, d + 1) > limit:
         raise ResourceLimitError("skeleton too large for explicit construction")
     faces: set[int] = set()
     for size in range(1, d + 1):
-        mask = (1 << size) - 1
-        top = 1 << n
-        while mask < top:
-            faces.add(mask)
-            c = mask & -mask
-            r = mask + c
-            mask = (((r ^ mask) >> 2) // c) | r
+        faces.update(iter_size_subsets(n, size))
     key = level_key(seed, d + 1)
-    simplices = []
-    rank = 0
-    mask = (1 << (d + 1)) - 1
-    top = 1 << n
-    while mask < top:
-        if rank_u53(key, rank) < threshold:
-            simplices.append(mask)
-        rank += 1
-        c = mask & -mask
-        r = mask + c
-        mask = (((r ^ mask) >> 2) // c) | r
+    simplices = [
+        mask
+        for rank, mask in enumerate(iter_size_subsets(n, d + 1))
+        if rank_u53(key, rank) < threshold
+    ]
     # one deletion round against the pre-deletion complex
     kept = simplices
     if simplices:
@@ -592,22 +574,23 @@ def growth_experiment(
             reports = list(pool.map(_growth_trial_star, jobs, chunksize=1))
     else:
         reports = [_growth_trial(*job) for job in jobs]
-    means = []
-    for n in n_list:
-        totals = [r.total_faces for r in reports if r.params.n == n]
-        means.append(sum(totals) / len(totals))
-    slope = _loglog_slope(n_list, means)
+    slope = _loglog_slope(n_list, [(r.params.n, r.total_faces) for r in reports])
     return GrowthResult(
         s, m, n_list, trials, seed, reports, slope, growth_exponent(s)
     )
 
 
-def _loglog_slope(n_list, means) -> float:
-    """Least-squares slope of log(mean) against log(n).
+def _loglog_slope(n_list, totals) -> float:
+    """Least-squares slope of log(mean total) against log(n).
 
-    nan for a single point, or when some mean is <= 0 (pruning can empty
-    every instance at some n), where the log-log fit is undefined.
+    totals holds (n, total face count) pairs, averaged per n.  nan for a
+    single point, or when some mean is <= 0 (pruning can empty every
+    instance at some n), where the log-log fit is undefined.
     """
+    means = []
+    for n in n_list:
+        at_n = [total for size, total in totals if size == n]
+        means.append(sum(at_n) / len(at_n))
     if len(n_list) < 2 or min(means) <= 0:
         return float("nan")
     xs = np.log(np.asarray(n_list, dtype=float))
@@ -707,6 +690,8 @@ def bondy_hajnal_probe(
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
+    if trials < 1:
+        raise InvalidArgumentError("trials must be >= 1")
     s = Fraction((1 << (k + 1)) - k - 1) + Fraction(epsilon)
     gk_m = g_k(m, k)
     if s * m + s - 1 > gk_m:
@@ -733,7 +718,7 @@ def bondy_hajnal_probe(
             )
             if pruning == "scan":
                 res = prune_bad_msets(materialize(sample), m, z, limit=scan_limit)
-                sample = _levels_from_complex(res.complex, t, trial_seed, threshold)
+                sample.remove_vertices(res.removed_vertices)
             rng = random.Random(derive_seed(seed, n, trial, 0xBAD5E75))
             max_trace = m + 1  # any m isolated-ish vertices give m+1 traces
             for _ in range(subset_samples):
@@ -756,11 +741,7 @@ def bondy_hajnal_probe(
                     spot_traces,
                 )
             )
-    means = []
-    for n in n_list:
-        totals = [sum(i.faces_by_dim) for i in instances if i.n == n]
-        means.append(sum(totals) / len(totals))
-    exponent = _loglog_slope(n_list, means)
+    exponent = _loglog_slope(n_list, [(i.n, sum(i.faces_by_dim)) for i in instances])
     return ProbeResult(
         k,
         s,
@@ -775,32 +756,3 @@ def bondy_hajnal_probe(
         exponent > k,
     )
 
-
-def _levels_from_complex(
-    cx: SimplicialComplex, t: int, seed: int, threshold: int
-) -> LevelSample:
-    """Re-wrap a materialized (possibly pruned) complex for subset queries."""
-    us, vs = [], []
-    for e in cx.faces_of_dim(1):
-        u, v = bits(e)
-        us.append(u)
-        vs.append(v)
-    present = np.zeros(cx.n, dtype=bool)
-    for f in cx.faces_of_dim(0):
-        present[f.bit_length() - 1] = True
-    sample = LevelSample(
-        cx.n,
-        t,
-        seed,
-        tuple(threshold for _ in range(2, t + 2)),
-        np.asarray(us, dtype=np.int32),
-        np.asarray(vs, dtype=np.int32),
-        present=present,
-    )
-    if t >= 2:
-        tris = [tuple(bits(f)) for f in cx.faces_of_dim(2)]
-        sample.tri_count = len(tris)
-        sample.triangles = (
-            np.asarray(tris, dtype=np.int32) if tris else np.zeros((0, 3), dtype=np.int32)
-        )
-    return sample

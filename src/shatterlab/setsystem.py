@@ -170,9 +170,9 @@ def vc_dimension(system: SetSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_ground_size(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_GROUND:
-        raise InvalidArgumentError(f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}")
+def _check_ground_size(n, limit: int = MAX_GROUND) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= limit:
+        raise InvalidArgumentError(f"ground size must be an integer in 0..{limit}, got {n!r}")
 
 
 def _member_mask(n: int, labels: list) -> int:
@@ -212,17 +212,24 @@ def format_text(system: SetSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_json(text: str) -> tuple[SetSystem, int]:
+def _parse_members_json(
+    text: str, key: str, what: str, limit: int = MAX_GROUND
+) -> tuple[int, list[int]]:
+    """(n, member masks) of a JSON object {"n": int, key: [[label, ...], ...]}."""
     try:
         obj = json.loads(text)
         n = obj["n"]
-        sets = obj["sets"]
+        rows = obj[key]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"bad set-system JSON: {exc}") from exc
-    _check_ground_size(n)
-    if not isinstance(sets, list) or not all(isinstance(labels, list) for labels in sets):
-        raise InvalidArgumentError("bad set-system JSON: 'sets' must be a list of label lists")
-    masks = [_member_mask(n, labels) for labels in sets]
+        raise InvalidArgumentError(f"bad {what} JSON: {exc}") from exc
+    _check_ground_size(n, limit)
+    if not isinstance(rows, list) or not all(isinstance(labels, list) for labels in rows):
+        raise InvalidArgumentError(f"bad {what} JSON: '{key}' must be a list of label lists")
+    return n, [_member_mask(n, labels) for labels in rows]
+
+
+def parse_json(text: str) -> tuple[SetSystem, int]:
+    n, masks = _parse_members_json(text, "sets", "set-system")
     system = SetSystem.from_masks(n, masks)
     return system, len(masks) - len(system)
 

@@ -1,14 +1,17 @@
 """Acceptance suites: every checkable claim behind the library, end to end.
 
-Each suite runs at the full stated scale by default ("full" tier) and at a
-reduced scale for smoke runs ("quick").  Results carry the measured values
-and the tolerance they were held to; a suite passes only if every one of its
-checks does.  The CLI command `verify-paper` and the acceptance test module
-both run these functions.
+This module is the one definition of each acceptance criterion.  Each suite
+runs at the full stated scale by default ("full" tier) and at a reduced
+scale for smoke runs ("quick").  Results carry the measured values and the
+tolerance they were held to; a suite passes only if every one of its checks
+does, including its wall-time ceiling in CEILING_S.  The CLI command
+`verify-paper` and the acceptance tests (one per suite, at tier "full") both
+run these functions and add no checks of their own.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,8 +23,18 @@ from shatterlab import bounds, compression, dtree, randgen, scan, search, setsys
 from shatterlab._keyed import derive_seed
 from shatterlab.complexes import SimplicialComplex, delta_d, span_count
 from shatterlab.complexes import overlap_witness as overlap_witness_op
+from shatterlab.errors import InvalidArgumentError
 
 DEFAULT_SEED = 20260810
+
+# wall-time ceilings in seconds, per suite, at either tier
+CEILING_S = {
+    "dtree-grid": 60.0,
+    "compression": 60.0,
+    "growth": 600.0,
+    "prune-guarantee": 300.0,
+    "extremal": 300.0,
+}
 
 
 @dataclass
@@ -39,7 +52,11 @@ class SuiteResult:
 
 
 def _finish(result: SuiteResult, start: float) -> SuiteResult:
-    result.wall_time = round(time.perf_counter() - start, 3)
+    elapsed = time.perf_counter() - start
+    ceiling = CEILING_S.get(result.name)
+    if ceiling is not None and elapsed >= ceiling:
+        result.failures.append(f"took {elapsed:.1f} s, ceiling {ceiling} s")
+    result.wall_time = round(elapsed, 3)
     result.passed = not result.failures
     return result
 
@@ -64,6 +81,7 @@ def check_grid_cell(d: int, q: int, r: int) -> dict:
     formula = dtree.min_density_formula(d, q, r)
     block, bi, bj = dtree.contiguous_min_density(tree)
     brute, witness = dtree.min_density_bruteforce(tree)
+    unrooted = witness == tree.unrooted_mask
     return {
         "d": d,
         "Q": q,
@@ -72,7 +90,8 @@ def check_grid_cell(d: int, q: int, r: int) -> dict:
         "block": block,
         "block_at": (bi, bj),
         "brute": brute,
-        "balanced": witness == tree.unrooted_mask or dtree.is_balanced(tree),
+        "witness_unrooted": unrooted,
+        "balanced": unrooted or dtree.is_balanced(tree),
         "facets": len(tree.facet_masks()),
         "roots": tree.roots.bit_count(),
         "vertices": tree.complex.n,
@@ -92,8 +111,8 @@ def suite_dtree_grid(tier: str, seed: int) -> SuiteResult:
                 f"{tag} density mismatch: formula={row['formula']} "
                 f"block={row['block']} brute={row['brute']}"
             )
-        if not row["balanced"]:
-            res.failures.append(f"{tag} not balanced")
+        if not row["witness_unrooted"]:
+            res.failures.append(f"{tag} brute-force minimum not at the unrooted vertices")
         if row["facets"] != d * q + r:
             res.failures.append(f"{tag} facet count {row['facets']} != {d * q + r}")
         if row["roots"] != r:
@@ -178,12 +197,16 @@ def suite_growth(tier: str, seed: int) -> SuiteResult:
         n5, trials5 = (128, 256, 512), 5
     g3 = randgen.growth_experiment(Fraction(3), 4, n3, trials3, seed)
     res.measured["slope_s3"] = round(g3.slope, 4)
+    if g3.target_exponent != Fraction(3, 2):
+        res.failures.append(f"s=3 target exponent {g3.target_exponent} != 3/2")
     if not 1.3 <= g3.slope <= 1.7:
         res.failures.append(f"s=3 slope {g3.slope:.4f} outside 1.5 +/- 0.2")
     if any(r.f_m_exact != "sampled" and r.f_m_exact >= 15 for r in g3.reports):
         res.failures.append("s=3: some exact f(4) >= sm + s = 15")
     g5 = randgen.growth_experiment(Fraction(5), 4, n5, trials5, seed + 1)
     res.measured["slope_s5"] = round(g5.slope, 4)
+    if g5.target_exponent != 2:
+        res.failures.append(f"s=5 target exponent {g5.target_exponent} != 2")
     if not 1.75 <= g5.slope <= 2.25:
         res.failures.append(f"s=5 slope {g5.slope:.4f} outside 2.0 +/- 0.25")
     return _finish(res, start)
@@ -198,6 +221,8 @@ def suite_prune_guarantee(tier: str, seed: int) -> SuiteResult:
     seeds = 5 if tier == "full" else 2
     n, m, s = 80, 4, Fraction(3)
     z = (s - 1) * (m + 1)
+    if z != 10:
+        res.failures.append(f"z = {z} != 10")
     combos = scan.combination_array(n, m)
     verts = np.arange(n, dtype=np.int16)
     spans = []
@@ -209,6 +234,8 @@ def suite_prune_guarantee(tier: str, seed: int) -> SuiteResult:
         cx = randgen.materialize(sample)
         pruned = randgen.prune_bad_msets(cx, m, z).complex
         counts = scan.dim_ge1_counts(pruned, combos, verts)
+        if len(counts) != math.comb(n, m):
+            res.failures.append(f"seed {i}: scanned {len(counts)} 4-sets, not C(80,4)")
         worst = int(counts.max())
         spans.append(worst)
         if worst >= z:
@@ -317,6 +344,8 @@ def suite_embedding(tier: str, seed: int) -> SuiteResult:
                 res.failures.append(
                     f"tree f={f} d={d} n={n}: count {count.count} < ({delta}-{f})^{f} = {lower}"
                 )
+    if checked < 10:
+        res.failures.append(f"only {checked} tree/complex pairs checked, need 10")
     res.measured = {"pairs": checked}
     return _finish(res, start)
 
@@ -410,6 +439,10 @@ def suite_bh_probe(tier: str, seed: int) -> SuiteResult:
             f"premise violated on {len(bad)} instances, worst trace "
             f"{max(i.max_trace_seen for i in bad)} > {probe.g_k_m}"
         )
+    if probe.g_k_m != 92:
+        res.failures.append(f"g_2(13) = {probe.g_k_m} != 92")
+    if probe.target_exponent != Fraction(11, 5):
+        res.failures.append(f"target exponent {probe.target_exponent} != 11/5")
     if probe.exponent < 2.0:
         res.failures.append(f"exponent {probe.exponent:.4f} < 2.0")
     if not probe.exceeds_k:
@@ -437,5 +470,5 @@ def run_suites(
     chosen = list(SUITES) if not names else list(names)
     unknown = [x for x in chosen if x not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
+        raise InvalidArgumentError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
     return [SUITES[name](tier, seed) for name in chosen]

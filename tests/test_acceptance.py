@@ -1,216 +1,41 @@
-"""Acceptance gate: every criterion at its stated scale and tolerance.
+"""Acceptance gate: one test per `verify.SUITES` suite, at tier "full".
 
-One test per criterion; each prints its pass line (visible under -s, and the
--v listing gives one line per criterion either way).  The same suites back
-the CLI command `verify-paper --tier full`.
+Every criterion, its tolerance and its wall-time ceiling are defined once,
+in `shatterlab.verify`.  Each test here only runs its suite at the full
+stated scale with the default seed, prints the suite's summary line (visible
+under -s) and asserts that the suite passed; `verify-paper --tier full` runs
+the same suites.  The tests keep the names of the criteria they check.
 """
 
-import math
-import time
-from fractions import Fraction
-
-import numpy as np
 import pytest
 
-from shatterlab import bounds, compression, dtree, randgen, scan, search, setsystem, verify
-from shatterlab._keyed import derive_seed
+from shatterlab import verify
 from shatterlab.verify import DEFAULT_SEED
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-
-def _report(line: str) -> None:
-    print(line, flush=True)
-
-
-# -- criteria 1 + 2: canonical grid, exact, < 60 s ----------------------------
-
-
-def test_criterion_1_and_2_dtree_grid():
-    start = time.perf_counter()
-    cells = 0
-    for d in (1, 2, 3):
-        for q in range(1, 6):
-            if d * q > 12:
-                continue
-            for r in range(0, 2 * q + 2):
-                tree = dtree.build_Tr(d, q, r)
-                formula = dtree.min_density_formula(d, q, r)
-                block, _, _ = dtree.contiguous_min_density(tree)
-                brute, witness = dtree.min_density_bruteforce(tree)
-                assert formula == block == brute, (d, q, r)
-                assert witness == tree.unrooted_mask, (d, q, r)  # balanced
-                assert len(tree.facet_masks()) == d * q + r
-                assert tree.roots.bit_count() == r
-                cells += 1
-    elapsed = time.perf_counter() - start
-    assert elapsed < 60.0
-    _report(f"criterion 1: pass (grid of {cells} cells exact in {elapsed:.1f}s)")
-    _report("criterion 2: pass (global brute-force minimum = best contiguous block on grid)")
+TEST_NAMES = {
+    "dtree-grid": "test_criterion_1_and_2_dtree_grid",
+    "compression": "test_criterion_3_compression",
+    "sauer": "test_criterion_4_sauer",
+    "growth": "test_criterion_5_growth_exponents",
+    "prune-guarantee": "test_criterion_6_prune_guarantee",
+    "overlap": "test_criterion_7_overlap_witness",
+    "embedding": "test_criterion_8_embedding_bound",
+    "extremal": "test_criterion_9_extremal_oracle",
+    "bounds": "test_criterion_10_bound_identities",
+    "bh-probe": "test_criterion_11_bondy_hajnal_probe",
+}
 
 
-# -- criteria 3 + 4: compression and Sauer, exact, < 60 s ---------------------
+def _suite_test(name: str):
+    def test():
+        result = verify.SUITES[name]("full", DEFAULT_SEED)
+        print(result.summary_line(), flush=True)
+        assert result.passed, result.failures[:5]
+
+    return test
 
 
-@pytest.fixture(scope="module")
-def compressed_corpus():
-    import random
-
-    rng = random.Random(DEFAULT_SEED)
-    corpus = []
-    for _ in range(500):
-        system = verify.random_system(rng)
-        corpus.append((system, compression.compress(system)))
-    return corpus
-
-
-def test_criterion_3_compression(compressed_corpus):
-    start = time.perf_counter()
-    for system, comp in compressed_corpus:
-        assert len(comp) == len(system)
-        assert compression.is_downward_closed(comp)
-        assert setsystem.shatter_profile(system).dominates(setsystem.shatter_profile(comp))
-    elapsed = time.perf_counter() - start
-    assert elapsed < 60.0
-    _report(f"criterion 3: pass (500 systems, zero violations, {elapsed:.1f}s)")
-
-
-def test_criterion_4_sauer(compressed_corpus):
-    for _, comp in compressed_corpus:
-        d = setsystem.vc_dimension(comp)
-        assert len(comp) <= bounds.g_k(comp.n, d)
-    for k in range(1, 5):
-        for n in range(k + 1, 11):
-            skel = setsystem.SetSystem.from_masks(
-                n, (m for m in range(1 << n) if m.bit_count() <= k)
-            )
-            d = setsystem.vc_dimension(skel)
-            assert d == k
-            assert len(skel) == bounds.g_k(n, d)
-    _report("criterion 4: pass (|C| <= g_d(n) on corpus; equality on complete skeletons)")
-
-
-# -- criterion 5: growth slopes, statistical, < 10 min ------------------------
-
-
-def test_criterion_5_growth_exponents():
-    start = time.perf_counter()
-    g3 = randgen.growth_experiment(
-        Fraction(3), 4, (256, 512, 1024, 2048, 4096, 8192), 20, DEFAULT_SEED
-    )
-    assert g3.target_exponent == Fraction(3, 2)
-    assert 1.3 <= g3.slope <= 1.7, g3.slope
-    g5 = randgen.growth_experiment(Fraction(5), 4, (256, 512, 1024), 20, DEFAULT_SEED + 1)
-    assert g5.target_exponent == 2
-    assert 1.75 <= g5.slope <= 2.25, g5.slope
-    elapsed = time.perf_counter() - start
-    assert elapsed < 600.0
-    _report(
-        f"criterion 5: pass (s=3 slope {g3.slope:.3f} in 1.5±0.2; "
-        f"s=5 slope {g5.slope:.3f} in 2.0±0.25; {elapsed:.0f}s)"
-    )
-
-
-# -- criterion 6: prune guarantee at n = 80, exact per seed, < 5 min ----------
-
-
-def test_criterion_6_prune_guarantee():
-    start = time.perf_counter()
-    n, m, s = 80, 4, Fraction(3)
-    z = (s - 1) * (m + 1)
-    assert z == 10
-    combos = scan.combination_array(n, m)
-    verts = np.arange(n, dtype=np.int16)
-    for i in range(5):
-        trial_seed = derive_seed(DEFAULT_SEED, n, i)
-        threshold = randgen.inverse_power_threshold(n, 1 / (s - 1))
-        cx = randgen.materialize(
-            randgen.sample_levels(n, 1, Fraction(threshold, 1 << 53), trial_seed, collect=True)
-        )
-        pruned = randgen.prune_bad_msets(cx, m, z).complex
-        counts = scan.dim_ge1_counts(pruned, combos, verts)
-        assert len(counts) == math.comb(80, 4)
-        worst = int(counts.max())
-        assert worst <= 9, f"seed {i}: 4-set spans {worst} >= 10"
-        f4 = scan.exact_shatter_value(pruned, m)
-        assert f4 < 15, f"seed {i}: f(4) = {f4}"
-    elapsed = time.perf_counter() - start
-    assert elapsed < 300.0
-    _report(f"criterion 6: pass (5 seeds, full C(80,4) scans, {elapsed:.0f}s)")
-
-
-# -- criterion 7: overlap witness bound, exact --------------------------------
-
-
-def test_criterion_7_overlap_witness():
-    result = verify.suite_overlap("full", DEFAULT_SEED)
-    assert result.passed, result.failures[:5]
-    assert result.measured["instances"] == 200
-    _report("criterion 7: pass (200 planted configurations satisfy the span bound)")
-
-
-# -- criterion 8: embedding lower bound, exact --------------------------------
-
-
-def test_criterion_8_embedding_bound():
-    result = verify.suite_embedding("full", DEFAULT_SEED)
-    assert result.passed, result.failures[:5]
-    assert result.measured["pairs"] >= 10
-    _report(
-        f"criterion 8: pass ({result.measured['pairs']} tree/complex pairs, "
-        "count >= (delta_d - f)^f)"
-    )
-
-
-# -- criterion 9: extremal oracle equivalence, exact, < 5 min -----------------
-
-
-def test_criterion_9_extremal_oracle():
-    start = time.perf_counter()
-    queries = 0
-    for n in range(1, 6):
-        for m in range(0, n + 1):
-            for b in range(1, (1 << m) + 1):
-                got = search.extremal_max_sets(n, m, b)
-                want = search.extremal_oracle(n, m, b)
-                assert got.max_size == want.max_size, (n, m, b)
-                if m >= 1 and b == (1 << m) - 1:
-                    assert got.max_size <= bounds.g_k(n, m - 1)
-                queries += 1
-    elapsed = time.perf_counter() - start
-    assert elapsed < 300.0
-    _report(f"criterion 9: pass ({queries} queries match the oracle, {elapsed:.0f}s)")
-
-
-# -- criterion 10: bound identities, exact ------------------------------------
-
-
-def test_criterion_10_bound_identities():
-    result = verify.suite_bounds("full", DEFAULT_SEED)
-    assert result.passed, result.failures[:5]
-    _report(
-        "criterion 10: pass (Pascal grid to 64, lower < upper to m = 10^4, "
-        "telescoping identity exact)"
-    )
-
-
-# -- criterion 11: Bondy-Hajnal probe -----------------------------------------
-
-
-def test_criterion_11_bondy_hajnal_probe():
-    start = time.perf_counter()
-    probe = randgen.bondy_hajnal_probe(
-        2, 13, (256, 512, 1024, 2048, 4096), 3, DEFAULT_SEED
-    )
-    assert probe.g_k_m == 92
-    assert probe.premise_all_ok, [
-        (i.n, i.max_trace_seen) for i in probe.instances if not i.premise_ok
-    ]
-    assert probe.exponent >= 2.0, probe.exponent
-    assert probe.target_exponent == Fraction(11, 5)
-    assert probe.exceeds_k
-    elapsed = time.perf_counter() - start
-    _report(
-        f"criterion 11: pass (premise holds on every check; exponent "
-        f"{probe.exponent:.3f} >= 2.0 toward 11/5; {elapsed:.0f}s)"
-    )
+for _name in verify.SUITES:  # a suite without an entry in TEST_NAMES fails collection
+    globals()[TEST_NAMES[_name]] = _suite_test(_name)

@@ -1,7 +1,10 @@
 import json
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shatterlab.cli import main
 from shatterlab.setsystem import parse_json
@@ -153,14 +156,60 @@ def test_exit_code_invalid_input(tmp_path, capsys):
         '{"n": 4, "sets": [[true]]}',  # bool is not a label
         '{"n": 4, "sets": [[4]]}',  # label above n - 1
         '{"n": 4, "sets": [5]}',  # member not a list
+        '{"n": 4, "facets": [[-1, 2]]}',  # complex: label below 0
+        '{"n": "4", "facets": [[0]]}',  # complex: ground size not an integer
+        '{"n": 4, "facets": [["a", 1]]}',  # complex: label not an integer
+        '{"n": 4, "facets": [[true]]}',  # complex: bool is not a label
+        '{"n": 4, "facets": [3]}',  # complex: facet not a list
+        '{"n": 70000, "facets": [[69999]]}',  # complex: ground size over the cap
     ],
 )
 def test_shatter_rejects_malformed_json(tmp_path, capsys, text):
+    # a "facets" file is a complex, read by `complex stats`
+    command = ("complex", "stats") if '"facets"' in text else ("shatter",)
     path = tmp_path / "s.json"
     path.write_text(text)
-    code, _, err = run_cli(capsys, "shatter", "--in", str(path))
+    code, _, err = run_cli(capsys, *command, "--in", str(path))
     assert code == 2 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "--s", "3", "--m", "4", "--n", "0"),
+        ("bh-probe", "--k", "2", "--m", "13", "--n", "0"),
+        ("bh-probe", "--k", "2", "--m", "13", "--n", "256", "--trials", "0"),
+        ("bounds", "eval", "--kind", "g_k", "--params", "k=x"),
+        ("bounds", "eval", "--kind", "g_k", "--params", "n=4,k=1/0"),
+        ("verify-paper", "--suite", "nope"),
+        ("shatter", "--in", "."),  # a directory
+    ],
+)
+def test_bad_flag_values_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        (("--seed", "7"), ("sample", "--n", "6", "--p", "1/2")),
+        (("--format", "json"), ("bounds", "eval", "--kind", "g_k", "--params", "n=13,k=2")),
+        (("--limit-subsets", "3"), ("sample", "--n", "5", "--t", "2", "--p", "1/2")),
+        (("--threads", "2"), ("dtree", "verify", "--d-max", "1", "--Q-max", "1")),
+    ],
+)
+def test_global_flag_before_or_after_the_subcommand(recording_pool, capsys, flag, argv):
+    def run(*args):
+        before = len(recording_pool)
+        return run_cli(capsys, *args), recording_pool[before:]
+
+    first = run(*flag, *argv)
+    last = run(*argv, *flag)
+    assert first == last  # same output, exit code and pool sizes
+    assert first != run(*argv)  # and the flag took effect
 
 
 def test_exit_code_resource_limit(tmp_path, capsys):
@@ -187,3 +236,48 @@ def test_exhaustive_oracle_is_capped_at_n5(capsys):
                            "--oracle")
     assert code == 3 and err.startswith("resource limit:")
     assert time.perf_counter() - start < 5.0
+
+
+# Malformed input files.  Ground sizes stay at most 12: the exact shatter scan
+# of a valid file is exponential in n, and these tests probe parsing, not it.
+_label = st.one_of(
+    st.integers(-2, 12), st.booleans(), st.none(), st.text(max_size=2), st.floats(-2, 12)
+)
+_rows = st.lists(st.one_of(st.lists(_label, max_size=4), _label), max_size=5)
+_ground = st.one_of(st.integers(-2, 12), st.booleans(), st.none(), st.text(max_size=2))
+_json_doc = st.one_of(
+    st.fixed_dictionaries({"n": _ground, "sets": _rows}),
+    st.fixed_dictionaries({"n": _ground, "facets": _rows}),
+    st.dictionaries(st.sampled_from(["n", "sets", "facets"]), st.one_of(_ground, _rows)),
+    _rows,
+)
+_text_doc = st.builds(
+    lambda header, lines: "\n".join([header, *lines]) + "\n",
+    st.one_of(st.integers(-2, 12).map("n={}".format), st.text(alphabet="n= x.-", max_size=4)),
+    st.lists(st.text(alphabet="0123456789 -x\t", max_size=8), max_size=5),
+)
+_input_file = st.one_of(
+    st.tuples(st.just("in.json"), _json_doc.map(lambda doc: json.dumps(doc).encode())),
+    st.tuples(st.just("in.txt"), _text_doc.map(str.encode)),
+    st.tuples(st.sampled_from(["in.json", "in.txt"]), st.binary(max_size=24)),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_input_file)
+def test_file_commands_keep_the_exit_code_contract(tmp_path, capsys, case):
+    name, content = case
+    path = tmp_path / name
+    path.write_bytes(content)
+    for argv in (
+        ("shatter", "--in", str(path)),
+        ("compress", "--in", str(path), "--out", str(tmp_path / "out.json")),
+        ("complex", "stats", "--in", str(path)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3), (argv, content)
+        assert "Traceback" not in err

@@ -16,7 +16,7 @@ from shatterlab._keyed import (
     rank_u53,
     rank_u53_np,
 )
-from shatterlab.complexes import SimplicialComplex
+from shatterlab.complexes import SimplicialComplex, span_count
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 from shatterlab.randgen import (
     _EDGE_CHUNK,
@@ -322,6 +322,26 @@ def test_probe_scan_mode_samples_once(monkeypatch):
     for inst, (n, t, p, seed) in zip(probe.instances, calls):
         pruned = prune_bad_msets(sample_complex(n, t, p, seed), probe.m, z).complex
         assert inst.faces_by_dim == tuple(len(pruned.faces_of_dim(d)) for d in range(3))
+
+
+def test_pruned_sample_answers_queries_like_the_pruned_complex():
+    # the probe's scan mode: prune the materialized sample, then drop the
+    # removed vertices from the sample it queries; here the prune removes
+    # 6 of 24 vertices and triangles survive
+    n, m, z = 24, 6, 16
+    sample = sample_levels(n, 2, Fraction(1, 3), 0, collect=True)
+    res = prune_bad_msets(materialize(sample), m, z)
+    assert 0 < len(res.removed_vertices) < n
+    sample.remove_vertices(res.removed_vertices)
+    assert sample.tri_count > 0
+    assert sample.counts_by_dim() == tuple(
+        len(res.complex.faces_of_dim(d)) for d in range(3)
+    )
+    rng = random.Random(5)
+    subsets = [rng.sample(range(n), m) for _ in range(300)]
+    subsets += list(randgen._probe_spot_sets(sample, m).values())
+    for ys in subsets:
+        assert sample.trace_count(ys) == 1 + span_count(res.complex, ys), ys
 
 
 def test_probe_exponent_is_nan_when_pruning_empties_every_instance():
