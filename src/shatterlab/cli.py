@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from shatterlab import bounds, compression, complexes, dtree, randgen, search, setsystem, verify
-from shatterlab.errors import InvalidArgumentError, ResourceLimitError
-from shatterlab.scan import DEFAULT_SUBSET_LIMIT
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 
 def _fraction(text: str) -> Fraction:
@@ -160,10 +159,10 @@ def _cmd_shatter(args) -> int:
     if dups:
         print(f"# dropped {dups} duplicate members", file=sys.stderr)
     if args.m is not None:
-        value = setsystem.shatter_value(system, args.m)
+        value = setsystem.shatter_value(system, args.m, limit=args.limit_subsets)
         _emit(args, [f"m,f\n{args.m},{value}"], {"m": args.m, "value": value})
         return 0
-    profile = setsystem.shatter_profile(system)
+    profile = setsystem.shatter_profile(system, limit=args.limit_subsets)
     rows = ["m,f"] + [f"{m},{v}" for m, v in enumerate(profile.values)]
     _emit(args, rows, {"profile": list(profile.values)})
     return 0
@@ -230,8 +229,8 @@ def _cmd_dtree_verify(args) -> int:
     for d in range(1, args.d_max + 1):
         for q in range(1, args.Q_max + 1):
             r_top = args.r_max if args.r_max is not None else 2 * q + 1
-            if d * q > 20:
-                continue  # brute force cap
+            if d * q > dtree.BRUTE_FORCE_VERTEX_CAP:
+                continue  # d * Q unrooted vertices
             cells.extend((d, q, r) for r in range(0, r_top + 1))
     print("d,Q,r,formula,blockmin,brutemin,balanced,facets")
     bound = min(args.threads, len(cells), os.cpu_count() or 1)
@@ -341,7 +340,8 @@ def _cmd_bounds_eval(args) -> int:
 
 
 def _cmd_search_extremal(args) -> int:
-    result = search.extremal_max_sets(args.n, args.m, args.b, oracle=args.oracle)
+    query = search.extremal_oracle if args.oracle else search.extremal_max_sets
+    result = query(args.n, args.m, args.b)
     obj = {
         "max_size": result.max_size,
         "method": result.method,

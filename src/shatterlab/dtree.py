@@ -154,9 +154,7 @@ def min_density_formula(d: int, Q: int, r: int) -> Fraction:
     return Fraction(1 << d) + Fraction(r * ((1 << d) - 1), d * Q)
 
 
-def min_density_bruteforce(
-    tree: RootedDTree, *, vertex_cap: int = BRUTE_FORCE_VERTEX_CAP
-) -> tuple[Fraction, int]:
+def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
     """Exact minimum of e(S)/|S| over non-empty sets of unrooted vertices.
 
     Returns (value, witness); the witness is the largest minimizing set,
@@ -166,9 +164,9 @@ def min_density_bruteforce(
     k = len(unrooted)
     if k == 0:
         raise InvalidArgumentError("tree has no unrooted vertices")
-    if k > vertex_cap:
+    if k > BRUTE_FORCE_VERTEX_CAP:
         raise ResourceLimitError(
-            f"{k} unrooted vertices exceed the brute-force cap {vertex_cap}"
+            f"{k} unrooted vertices exceed the brute-force cap {BRUTE_FORCE_VERTEX_CAP}"
         )
     faces = sorted(tree.complex.faces)
     inc = []
@@ -212,9 +210,9 @@ def _vertex_list(subset: int, unrooted: list[int]) -> tuple[int, ...]:
     return tuple(unrooted[i] for i in iter_bits(subset))
 
 
-def is_balanced(tree: RootedDTree, *, vertex_cap: int = BRUTE_FORCE_VERTEX_CAP) -> bool:
+def is_balanced(tree: RootedDTree) -> bool:
     """True iff the full unrooted set attains the minimum density."""
-    value, _ = min_density_bruteforce(tree, vertex_cap=vertex_cap)
+    value, _ = min_density_bruteforce(tree)
     full = tree.unrooted_mask
     e = sum(1 for f in tree.complex.faces if f & full)
     return Fraction(e, full.bit_count()) == value

@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the default scan bound.
 
 The CLI maps these onto exit codes: invalid input -> 2, resource limit -> 3.
 """
+
+# most subsets an exhaustive scan visits before it raises ResourceLimitError
+DEFAULT_SUBSET_LIMIT = 10**7
 
 
 class InvalidArgumentError(ValueError):

@@ -33,8 +33,7 @@ from shatterlab._keyed import (
 )
 from shatterlab.bounds import floor_log2, g_k, growth_exponent
 from shatterlab.complexes import SimplicialComplex
-from shatterlab.errors import InvalidArgumentError, ResourceLimitError
-from shatterlab.scan import DEFAULT_SUBSET_LIMIT
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 _PAIR_CHUNK = 1 << 21
 _EDGE_CHUNK = 1 << 12
@@ -91,7 +90,7 @@ class LevelSample:
     n: int
     t: int
     seed: int
-    thresholds: tuple[int, ...]  # per level 2..t+1
+    threshold: int  # the keyed-hash threshold of every level 2..t+1
     edges_u: np.ndarray
     edges_v: np.ndarray
     tri_count: int = 0
@@ -140,7 +139,7 @@ class LevelSample:
         """Face decision for the triangle {a,b,c}, recomputed from the key."""
         u, v, w = sorted((a, b, c))
         rank = u + math.comb(v, 2) + math.comb(w, 3)
-        return rank_u53(level_key(self.seed, 3), rank) < self.thresholds[1]
+        return rank_u53(level_key(self.seed, 3), rank) < self.threshold
 
     def span_dim_ge1(self, subset) -> int:
         """Faces of dimension >= 1 inside the given vertex set (exact)."""
@@ -263,9 +262,8 @@ def sample_levels(
     if n < 1:
         raise InvalidArgumentError("need n >= 1")
     thr = probability_threshold(p)
-    thresholds = tuple(thr for _ in range(2, t + 2))
     us, vs = _sample_edges_np(n, thr, seed)
-    sample = LevelSample(n, t, seed, thresholds, us, vs)
+    sample = LevelSample(n, t, seed, thr, us, vs)
     if t >= 2 and n >= 3:
         sample.tri_count, sample.triangles = _triangle_pass(sample, thr, collect=collect)
     return sample
@@ -323,28 +321,17 @@ def prune_bad_msets(
     zc = math.ceil(zf)
     if max_possible_dim_ge1_span(m, cx.dimension) < zc:
         return PruneResult(cx, (), 0, 0, True)
-    active = scan.active_vertices(cx)
-    k = min(m, len(active))
-    if k < 2:
+    scanned = scan.active_span_counts(cx, m, limit)
+    if scanned is None:
         return PruneResult(cx, (), 0, 0, False)
-    total = math.comb(len(active), k)
-    if total > limit:
-        raise ResourceLimitError(
-            f"bad-m-set scan needs {total} subsets of {len(active)} active vertices "
-            f"(limit {limit})"
-        )
-    verts = np.asarray(active, dtype=np.int16)
-    combos = scan.combination_array(len(active), k)
-    counts = scan.dim_ge1_counts(cx, combos, verts)
+    verts, combos, counts = scanned
     bad = np.nonzero(counts >= zc)[0]
     if not len(bad):
-        return PruneResult(cx, (), 0, total, False)
-    removed = 0
-    for row in verts[combos[bad]]:
-        removed |= mask_of(int(v) for v in row)
+        return PruneResult(cx, (), 0, len(combos), False)
+    removed = mask_of(int(v) for v in np.unique(verts[combos[bad]]))
     faces = {f for f in cx.faces if not f & removed}
     pruned = SimplicialComplex(cx.n, faces, validate=False)
-    return PruneResult(pruned, tuple(bits(removed)), int(len(bad)), total, False)
+    return PruneResult(pruned, tuple(bits(removed)), int(len(bad)), len(combos), False)
 
 
 def default_skeleton_p(n: int) -> Fraction:
@@ -387,20 +374,12 @@ def sample_skeleton_complex(
         total = math.comb(n, m)
         if total > limit:
             raise ResourceLimitError(f"deletion scan needs {total} subsets (limit {limit})")
-        if n > 63:
-            raise ResourceLimitError("skeleton deletion scan requires n <= 63")
+        # the d-simplices alone, so that every counted face is one of them
+        alone = SimplicialComplex(n, simplices, validate=False)
         combos = scan.combination_array(n, m)
-        masks = scan._combo_masks(np.arange(n, dtype=np.int16)[combos])
-        counts = np.zeros(len(combos), dtype=np.int32)
-        for s in simplices:
-            counts += (masks & np.uint64(s)) == np.uint64(s)
-        bad_masks = masks[counts >= m - d + 1]
-        if len(bad_masks):
-            kept = [
-                s
-                for s in simplices
-                if not bool(((bad_masks & np.uint64(s)) == np.uint64(s)).any())
-            ]
+        counts = scan.dim_ge1_counts(alone, combos, np.arange(n))
+        bad = [mask_of(row) for row in combos[counts >= m - d + 1].tolist()]
+        kept = [s for s in simplices if not any(s & b == s for b in bad)]
     faces.update(kept)
     return SimplicialComplex(n, faces, validate=False)
 
@@ -465,56 +444,47 @@ class ExperimentReport:
 REPORT_CSV_HEADER = "seed,n,s,m,t,p,faces_total,faces_top,f_m,bad_msets,removed_vertices"
 
 
+def _sample_pruned(
+    n: int, t: int, threshold: int, seed: int, m: int, z, *, prune: bool, limit: int
+) -> tuple[LevelSample, PruneResult | None]:
+    """Sample the level model at p = threshold / 2^53; when prune is set, also
+    prune the materialized sample at (m, z) and drop the removed vertices
+    from the sample, which then answers queries as the pruned complex."""
+    sample = sample_levels(n, t, Fraction(threshold, 1 << 53), seed, collect=prune)
+    if not prune:
+        return sample, None
+    res = prune_bad_msets(materialize(sample), m, z, limit=limit)
+    sample.remove_vertices(res.removed_vertices)
+    return sample, res
+
+
 def _growth_trial(
-    s: Fraction,
-    m: int,
-    n: int,
-    t: int,
-    threshold: int,
-    trial_seed: int,
-    exact_limit: int,
-    scan_limit: int,
+    s: Fraction, m: int, n: int, t: int, threshold: int, trial_seed: int, scan_limit: int
 ) -> ExperimentReport:
     start = time.perf_counter()
     z = (s - 1) * (m + 1)
-    p_float = threshold / float(1 << 53)
-    params = ExperimentParams(s, m, n, t, p_float, z)
+    params = ExperimentParams(s, m, n, t, threshold / float(1 << 53), z)
     shortcut = max_possible_dim_ge1_span(m, t) < math.ceil(z)
-    need_material = math.comb(n, m) <= exact_limit or not shortcut
-    if need_material:
-        sample = sample_levels(n, t, Fraction(threshold, 1 << 53), trial_seed, collect=True)
-        cx = materialize(sample)
-        res = prune_bad_msets(cx, m, z, limit=scan_limit)
-        pruned = res.complex
-        counts = tuple(len(pruned.faces_of_dim(dim)) for dim in range(t + 1))
-        f_m: int | str
+    prune = math.comb(n, m) <= DEFAULT_SUBSET_LIMIT or not shortcut
+    sample, res = _sample_pruned(
+        n, t, threshold, trial_seed, m, z, prune=prune, limit=scan_limit
+    )
+    f_m: int | str = "sampled"
+    if res is not None:
         try:
-            f_m = scan.exact_shatter_value(pruned, m, limit=exact_limit)
+            f_m = scan.exact_shatter_value(res.complex, m)
         except ResourceLimitError:
-            f_m = "sampled"
-        report = ExperimentReport(
-            trial_seed,
-            params,
-            counts,
-            f_m,
-            res.bad_sets_found,
-            len(res.removed_vertices),
-            time.perf_counter() - start,
-            "shortcut" if res.shortcut else "scan",
-        )
-    else:
-        sample = sample_levels(n, t, Fraction(threshold, 1 << 53), trial_seed)
-        report = ExperimentReport(
-            trial_seed,
-            params,
-            sample.counts_by_dim(),
-            "sampled",
-            0,
-            0,
-            time.perf_counter() - start,
-            "shortcut",
-        )
-    return report
+            pass
+    return ExperimentReport(
+        trial_seed,
+        params,
+        sample.counts_by_dim(),
+        f_m,
+        res.bad_sets_found if res else 0,
+        len(res.removed_vertices) if res else 0,
+        time.perf_counter() - start,
+        "scan" if res and not res.shortcut else "shortcut",
+    )
 
 
 @dataclass
@@ -539,7 +509,6 @@ def growth_experiment(
     trials: int,
     seed: int,
     *,
-    exact_limit: int = DEFAULT_SUBSET_LIMIT,
     scan_limit: int = DEFAULT_SUBSET_LIMIT,
     workers: int = 1,
 ) -> GrowthResult:
@@ -565,7 +534,7 @@ def growth_experiment(
         threshold = inverse_power_threshold(n, 1 / (s - 1))
         for trial in range(trials):
             trial_seed = derive_seed(seed, n, trial)
-            jobs.append((s, m, n, t, threshold, trial_seed, exact_limit, scan_limit))
+            jobs.append((s, m, n, t, threshold, trial_seed, scan_limit))
     bound = min(workers, len(jobs), os.cpu_count() or 1)
     if bound > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -713,12 +682,9 @@ def bondy_hajnal_probe(
                 pruning = "shortcut"
             elif math.comb(n, m) <= scan_limit:
                 pruning = "scan"
-            sample = sample_levels(
-                n, t, Fraction(threshold, 1 << 53), trial_seed, collect=pruning == "scan"
+            sample, _ = _sample_pruned(
+                n, t, threshold, trial_seed, m, z, prune=pruning == "scan", limit=scan_limit
             )
-            if pruning == "scan":
-                res = prune_bad_msets(materialize(sample), m, z, limit=scan_limit)
-                sample.remove_vertices(res.removed_vertices)
             rng = random.Random(derive_seed(seed, n, trial, 0xBAD5E75))
             max_trace = m + 1  # any m isolated-ish vertices give m+1 traces
             for _ in range(subset_samples):

@@ -3,8 +3,14 @@
 For a downward-closed family the trace on Y is the empty set plus the faces
 inside Y, so exact shatter values of complexes reduce to maximizing spanned
 face counts over m-subsets.  These scans are the independent oracles behind
-the pruning guarantees; they enumerate every candidate subset (numpy does
-the counting) and refuse to run past a configured subset limit.
+the pruning guarantees; they enumerate every candidate subset and refuse to
+run past a configured subset limit.
+
+A scan runs in positions of a vertex list: each candidate subset is a row
+of positions, and numpy counts, for all rows at once, the edges through a
+position-indexed adjacency matrix and each higher face through a
+position-major membership table (member[pos, row]).  Faces with a vertex
+outside the list are never counted, and vertex labels may be any size.
 """
 
 from __future__ import annotations
@@ -13,11 +19,9 @@ import math
 
 import numpy as np
 
-from shatterlab._bits import bits
+from shatterlab._bits import bits, mask_of
 from shatterlab.complexes import SimplicialComplex
-from shatterlab.errors import ResourceLimitError
-
-DEFAULT_SUBSET_LIMIT = 10**7
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, ResourceLimitError
 
 
 def combination_array(n: int, m: int) -> np.ndarray:
@@ -43,45 +47,40 @@ def combination_array(n: int, m: int) -> np.ndarray:
     return level
 
 
-def _combo_masks(combos: np.ndarray) -> np.ndarray:
-    """uint64 vertex masks per row; requires labels < 64."""
-    return np.bitwise_or.reduce(
-        np.left_shift(np.uint64(1), combos.astype(np.uint64)), axis=1
-    )
-
-
 def dim_ge1_counts(
     cx: SimplicialComplex, combos: np.ndarray, vertices: np.ndarray
 ) -> np.ndarray:
-    """Faces of dimension >= 1 spanned by each row of vertices[combos]."""
-    n = cx.n
-    rows = vertices.astype(np.int16)[combos]
-    m = rows.shape[1]
-    counts = np.zeros(len(rows), dtype=np.int32)
-    edges = cx.faces_of_dim(1)
-    if edges and m >= 2:
-        adj = np.zeros((n, n), dtype=bool)
-        for e in edges:
-            u, v = bits(e)
+    """Faces of dimension >= 1 spanned by each row of vertices[combos].
+
+    combos holds positions into vertices; a face counts for a row when every
+    one of its vertices sits at a position of that row.
+    """
+    pos = {int(v): i for i, v in enumerate(vertices)}
+    within = mask_of(pos)
+
+    def faces_at(d: int) -> list[list[int]]:
+        """Position lists of the d-faces whose vertices all lie in `vertices`."""
+        return [[pos[v] for v in bits(f)] for f in cx.faces_of_dim(d) if f & within == f]
+
+    rows, m = combos.shape
+    counts = np.zeros(rows, dtype=np.int32)
+    edges = faces_at(1)
+    if edges:
+        adj = np.zeros((len(pos), len(pos)), dtype=bool)
+        for u, v in edges:
             adj[u, v] = adj[v, u] = True
         for i in range(m):
             for j in range(i + 1, m):
-                counts += adj[rows[:, i], rows[:, j]]
-    higher = [f for d in range(2, cx.dimension + 1) for f in cx.faces_of_dim(d)]
+                counts += adj[combos[:, i], combos[:, j]]
+    higher = [ps for d in range(2, cx.dimension + 1) for ps in faces_at(d)]
     if higher:
-        if n <= 63:
-            masks = _combo_masks(rows)
-            for f in higher:
-                counts += (masks & np.uint64(f)) == np.uint64(f)
-        else:
-            member = np.zeros((len(rows), n), dtype=bool)
-            member[np.arange(len(rows))[:, None], rows] = True
-            for f in higher:
-                inside = None
-                for v in bits(f):
-                    col = member[:, v]
-                    inside = col if inside is None else inside & col
-                counts += inside
+        member = np.zeros((len(pos), rows), dtype=bool)
+        member[combos.T, np.arange(rows)] = True
+        for ps in higher:
+            inside = member[ps[0]] & member[ps[1]]
+            for q in ps[2:]:
+                inside &= member[q]
+            counts += inside
     return counts
 
 
@@ -93,25 +92,35 @@ def _guard(total: int, limit: int) -> None:
         )
 
 
+def active_span_counts(
+    cx: SimplicialComplex, m: int, limit: int = DEFAULT_SUBSET_LIMIT
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(vertices, combos, counts) over the k-subsets of the active vertices.
+
+    k = min(m, number of active vertices); None when k < 2, where no subset
+    spans a face of dimension >= 1.  An m-set spans exactly what its active
+    part spans, so these rows decide every m-set of the complex.
+    """
+    active = active_vertices(cx)
+    k = min(m, len(active))
+    if k < 2:
+        return None
+    _guard(math.comb(len(active), k), limit)
+    verts = np.asarray(active)
+    combos = combination_array(len(active), k)
+    return verts, combos, dim_ge1_counts(cx, combos, verts)
+
+
 def max_dim_ge1_span(
-    cx: SimplicialComplex,
-    m: int,
-    *,
-    vertices=None,
-    limit: int = DEFAULT_SUBSET_LIMIT,
-    combos: np.ndarray | None = None,
+    cx: SimplicialComplex, m: int, *, vertices=None, limit: int = DEFAULT_SUBSET_LIMIT
 ) -> int:
     """Exact max over all m-subsets of the given vertices of spanned dim>=1 faces."""
-    verts = np.asarray(
-        sorted(vertices) if vertices is not None else cx.vertices(), dtype=np.int16
-    )
+    verts = sorted(vertices) if vertices is not None else cx.vertices()
     if m > len(verts):
         raise ResourceLimitError(f"not enough vertices for {m}-subsets")
-    if combos is None:
-        _guard(math.comb(len(verts), m), limit)
-        combos = combination_array(len(verts), m)
-    counts = dim_ge1_counts(cx, combos, verts)
-    return int(counts.max()) if len(counts) else 0
+    _guard(math.comb(len(verts), m), limit)
+    combos = combination_array(len(verts), m)
+    return int(dim_ge1_counts(cx, combos, np.asarray(verts)).max())
 
 
 def exact_shatter_value(
@@ -123,18 +132,14 @@ def exact_shatter_value(
     vertices, so only subsets of edge-covered vertices need enumerating.
     """
     vcount = len(cx.faces_of_dim(0))
-    if m == 0:
+    if m == 0 or vcount == 0:
         return 1
-    if vcount == 0:
-        return 1
-    active = active_vertices(cx)
-    k = min(m, len(active))
     base = 1 + min(m, vcount)
-    if k < 2:
+    scanned = active_span_counts(cx, m, limit)
+    if scanned is None:
         return base
-    _guard(math.comb(len(active), k), limit)
-    best = max_dim_ge1_span(cx, k, vertices=active, limit=limit)
-    return base + best
+    _, _, counts = scanned
+    return base + int(counts.max())
 
 
 def active_vertices(cx: SimplicialComplex) -> list[int]:

@@ -121,7 +121,18 @@ def _oracle_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     return tuple(rows)
 
 
+def _check_query(n: int, m: int, b: int) -> None:
+    if not 1 <= n <= BRANCH_MAX_N:
+        raise InvalidArgumentError(f"n must be in 1..{BRANCH_MAX_N}")
+    if not 0 <= m <= n:
+        raise InvalidArgumentError("m must be in 0..n")
+    if not 1 <= b <= 1 << m:
+        raise InvalidArgumentError("b must be in 1..2^m")
+
+
 def extremal_oracle(n: int, m: int, b: int) -> ExtremalResult:
+    """The same query as extremal_max_sets, by exhaustive enumeration (n <= 5)."""
+    _check_query(n, m, b)
     best: tuple[int, ...] | None = None
     for members, profile in _oracle_table(n):
         if profile[m] > b:
@@ -135,17 +146,10 @@ def extremal_oracle(n: int, m: int, b: int) -> ExtremalResult:
 
 
 def extremal_max_sets(
-    n: int, m: int, b: int, *, oracle: bool = False, node_limit: int = 2_000_000
+    n: int, m: int, b: int, *, node_limit: int = 2_000_000
 ) -> ExtremalResult:
     """Largest downward-closed family (with empty set) whose f(m) is at most b."""
-    if not 1 <= n <= BRANCH_MAX_N:
-        raise InvalidArgumentError(f"n must be in 1..{BRANCH_MAX_N}")
-    if not 0 <= m <= n:
-        raise InvalidArgumentError("m must be in 0..n")
-    if not 1 <= b <= 1 << m:
-        raise InvalidArgumentError("b must be in 1..2^m")
-    if oracle:
-        return extremal_oracle(n, m, b)
+    _check_query(n, m, b)
 
     shatter_memo: dict[frozenset[int], int] = {}
 

@@ -4,17 +4,25 @@ A system lives on a labelled ground set {0..n-1} with n <= 64 and stores its
 members as machine-word bitmasks, so traces and intersections are single-word
 operations.  All operations here are pure and exhaustive: shatter values are
 exact maxima over all candidate vertex subsets (with an early exit once the
-theoretical ceiling min(2^m, |S|) is reached).
+theoretical ceiling min(2^m, |S|) is reached), and a scan that would pass a
+subset limit raises instead of running on.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 from shatterlab._bits import bits, iter_size_subsets, mask_of
-from shatterlab.errors import EmptyDomainError, InvalidArgumentError
+from shatterlab.errors import (
+    DEFAULT_SUBSET_LIMIT,
+    EmptyDomainError,
+    InvalidArgumentError,
+    ResourceLimitError,
+)
 
 MAX_GROUND = 64
 
@@ -82,11 +90,13 @@ def trace(system: SetSystem, subset) -> SetSystem:
     return SetSystem.from_masks(system.n, (e & ymask for e in system.members))
 
 
-def shatter_value(system: SetSystem, m: int) -> int:
+def shatter_value(system: SetSystem, m: int, *, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     """max |trace(S,Y)| over all Y of size m, exhaustively.
 
     Subsets are visited in colexicographic order; the scan stops early once
-    the running maximum reaches min(2^m, |S|).
+    the running maximum reaches min(2^m, |S|).  If the first `limit` subsets
+    do not reach it and more remain, ResourceLimitError is raised, so every
+    value returned is exact.
     """
     if not 0 <= m <= system.n:
         raise InvalidArgumentError(f"m must be in 0..{system.n}, got {m}")
@@ -94,13 +104,22 @@ def shatter_value(system: SetSystem, m: int) -> int:
     if not members:
         return 0
     ceiling = min(1 << m, len(members))
+    total = math.comb(system.n, m)
+    subsets = iter_size_subsets(system.n, m)
+    if total > limit:
+        subsets = islice(subsets, max(limit, 0))
     best = 0
-    for ymask in iter_size_subsets(system.n, m):
+    for ymask in subsets:
         count = len({e & ymask for e in members})
         if count > best:
             best = count
             if best >= ceiling:
-                break
+                return best
+    if total > limit:
+        raise ResourceLimitError(
+            f"shatter scan of {total} {m}-subsets exceeds the limit {limit}; "
+            "raise --limit-subsets to force it"
+        )
     return best
 
 
@@ -142,8 +161,10 @@ class ShatterProfile:
         return out
 
 
-def shatter_profile(system: SetSystem) -> ShatterProfile:
-    return ShatterProfile(tuple(shatter_value(system, m) for m in range(system.n + 1)))
+def shatter_profile(system: SetSystem, *, limit: int = DEFAULT_SUBSET_LIMIT) -> ShatterProfile:
+    return ShatterProfile(
+        tuple(shatter_value(system, m, limit=limit) for m in range(system.n + 1))
+    )
 
 
 def vc_dimension(system: SetSystem) -> int:

@@ -218,6 +218,17 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     assert code == 3 and "resource limit" in err
 
 
+def test_shatter_scan_is_bounded(tmp_path, capsys):
+    # for m = 4 the colex scan passes all C(59, 4) subsets that miss vertex 59
+    # before f(4) reaches its ceiling of 2
+    path = tmp_path / "far.txt"
+    path.write_text("n=60\n\n59\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "shatter", "--in", str(path), "--limit-subsets", "100000")
+    assert code == 3 and err.startswith("resource limit:")
+    assert time.perf_counter() - start < 5.0
+
+
 def test_verify_paper_quick_suite(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--tier", "quick",
                            "--suite", "bounds", "--suite", "extremal")

@@ -6,6 +6,7 @@ import pytest
 from shatterlab._bits import bits
 from shatterlab.complexes import SimplicialComplex, density
 from shatterlab.dtree import (
+    BRUTE_FORCE_VERTEX_CAP,
     RootedDTree,
     attach_vertex,
     attachment_blocks,
@@ -142,9 +143,10 @@ def test_bruteforce_matches_independent_oracle():
 
 
 def test_bruteforce_cap():
-    t = build_Tr(1, 5, 0)
+    t = build_Tr(3, 7, 0)
+    assert t.unrooted_mask.bit_count() == BRUTE_FORCE_VERTEX_CAP + 1
     with pytest.raises(ResourceLimitError):
-        min_density_bruteforce(t, vertex_cap=3)
+        min_density_bruteforce(t)
 
 
 def test_contiguous_examples():

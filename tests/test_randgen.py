@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shatterlab import randgen, scan
-from shatterlab._bits import bits, mask_of
+from shatterlab._bits import bits, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     inverse_power_threshold,
     level_key,
@@ -238,6 +238,26 @@ def test_skeleton_deletion_guarantee():
         assert inside <= m - d
     f_m = scan.exact_shatter_value(cx, m)
     assert f_m <= sum(math.comb(m, i) for i in range(d + 1)) + m - d
+
+
+def test_skeleton_deletion_beyond_63_vertices():
+    # d = 1, m = 3: an edge is deleted exactly when it lies on a triangle of
+    # the sampled graph
+    n, p, seed = 66, Fraction(1, 6), 5
+    key, threshold = level_key(seed, 2), probability_threshold(p)
+    sampled = {
+        mask
+        for rank, mask in enumerate(iter_size_subsets(n, 2))
+        if rank_u53(key, rank) < threshold
+    }
+    on_triangle = set()
+    for ys in combinations(range(n), 3):
+        pairs = {mask_of(e) for e in combinations(ys, 2)}
+        if pairs <= sampled:
+            on_triangle |= pairs
+    assert on_triangle
+    cx = sample_skeleton_complex(n, 1, 3, p, seed)
+    assert set(cx.faces_of_dim(1)) == sampled - on_triangle
 
 
 def test_skeleton_determinism():

@@ -47,15 +47,28 @@ def test_dim_ge1_counts_against_pure_python():
 
 
 def test_dim_ge1_counts_large_labels():
-    # membership path for n > 63
-    facets = [[0, 1, 2], [70, 71], [2, 70]]
-    cx = SimplicialComplex.from_facets(80, facets)
-    verts = np.asarray(sorted(cx.vertices()), dtype=np.int16)
-    combos = scan.combination_array(len(verts), 3)
-    counts = scan.dim_ge1_counts(cx, combos, verts)
-    for idx in range(len(combos)):
-        ys = [int(verts[i]) for i in combos[idx]]
-        assert counts[idx] == pure_dim_ge1_count(cx, ys)
+    # the scan is indexed by position in the vertex list: labels past int16,
+    # triangles and tetrahedra at n > 63, and a vertex list that leaves out
+    # vertex 3, 64 and 79, so the faces through them must not count
+    big = 40_000
+    cases = [
+        (big + 10, [[big, big + 3, big + 7], [5, big], [big + 3, big + 9]], None),
+        (80, [[0, 1, 2, 3], [1, 2, 70], [70, 71, 72, 79], [2, 70], [64, 65]], None),
+        (80, [[0, 1, 2, 3], [1, 2, 70], [70, 71, 72, 79], [2, 70], [64, 65]],
+         [0, 1, 2, 65, 70, 71, 72]),
+    ]
+    for n, facets, subset in cases:
+        cx = SimplicialComplex.from_facets(n, facets)
+        verts = subset or cx.vertices()
+        for m in range(2, 6):
+            combos = scan.combination_array(len(verts), m)
+            counts = scan.dim_ge1_counts(cx, combos, np.asarray(verts))
+            spans = [pure_dim_ge1_count(cx, [verts[i] for i in row]) for row in combos.tolist()]
+            assert counts.tolist() == spans
+            assert scan.max_dim_ge1_span(cx, m, vertices=subset) == max(spans)
+            if subset is None:
+                # m of the complex's vertices give the most traces: each is a face
+                assert scan.exact_shatter_value(cx, m) == 1 + m + max(spans)
 
 
 def test_max_dim_ge1_span():

@@ -167,6 +167,10 @@ def test_extremal_validation():
         extremal_max_sets(4, 5, 2)
     with pytest.raises(InvalidArgumentError):
         extremal_max_sets(4, 2, 5)
+    with pytest.raises(InvalidArgumentError):
+        extremal_oracle(3, 5, 1)
+    with pytest.raises(InvalidArgumentError):
+        extremal_oracle(3, 2, 9)
     with pytest.raises(ResourceLimitError):
         extremal_oracle(9, 2, 3)
     with pytest.raises(ResourceLimitError):

@@ -1,11 +1,12 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shatterlab.errors import EmptyDomainError, InvalidArgumentError
+from shatterlab.errors import EmptyDomainError, InvalidArgumentError, ResourceLimitError
 from shatterlab.setsystem import (
     SetSystem,
     format_json,
@@ -106,6 +107,21 @@ def test_shatter_rejects_m_out_of_range():
     s = SetSystem.power_set(2)
     with pytest.raises(InvalidArgumentError):
         shatter_value(s, 3)
+
+
+def test_shatter_subset_limit():
+    # the ceiling min(2^3, 2) is first reached at colex rank C(59, 3)
+    far = SetSystem.from_sets(60, [[], [59]])
+    assert shatter_value(far, 3, limit=comb(59, 3) + 1) == 2
+    with pytest.raises(ResourceLimitError):
+        shatter_value(far, 3, limit=comb(59, 3))
+    # a chain stays below its ceiling 4, so all C(3, 2) subsets are scanned
+    chain = SetSystem.from_sets(3, [[], [0], [0, 1], [0, 1, 2]])
+    assert shatter_value(chain, 2, limit=3) == 3
+    with pytest.raises(ResourceLimitError):
+        shatter_value(chain, 2, limit=2)
+    with pytest.raises(ResourceLimitError):
+        shatter_profile(far, limit=100)
 
 
 def test_profile_examples():
