@@ -3,11 +3,23 @@
 A set of vertices is a Python int with bit v set for vertex v.  Ints are
 arbitrary precision, so these work for any ground-set size; the 64-bit
 limit of the exact set-system core is enforced by callers that need it.
+
+For small ground sets a whole family fits in a numpy array indexed by mask:
+zeta_transform turns an indicator row into subset sums (entry Y counts the
+members inside Y), and popcount_groups lists the masks of each size, so a
+maximum over all m-subsets is one gather.  Both cover n <= ZETA_MAX_N, so a
+row holds at most 2^20 entries.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
+
+import numpy as np
+
+# largest ground set for the subset-sum transform: rows of 2^20 entries
+ZETA_MAX_N = 20
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -61,3 +73,36 @@ def iter_size_subsets(n: int, m: int):
         c = mask & -mask
         r = mask + c
         mask = (((r ^ mask) >> 2) // c) | r
+
+
+def zeta_transform(table: np.ndarray) -> np.ndarray:
+    """Subset sums along the last axis, in place (Yates' transform).
+
+    table is a C-contiguous integer array of shape (..., 2^n); afterwards
+    entry [..., Y] is the sum of the old entries [..., T] over all T within Y.
+    The caller picks a dtype wide enough for the sums.  Returns table.
+    """
+    size = table.shape[-1]
+    n = size.bit_length() - 1
+    if size != 1 << n or not table.flags.c_contiguous:
+        raise ValueError("zeta_transform needs a C-contiguous array with 2^n columns")
+    rows = table.reshape(-1, size)
+    for v in range(n):
+        pairs = rows.reshape(len(rows), size >> (v + 1), 2, 1 << v)
+        pairs[:, :, 1, :] += pairs[:, :, 0, :]
+    return table
+
+
+@lru_cache(maxsize=None)
+def popcount_groups(n: int) -> tuple[np.ndarray, ...]:
+    """Entry j: the masks in 0..2^n-1 with j bits set, ascending, as read-only
+    int32 arrays (n <= ZETA_MAX_N)."""
+    if not 0 <= n <= ZETA_MAX_N:
+        raise ValueError(f"popcount groups need n in 0..{ZETA_MAX_N}")
+    count = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n):
+        count[1 << v : 2 << v] = count[: 1 << v] + 1
+    order = np.argsort(count, kind="stable").astype(np.int32)
+    order.flags.writeable = False
+    ends = np.cumsum(np.bincount(count, minlength=n + 1))
+    return tuple(np.split(order, ends[:-1]))

@@ -182,7 +182,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_complex_stats(args) -> int:
     with open(args.infile, encoding="utf-8") as fh:
-        cx = complexes.parse_complex_json(fh.read())
+        cx = complexes.parse_complex_json(fh.read(), limit=args.limit_subsets)
     counts = cx.face_counts()
     deltas = {}
     for d in range(1, cx.dimension + 1):

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from shatterlab._bits import bits, iter_bits, submasks
-from shatterlab.errors import EmptyDomainError, InvalidArgumentError
+from shatterlab.errors import (
+    DEFAULT_SUBSET_LIMIT,
+    EmptyDomainError,
+    InvalidArgumentError,
+    ResourceLimitError,
+)
 from shatterlab.setsystem import SetSystem, _as_vertex_mask, _parse_members_json
 
 # cap on n for a complex read from a file, so one label cannot build a huge mask
@@ -54,9 +59,16 @@ class SimplicialComplex:
                 rest ^= low
 
     @classmethod
-    def from_facets(cls, n: int, facets: Iterable, *, validate: bool = False):
-        """Downward closure of the given facets (iterables of labels or masks)."""
+    def from_facets(
+        cls, n: int, facets: Iterable, *, validate: bool = False, limit: int | None = None
+    ):
+        """Downward closure of the given facets (iterables of labels or masks).
+
+        With a limit, ResourceLimitError is raised before the closure would
+        build more than `limit` faces, counting a face once per facet under it.
+        """
         faces: set[int] = set()
+        built = 0
         for fc in facets:
             mask = fc if isinstance(fc, int) else 0
             if not isinstance(fc, int):
@@ -66,6 +78,12 @@ class SimplicialComplex:
                 raise InvalidArgumentError(f"facet {mask:#x} exceeds ambient vertex range")
             if mask.bit_count() > 24:
                 raise InvalidArgumentError("facet too large to close downward explicitly")
+            built += (1 << mask.bit_count()) - 1
+            if limit is not None and built > limit:
+                raise ResourceLimitError(
+                    f"closing the facets builds more than {limit} faces; "
+                    "raise --limit-subsets to force it"
+                )
             faces.update(submasks(mask))
         return cls(n, faces, validate=validate)
 
@@ -262,9 +280,10 @@ def overlap_witness(cx: SimplicialComplex, rho, d: int, m: int) -> OverlapWitnes
     return OverlapWitness(v, span_count(cx, v))
 
 
-def parse_complex_json(text: str) -> SimplicialComplex:
+def parse_complex_json(text: str, *, limit: int = DEFAULT_SUBSET_LIMIT) -> SimplicialComplex:
+    """The complex of a facet file; ResourceLimitError past `limit` faces built."""
     n, facets = _parse_members_json(text, "facets", "complex", MAX_FILE_VERTICES)
-    return SimplicialComplex.from_facets(n, facets)
+    return SimplicialComplex.from_facets(n, facets, limit=limit)
 
 
 def format_complex_json(cx: SimplicialComplex) -> str:

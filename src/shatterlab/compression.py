@@ -9,7 +9,7 @@ input's (the last property is property-tested, not proved here).
 
 from __future__ import annotations
 
-from shatterlab.setsystem import SetSystem
+from shatterlab.setsystem import SetSystem, is_downward_closed  # noqa: F401
 
 
 def shift_element(members: frozenset[int], x: int) -> frozenset[int]:
@@ -40,16 +40,3 @@ def compress(system: SetSystem) -> SetSystem:
         if not changed:
             break
     return SetSystem.from_masks(system.n, family)
-
-
-def is_downward_closed(system: SetSystem) -> bool:
-    """True if every subset of every member is a member (incl. the empty set)."""
-    family = system.member_set()
-    for e in system.members:
-        rest = e
-        while rest:
-            low = rest & -rest
-            if e ^ low not in family:
-                return False
-            rest ^= low
-    return True

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from shatterlab._bits import bits, iter_bits, submasks
+import numpy as np
+
+from shatterlab._bits import bits, iter_bits, popcount_groups, submasks, zeta_transform
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 from shatterlab.setsystem import _as_vertex_mask
@@ -158,7 +160,11 @@ def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
     """Exact minimum of e(S)/|S| over non-empty sets of unrooted vertices.
 
     Returns (value, witness); the witness is the largest minimizing set,
-    ties broken toward the lexicographically least vertex list.
+    ties broken toward the lexicographically least vertex list.  A face
+    misses S exactly when its unrooted part lies in the complement of S, so
+    e(S) = |faces| - avoid[complement], where avoid holds the subset sums of
+    the faces' unrooted parts: int32 arrays of 2^k entries for k unrooted
+    vertices, k <= BRUTE_FORCE_VERTEX_CAP.
     """
     unrooted = bits(tree.unrooted_mask)
     k = len(unrooted)
@@ -168,38 +174,20 @@ def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
         raise ResourceLimitError(
             f"{k} unrooted vertices exceed the brute-force cap {BRUTE_FORCE_VERTEX_CAP}"
         )
-    faces = sorted(tree.complex.faces)
-    inc = []
-    for v in unrooted:
-        vbit = 1 << v
-        m = 0
-        for idx, f in enumerate(faces):
-            if f & vbit:
-                m |= 1 << idx
-        inc.append(m)
+    position = {v: 1 << i for i, v in enumerate(unrooted)}
+    avoid = np.zeros(1 << k, dtype=np.int32)
+    for f in tree.complex.faces:
+        avoid[sum(position[v] for v in iter_bits(f & tree.unrooted_mask))] += 1
+    zeta_transform(avoid)
+    complement = avoid[::-1]  # entry S is avoid[full - S]
+    faces = len(tree.complex.faces)
     best_e = best_size = 0  # sentinel: compare e * size' vs e' * size
-    best_subset = 0
-    for s in range(1, 1 << k):
-        acc = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            acc |= inc[low.bit_length() - 1]
-            rest ^= low
-        e = acc.bit_count()
-        size = s.bit_count()
-        if best_size == 0:
-            better = True
-        else:
-            lhs, rhs = e * best_size, best_e * size
-            better = lhs < rhs
-            if not better and lhs == rhs:
-                if size != best_size:
-                    better = size > best_size
-                else:
-                    better = _vertex_list(s, unrooted) < _vertex_list(best_subset, unrooted)
-        if better:
-            best_e, best_size, best_subset = e, size, s
+    for size, group in enumerate(popcount_groups(k)[1:], start=1):
+        e = faces - int(complement[group].max())
+        if best_size == 0 or e * best_size <= best_e * size:  # ties go to the larger set
+            best_e, best_size, best_group = e, size, group
+    ties = best_group[complement[best_group] == faces - best_e].tolist()
+    best_subset = min(ties, key=lambda s: _vertex_list(s, unrooted))
     witness = 0
     for i in iter_bits(best_subset):
         witness |= 1 << unrooted[i]

@@ -18,11 +18,17 @@ import numpy as np
 
 from shatterlab._bits import submasks
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
-from shatterlab.setsystem import SetSystem, shatter_value
+
+# shatter_value stays importable from here: profiling tools wrap it by this name
+from shatterlab.setsystem import SetSystem, max_members_inside, shatter_value  # noqa: F401
 
 ORACLE_MAX_N = 5
 BRANCH_MAX_N = 16
 CANONICAL_MAX_N = 8
+# branch-and-bound nodes before extremal_max_sets raises ResourceLimitError
+NODE_LIMIT = 2_000_000
+# uint64 entries per canonical-form gather (8 MB): permutations x members
+CANONICAL_GATHER_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,18 +70,31 @@ def canonical_form(n: int, family: frozenset[int]) -> int:
     The code of a relabelled family has bit `mask` set for each member, so two
     families on n vertices get the same form exactly when they are isomorphic.
     The code is compared 64-bit word by word from the top, keeping only the
-    permutations tied so far.
+    permutations tied so far.  Each word gathers at most
+    CANONICAL_GATHER_CELLS permutation-member images at a time (or one
+    permutation's, if the family is larger).
     """
     if not 0 <= n <= CANONICAL_MAX_N:
         raise InvalidArgumentError(f"canonical form needs n in 0..{CANONICAL_MAX_N}")
-    images = _perm_tables(n)[:, np.fromiter(family, dtype=np.intp, count=len(family))]
+    table = _perm_tables(n)
+    members = np.fromiter(family, dtype=np.intp, count=len(family))
+    block = max(1, CANONICAL_GATHER_CELLS // max(1, len(members)))
+    tied = None  # every permutation, until the top word has been compared
     form = 0
     for word in reversed(range(max(1, (1 << n) // 64))):
-        codes = np.bitwise_or.reduce(_WORD_BITS[word][images], axis=1)
-        best = codes.max()
-        form = form << 64 | int(best)
+        best, keep = -1, []
+        for start in range(0, len(table) if tied is None else len(tied), block):
+            perms = slice(start, start + block) if tied is None else tied[start : start + block]
+            codes = np.bitwise_or.reduce(_WORD_BITS[word][table[perms][:, members]], axis=1)
+            top = int(codes.max())
+            if top > best:
+                best, keep = top, []
+            if top == best and word:
+                at = np.flatnonzero(codes == top)
+                keep.append(at + start if tied is None else perms[at])
+        form = form << 64 | best
         if word:
-            images = images[codes == best]
+            tied = np.concatenate(keep)
     return form
 
 
@@ -111,14 +130,17 @@ def enumerate_downward_closed(n: int):
 
 
 @lru_cache(maxsize=None)
-def _oracle_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(members, shatter profile) of every downward-closed family on n vertices."""
-    rows = []
-    for family in enumerate_downward_closed(n):
-        system = SetSystem.from_masks(n, family)
-        profile = tuple(shatter_value(system, m) for m in range(n + 1))
-        rows.append((system.members, profile))
-    return tuple(rows)
+def _oracle_table(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Members of every downward-closed family on n vertices, largest first and
+    then ascending, with the read-only (families, n + 1) array of their shatter
+    profiles."""
+    members = sorted(
+        (tuple(sorted(family)) for family in enumerate_downward_closed(n)),
+        key=lambda fam: (-len(fam), fam),
+    )
+    profiles = max_members_inside(n, members, range(n + 1))
+    profiles.flags.writeable = False
+    return tuple(members), profiles
 
 
 def _check_query(n: int, m: int, b: int) -> None:
@@ -133,33 +155,23 @@ def _check_query(n: int, m: int, b: int) -> None:
 def extremal_oracle(n: int, m: int, b: int) -> ExtremalResult:
     """The same query as extremal_max_sets, by exhaustive enumeration (n <= 5)."""
     _check_query(n, m, b)
-    best: tuple[int, ...] | None = None
-    for members, profile in _oracle_table(n):
-        if profile[m] > b:
-            continue
-        if best is None or len(members) > len(best) or (
-            len(members) == len(best) and members < best
-        ):
-            best = members
-    assert best is not None  # the family {empty set} always qualifies for b >= 1
-    return ExtremalResult(len(best), SetSystem(n, best), len(_oracle_table(n)), "oracle")
+    members, profiles = _oracle_table(n)
+    # the table runs largest first, so the first family under the cap is the
+    # answer; {empty set} always qualifies for b >= 1
+    best = members[int(np.argmax(profiles[:, m] <= b))]
+    return ExtremalResult(len(best), SetSystem(n, best), len(members), "oracle")
 
 
-def extremal_max_sets(
-    n: int, m: int, b: int, *, node_limit: int = 2_000_000
-) -> ExtremalResult:
+def extremal_max_sets(n: int, m: int, b: int) -> ExtremalResult:
     """Largest downward-closed family (with empty set) whose f(m) is at most b."""
     _check_query(n, m, b)
 
     shatter_memo: dict[frozenset[int], int] = {}
 
-    def f_of(family: frozenset[int]) -> int:
-        try:
-            return shatter_memo[family]
-        except KeyError:
-            val = shatter_value(SetSystem.from_masks(n, family), m)
-            shatter_memo[family] = val
-            return val
+    def f_of_each(families: list[frozenset[int]]) -> list[int]:
+        todo = [family for family in families if family not in shatter_memo]
+        shatter_memo.update(zip(todo, max_members_inside(n, todo, (m,))[:, 0].tolist()))
+        return [shatter_memo[family] for family in families]
 
     use_canonical = n <= CANONICAL_MAX_N
     visited: set = set()
@@ -171,27 +183,22 @@ def extremal_max_sets(
     def rec(family: frozenset[int], candidates: list[int]):
         nonlocal best_key, best_family, nodes
         nodes += 1
-        if nodes > node_limit:
-            raise ResourceLimitError(f"branch-and-bound exceeded {node_limit} nodes")
-        addable = []
-        for cand in candidates:
-            if cand in family:
-                continue
-            grown = family | set(submasks(cand))
-            if f_of(frozenset(grown)) <= b:
-                addable.append(cand)
+        if nodes > NODE_LIMIT:
+            raise ResourceLimitError(f"branch-and-bound exceeded {NODE_LIMIT} nodes")
+        grown = {cand: family.union(submasks(cand)) for cand in candidates if cand not in family}
+        values = f_of_each(list(grown.values()))
+        addable = [cand for cand, value in zip(grown, values) if value <= b]
         key = (len(family), tuple(sorted(family)))
         if key[0] > best_key[0] or (key[0] == best_key[0] and key[1] < best_key[1]):
             best_key, best_family = key, family
         if len(family) + len(addable) <= best_key[0]:
             return  # even absorbing every addable candidate cannot improve
         for cand in addable:
-            grown = frozenset(family | set(submasks(cand)))
-            sig = canonical_form(n, grown) if use_canonical else tuple(sorted(grown))
+            sig = canonical_form(n, grown[cand]) if use_canonical else tuple(sorted(grown[cand]))
             if sig in visited:
                 continue
             visited.add(sig)
-            rec(grown, addable)
+            rec(grown[cand], addable)
 
     rec(frozenset({0}), all_masks)
     return ExtremalResult(best_key[0], SetSystem.from_masks(n, best_family), nodes, "branch")

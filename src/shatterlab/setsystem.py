@@ -5,7 +5,9 @@ members as machine-word bitmasks, so traces and intersections are single-word
 operations.  All operations here are pure and exhaustive: shatter values are
 exact maxima over all candidate vertex subsets (with an early exit once the
 theoretical ceiling min(2^m, |S|) is reached), and a scan that would pass a
-subset limit raises instead of running on.
+subset limit raises instead of running on.  The profile of a downward-closed
+family on a small ground set comes from one subset-sum transform instead,
+since there the trace on Y is exactly the set of members inside Y.
 """
 
 from __future__ import annotations
@@ -14,9 +16,18 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
-from shatterlab._bits import bits, iter_size_subsets, mask_of
+import numpy as np
+
+from shatterlab._bits import (
+    ZETA_MAX_N,
+    bits,
+    iter_size_subsets,
+    mask_of,
+    popcount_groups,
+    zeta_transform,
+)
 from shatterlab.errors import (
     DEFAULT_SUBSET_LIMIT,
     EmptyDomainError,
@@ -25,6 +36,8 @@ from shatterlab.errors import (
 )
 
 MAX_GROUND = 64
+# int32 entries per subset-sum chunk (256 KB): rows of 2^n, at least one row
+ZETA_CHUNK_CELLS = 1 << 16
 
 
 def _as_vertex_mask(n: int, subset) -> int:
@@ -161,9 +174,55 @@ class ShatterProfile:
         return out
 
 
+def is_downward_closed(system: SetSystem) -> bool:
+    """True if every subset of every member is a member (incl. the empty set)."""
+    family = system.member_set()
+    for e in system.members:
+        rest = e
+        while rest:
+            low = rest & -rest
+            if e ^ low not in family:
+                return False
+            rest ^= low
+    return True
+
+
+def max_members_inside(n: int, families: list, sizes) -> np.ndarray:
+    """Entry [i, j]: most members of families[i] (masks) inside one
+    sizes[j]-subset of {0..n-1}, n <= ZETA_MAX_N.
+
+    For a downward-closed family that is its shatter value f(sizes[j]).  The
+    families go through the subset-sum transform ZETA_CHUNK_CELLS int32
+    entries at a time (one family per chunk if 2^n is larger).
+    """
+    groups = popcount_groups(n)
+    out = np.empty((len(families), len(sizes)), dtype=np.int32)
+    step = max(1, ZETA_CHUNK_CELLS >> n)
+    for start in range(0, len(families), step):
+        chunk = families[start : start + step]
+        rows = np.repeat(np.arange(len(chunk)), [len(family) for family in chunk])
+        cols = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(rows))
+        inside = np.zeros((len(chunk), 1 << n), dtype=np.int32)
+        inside[rows, cols] = 1
+        zeta_transform(inside)
+        for j, size in enumerate(sizes):
+            out[start : start + len(chunk), j] = inside[:, groups[size]].max(axis=1)
+    return out
+
+
 def shatter_profile(system: SetSystem, *, limit: int = DEFAULT_SUBSET_LIMIT) -> ShatterProfile:
+    """f(0), ..., f(n), each as shatter_value computes it.
+
+    A downward-closed family with 2^n <= limit (and n <= ZETA_MAX_N) is
+    answered by subset sums: f(m) is the most members inside any m-set.  No
+    scan under that bound could pass the limit, so both paths agree exactly.
+    """
+    n = system.n
+    if n <= ZETA_MAX_N and 1 << n <= limit and is_downward_closed(system):
+        values = max_members_inside(n, [system.members], range(n + 1))[0]
+        return ShatterProfile(tuple(values.tolist()))
     return ShatterProfile(
-        tuple(shatter_value(system, m, limit=limit) for m in range(system.n + 1))
+        tuple(shatter_value(system, m, limit=limit) for m in range(n + 1))
     )
 
 

@@ -1,0 +1,44 @@
+import random
+
+import numpy as np
+import pytest
+
+from shatterlab._bits import ZETA_MAX_N, popcount_groups, zeta_transform
+
+
+def test_zeta_transform_matches_direct_subset_sums():
+    rng = random.Random(3)
+    for n in range(7):
+        size = 1 << n
+        rows = [[rng.randrange(-5, 6) for _ in range(size)] for _ in range(3)]
+        table = np.array(rows, dtype=np.int32)
+        assert zeta_transform(table) is table
+        want = [[sum(row[t] for t in range(size) if t & ~y == 0) for y in range(size)] for row in rows]
+        assert table.tolist() == want
+
+
+def test_zeta_transform_of_one_row_and_of_many_axes():
+    flat = np.ones(8, dtype=np.int64)
+    zeta_transform(flat)
+    assert flat.tolist() == [1, 2, 2, 4, 2, 4, 4, 8]
+    cube = np.ones((2, 3, 8), dtype=np.int32)
+    zeta_transform(cube)
+    assert (cube == flat).all()
+
+
+def test_zeta_transform_rejects_bad_tables():
+    with pytest.raises(ValueError):
+        zeta_transform(np.zeros((2, 6), dtype=np.int32))
+    with pytest.raises(ValueError):
+        zeta_transform(np.zeros((8, 4), dtype=np.int32).T)
+
+
+def test_popcount_groups():
+    for n in range(9):
+        groups = popcount_groups(n)
+        assert len(groups) == n + 1
+        for j, group in enumerate(groups):
+            assert group.dtype == np.int32 and not group.flags.writeable
+            assert group.tolist() == [x for x in range(1 << n) if x.bit_count() == j]
+    with pytest.raises(ValueError):
+        popcount_groups(ZETA_MAX_N + 1)

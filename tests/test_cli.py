@@ -229,6 +229,18 @@ def test_shatter_scan_is_bounded(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+def test_complex_file_faces_are_bounded(tmp_path, capsys):
+    # one 20-label facet closes downward to 1,048,575 faces
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 20, "facets": [list(range(20))]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "complex", "stats", "--in", str(path),
+                             "--limit-subsets", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.startswith("resource limit:")
+    assert "Traceback" not in err
+
+
 def test_verify_paper_quick_suite(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--tier", "quick",
                            "--suite", "bounds", "--suite", "extremal")

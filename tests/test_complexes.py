@@ -18,7 +18,7 @@ from shatterlab.complexes import (
     span_count,
 )
 from shatterlab.dtree import build_T0, build_Tr, sigma_mask
-from shatterlab.errors import EmptyDomainError, InvalidArgumentError
+from shatterlab.errors import EmptyDomainError, InvalidArgumentError, ResourceLimitError
 
 
 def random_complex(rng, n_max=9, facet_tries=8):
@@ -214,3 +214,15 @@ def test_complex_json_round_trip():
     for _ in range(20):
         cx = random_complex(rng)
         assert parse_complex_json(format_complex_json(cx)) == cx
+
+
+def test_closure_limit_counts_faces_built():
+    # 7 faces under the triangle, 3 under the edge: 10 built, 9 distinct
+    facets = [[0, 1, 2], [2, 3]]
+    assert len(SimplicialComplex.from_facets(4, facets, limit=10)) == 9
+    with pytest.raises(ResourceLimitError):
+        SimplicialComplex.from_facets(4, facets, limit=9)
+    text = '{"n": 4, "facets": [[0, 1, 2], [2, 3]]}'
+    assert parse_complex_json(text, limit=10) == SimplicialComplex.from_facets(4, facets)
+    with pytest.raises(ResourceLimitError):
+        parse_complex_json(text, limit=9)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,6 +141,66 @@ def test_bruteforce_matches_independent_oracle():
         t = build_Tr(d, q, r)
         value, _ = min_density_bruteforce(t)
         assert value == brute_min_density_oracle(t)
+
+
+def reference_min_density(tree):
+    """The subset loop the transform replaced: every non-empty set of unrooted
+    vertices in turn, e(S) from face-incidence bitsets (k <= 12)."""
+    unrooted = bits(tree.unrooted_mask)
+    assert len(unrooted) <= 12
+    faces = sorted(tree.complex.faces)
+    inc = [sum(1 << i for i, f in enumerate(faces) if f >> v & 1) for v in unrooted]
+    best_e = best_size = best = 0
+    for s in range(1, 1 << len(unrooted)):
+        acc = 0
+        for i in bits(s):
+            acc |= inc[i]
+        e, size = acc.bit_count(), s.bit_count()
+        lhs, rhs = e * best_size, best_e * size
+        if best_size == 0 or lhs < rhs:
+            better = True
+        elif lhs > rhs:
+            better = False
+        elif size != best_size:
+            better = size > best_size  # the largest set
+        else:  # then the least vertex list
+            better = [unrooted[i] for i in bits(s)] < [unrooted[i] for i in bits(best)]
+        if better:
+            best_e, best_size, best = e, size, s
+    return Fraction(best_e, best_size), sum(1 << unrooted[i] for i in bits(best))
+
+
+def test_bruteforce_matches_reference_loop_on_grid():
+    for d in range(1, 4):
+        for q in range(1, 6):
+            if d * q > 12:
+                continue
+            for r in range(2 * q + 2):
+                t = build_Tr(d, q, r)
+                assert min_density_bruteforce(t) == reference_min_density(t), (d, q, r)
+
+
+def test_bruteforce_ties_across_sizes():
+    # on a rooted path every suffix {j..5} has density exactly 2
+    t = build_T0(1, 5)
+    minimizers = [
+        size for size in range(1, 6)
+        for sub in combinations(bits(t.unrooted_mask), size)
+        if density(t.complex, sub).density == 2
+    ]
+    assert sorted(set(minimizers)) == [1, 2, 3, 4, 5]
+    assert min_density_bruteforce(t) == reference_min_density(t) == (2, t.unrooted_mask)
+
+
+def test_bruteforce_matches_reference_loop_on_grown_trees():
+    rng = random.Random(5)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        tree = build_T0(d, rng.randint(1, 8 // d))
+        for _ in range(rng.randint(1, 4)):
+            sites = sorted(f for f in tree.complex.faces if f.bit_count() == d)
+            tree = attach_vertex(tree, rng.choice(sites), rooted=rng.random() < 0.5)
+        assert min_density_bruteforce(tree) == reference_min_density(tree)
 
 
 def test_bruteforce_cap():

@@ -1,21 +1,30 @@
+import hashlib
+import json
 import random
 from functools import lru_cache
 from itertools import permutations
 from math import comb
 
+import numpy as np
 import pytest
 
 from shatterlab._bits import bits, mask_of
 from shatterlab.compression import is_downward_closed
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+import shatterlab.search as search_module
 from shatterlab.search import (
+    _WORD_BITS,
+    _perm_tables,
     canonical_form,
     enumerate_downward_closed,
     extremal_max_sets,
     extremal_oracle,
     kpartite_instance,
 )
-from shatterlab.setsystem import SetSystem, shatter_profile, shatter_value
+import shatterlab.setsystem as setsystem_module
+from shatterlab.setsystem import SetSystem, max_members_inside, shatter_profile, shatter_value
+
+RECORDED_SEARCH_DIGEST = "51dd43904e861b46d4360149c6c8a072c35c44784581257f14f06a50dff96c41"
 
 
 def test_family_enumeration_counts():
@@ -103,6 +112,80 @@ def test_canonical_form_across_words(n):
     two_cycles = cycles_closure(n, [3, n - 3])
     assert len(one_cycle) == len(two_cycles)
     assert canonical_form(n, one_cycle) != canonical_form(n, two_cycles)
+
+
+def unchunked_canonical_form(n: int, family) -> int:
+    """The form with every permutation's images gathered at once."""
+    images = _perm_tables(n)[:, sorted(family)]
+    form = 0
+    for word in reversed(range(max(1, (1 << n) // 64))):
+        codes = np.bitwise_or.reduce(_WORD_BITS[word][images], axis=1)
+        best = codes.max()
+        form = form << 64 | int(best)
+        images = images[codes == best]
+    return form
+
+
+@pytest.mark.parametrize("cells", [None, 700])
+def test_canonical_form_chunked_matches_unchunked(monkeypatch, cells):
+    # at n = 8 the default bound already splits families of over 26 members;
+    # 700 cells split every family into blocks of a few permutations
+    if cells is not None:
+        monkeypatch.setattr(search_module, "CANONICAL_GATHER_CELLS", cells)
+    rng = random.Random(8)
+    families = [frozenset(rng.sample(range(1 << 8), rng.randrange(1, 120))) for _ in range(8)]
+    families += [cycles_closure(8, [8]), cycles_closure(8, [4, 4])]
+    if cells is None:
+        families.append(frozenset(range(1 << 8)))  # 10 blocks of 4,096 permutations
+    families += [frozenset(rng.sample(range(1 << 7), 40)) for _ in range(2)]
+    for family in families:
+        n = 8 if max(family) >= 1 << 7 else 7
+        assert canonical_form(n, family) == unchunked_canonical_form(n, family)
+
+
+def test_max_members_inside_over_many_chunks(monkeypatch):
+    # closed families at n = 6..10, three rows per subset-sum chunk
+    rng = random.Random(6)
+    for n in range(6, 11):
+        monkeypatch.setattr(setsystem_module, "ZETA_CHUNK_CELLS", 3 << n)
+        families = []
+        for _ in range(20):
+            facets = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 10))]
+            families.append(sorted({sub for f in facets for sub in range(1 << n) if sub & ~f == 0}))
+        got = max_members_inside(n, families, range(n + 1))
+        assert got.shape == (20, n + 1)
+        for family, row in zip(families, got.tolist()):
+            system = SetSystem.from_masks(n, family)
+            assert row == [shatter_value(system, m) for m in range(n + 1)]
+
+
+def test_extremal_nodes_and_witnesses_unchanged():
+    # recorded before the subset-sum transform replaced the per-candidate scan:
+    # every n <= 5 query by branch and by oracle, and the six Sauer-tight n = 6 ones
+    def result(res):
+        return [res.max_size, list(res.witness.members), res.nodes_explored]
+
+    rows = [
+        [n, m, b, *result(extremal_max_sets(n, m, b)), *result(extremal_oracle(n, m, b))]
+        for n in range(1, 6)
+        for m in range(n + 1)
+        for b in range(1, (1 << m) + 1)
+    ]
+    rows += [[6, m, (1 << m) - 1, *result(extremal_max_sets(6, m, (1 << m) - 1))] for m in range(1, 7)]
+    assert [row[5] for row in rows[-6:]] == [1, 7, 48, 116, 80, 21]
+    assert sum(row[5] for row in rows) == 4584
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_SEARCH_DIGEST
+
+
+def test_node_limit_is_a_module_constant(monkeypatch, capsys):
+    from shatterlab.cli import main
+
+    monkeypatch.setattr(search_module, "NODE_LIMIT", 10)
+    with pytest.raises(ResourceLimitError, match="branch-and-bound exceeded 10 nodes"):
+        extremal_max_sets(5, 3, 5)
+    assert main(["search", "extremal", "--n", "5", "--m", "3", "--b", "5"]) == 3
+    assert capsys.readouterr().err == "resource limit: branch-and-bound exceeded 10 nodes\n"
 
 
 def test_extremal_trivial_cases():

@@ -212,3 +212,82 @@ def test_parse_errors():
         parse_text("m=3\n0 1\n")
     with pytest.raises(InvalidArgumentError):
         parse_json('{"sets": [[0]]}')
+
+
+# -- the subset-sum path of shatter_profile against the scan
+
+
+def closure(masks):
+    family = {0}
+    for mask in masks:
+        sub = mask
+        while True:
+            family.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+    return family
+
+
+def profile_by_scan(system):
+    return tuple(shatter_value(system, m) for m in range(system.n + 1))
+
+
+def count_scans(monkeypatch):
+    """Count the shatter_value calls that shatter_profile makes."""
+    import shatterlab.setsystem as setsystem_module
+
+    calls = []
+
+    def counted(system, m, **kwargs):
+        calls.append(m)
+        return shatter_value(system, m, **kwargs)
+
+    monkeypatch.setattr(setsystem_module, "shatter_value", counted)
+    return calls
+
+
+def test_transform_profile_on_every_closed_family_up_to_n5(monkeypatch):
+    from shatterlab.search import enumerate_downward_closed
+
+    families = [
+        SetSystem.from_masks(n, fam) for n in range(6) for fam in enumerate_downward_closed(n)
+    ]
+    assert len(families) == 1 + 2 + 5 + 19 + 167 + 7580
+    want = [profile_by_scan(s) for s in families]
+    calls = count_scans(monkeypatch)
+    assert [shatter_profile(s).values for s in families] == want
+    assert shatter_profile(SetSystem(4, ())).values == (0,) * 5
+    assert calls == []  # every one took the transform path
+
+
+def test_transform_profile_on_random_closed_families(monkeypatch):
+    rng = random.Random(11)
+    families = []
+    for n in range(6, 11):
+        for _ in range(12):
+            facets = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 12))]
+            families.append(SetSystem.from_masks(n, closure(facets)))
+    families.append(SetSystem.power_set(10))
+    want = [profile_by_scan(s) for s in families]
+    calls = count_scans(monkeypatch)
+    assert [shatter_profile(s).values for s in families] == want
+    assert calls == []
+
+
+def test_other_families_take_the_scan(monkeypatch):
+    calls = count_scans(monkeypatch)
+    not_closed = SetSystem.from_sets(4, [[], [0, 1], [2]])
+    assert shatter_profile(not_closed).values == (1, 2, 3, 3, 3)
+    assert len(calls) == 5
+    # closed, but 2^8 > limit: the scan runs, and C(8, m) <= 70 never passes it
+    closed = SetSystem.from_masks(8, closure([0b111, 0b11000, 0b11100000]))
+    assert shatter_profile(closed, limit=200) == shatter_profile(closed)
+    assert len(calls) == 5 + 9
+    # closed, beyond the transform's ground-set bound
+    wide = SetSystem.from_sets(21, [[], [0]])
+    assert shatter_profile(wide).values == (1,) + (2,) * 21
+    assert len(calls) == 5 + 9 + 22
+    # closed, n = 60: the scan still refuses to pass the limit
+    with pytest.raises(ResourceLimitError):
+        shatter_profile(SetSystem.from_sets(60, [[], [59]]), limit=100)
