@@ -34,6 +34,7 @@ from shatterlab._keyed import (
 from shatterlab.bounds import floor_log2, g_k, growth_exponent
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
+from shatterlab.scan import max_possible_dim_ge1_span
 
 _PAIR_CHUNK = 1 << 21
 _EDGE_CHUNK = 1 << 12
@@ -287,11 +288,6 @@ def materialize(sample: LevelSample) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def max_possible_dim_ge1_span(m: int, dim: int) -> int:
-    """Ceiling on faces of dimension >= 1 inside m vertices of a dim-bounded complex."""
-    return sum(math.comb(m, i) for i in range(2, min(m, dim + 1) + 1))
-
-
 @dataclass(frozen=True)
 class PruneResult:
     complex: SimplicialComplex
@@ -321,17 +317,17 @@ def prune_bad_msets(
     zc = math.ceil(zf)
     if max_possible_dim_ge1_span(m, cx.dimension) < zc:
         return PruneResult(cx, (), 0, 0, True)
-    scanned = scan.active_span_counts(cx, m, limit)
+    scanned = scan.active_span_counts(cx, m, zc, limit)
     if scanned is None:
         return PruneResult(cx, (), 0, 0, False)
-    verts, combos, counts = scanned
-    bad = np.nonzero(counts >= zc)[0]
+    verts, bad, _ = scanned
+    total = math.comb(len(verts), min(m, len(verts)))
     if not len(bad):
-        return PruneResult(cx, (), 0, len(combos), False)
-    removed = mask_of(int(v) for v in np.unique(verts[combos[bad]]))
+        return PruneResult(cx, (), 0, total, False)
+    removed = mask_of(int(v) for v in np.unique(verts[bad]))
     faces = {f for f in cx.faces if not f & removed}
     pruned = SimplicialComplex(cx.n, faces, validate=False)
-    return PruneResult(pruned, tuple(bits(removed)), int(len(bad)), len(combos), False)
+    return PruneResult(pruned, tuple(bits(removed)), len(bad), total, False)
 
 
 def default_skeleton_p(n: int) -> Fraction:
@@ -376,9 +372,8 @@ def sample_skeleton_complex(
             raise ResourceLimitError(f"deletion scan needs {total} subsets (limit {limit})")
         # the d-simplices alone, so that every counted face is one of them
         alone = SimplicialComplex(n, simplices, validate=False)
-        combos = scan.combination_array(n, m)
-        counts = scan.dim_ge1_counts(alone, combos, np.arange(n))
-        bad = [mask_of(row) for row in combos[counts >= m - d + 1].tolist()]
+        rows, _ = scan.floor_span_rows(alone, np.arange(n), m, m - d + 1)
+        bad = [mask_of(row) for row in rows.tolist()]
         kept = [s for s in simplices if not any(s & b == s for b in bad)]
     faces.update(kept)
     return SimplicialComplex(n, faces, validate=False)
@@ -465,14 +460,14 @@ def _growth_trial(
     z = (s - 1) * (m + 1)
     params = ExperimentParams(s, m, n, t, threshold / float(1 << 53), z)
     shortcut = max_possible_dim_ge1_span(m, t) < math.ceil(z)
-    prune = math.comb(n, m) <= DEFAULT_SUBSET_LIMIT or not shortcut
+    prune = math.comb(n, m) <= scan_limit or not shortcut
     sample, res = _sample_pruned(
         n, t, threshold, trial_seed, m, z, prune=prune, limit=scan_limit
     )
     f_m: int | str = "sampled"
     if res is not None:
         try:
-            f_m = scan.exact_shatter_value(res.complex, m)
+            f_m = scan.exact_shatter_value(res.complex, m, limit=scan_limit)
         except ResourceLimitError:
             pass
     return ExperimentReport(

@@ -2,15 +2,29 @@
 
 For a downward-closed family the trace on Y is the empty set plus the faces
 inside Y, so exact shatter values of complexes reduce to maximizing spanned
-face counts over m-subsets.  These scans are the independent oracles behind
-the pruning guarantees; they enumerate every candidate subset and refuse to
-run past a configured subset limit.
+face counts over m-subsets, and bad-m-set pruning to listing the m-subsets
+that span at least z faces.  Neither needs every subset, only those whose
+span reaches a floor, and `floor_span_rows` finds exactly those:
 
-A scan runs in positions of a vertex list: each candidate subset is a row
-of positions, and numpy counts, for all rows at once, the edges through a
-position-indexed adjacency matrix and each higher face through a
-position-major membership table (member[pos, row]).  Faces with a vertex
-outside the list are never counted, and vertex labels may be any size.
+- Candidates are rows of positions into a vertex list, in colex order, built
+  level by level from colex prefixes: the j-rows with top position v are the
+  surviving (j-1)-rows below v with v appended.
+- A row's span is its prefix's span plus the faces whose top vertex is the
+  new one: the edges take j-1 gathers from a position-indexed adjacency
+  matrix, and each higher face is tested only in the block of rows with its
+  top, against the prefix's position bitset (uint64 words, built only when
+  the complex has faces of dimension >= 2).
+- A j-prefix is dropped once it stays under the floor even if extending it
+  to k positions added every face that could be added: count +
+  ceiling(k) - ceiling(j) < floor, with ceiling from
+  max_possible_dim_ge1_span.  So no row at or above the floor is lost, and
+  no level holds more rows than C(positions, j).
+
+Faces with a vertex outside the list are never counted, and vertex labels
+may be any size.  Scans over the active vertices refuse, before allocating,
+to enumerate more subsets than the configured limit.  `combination_array`
+and `dim_ge1_counts` count every row without a floor; they are the
+independent oracle of the floor scan.
 """
 
 from __future__ import annotations
@@ -25,18 +39,17 @@ from shatterlab.errors import DEFAULT_SUBSET_LIMIT, ResourceLimitError
 
 
 def combination_array(n: int, m: int) -> np.ndarray:
-    """All m-subsets of {0..n-1} as an (C(n,m), m) int16 array, colex order.
+    """All m-subsets of {0..n-1} as a (C(n,m), m) position array, colex order.
 
     Built level by level: the colex list over a smaller universe is a prefix
     of the list over a larger one, so each level is assembled from prefixes
     of the previous level with the new top element appended.
     """
-    if m == 0:
-        return np.zeros((1, 0), dtype=np.int16)
-    level = np.zeros((1, 0), dtype=np.int16)
+    dtype = _position_dtype(n)
+    level = np.zeros((1, 0), dtype=dtype)
     for j in range(1, m + 1):
         rows = math.comb(n, j)
-        out = np.empty((rows, j), dtype=np.int16)
+        out = np.empty((rows, j), dtype=dtype)
         at = 0
         for v in range(j - 1, n):
             block = math.comb(v, j - 1)
@@ -84,6 +97,113 @@ def dim_ge1_counts(
     return counts
 
 
+def _position_dtype(count: int):
+    """int16 for positions of up to 32767 vertices, int32 beyond."""
+    return np.int16 if count <= np.iinfo(np.int16).max else np.int32
+
+
+def max_possible_dim_ge1_span(m: int, dim: int) -> int:
+    """Ceiling on faces of dimension >= 1 inside m vertices of a dim-bounded complex."""
+    return sum(math.comb(m, i) for i in range(2, min(m, dim + 1) + 1))
+
+
+def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
+    """Yield (rows, counts) of levels j = 0..k of the floor scan.
+
+    Level j holds the j-prefixes, in colex order, that can still reach the
+    floor as k-rows: their tops leave room for k - j larger positions, and
+    count + ceiling(k) - ceiling(j) >= floor.  Memory: the candidates of a
+    level are distinct j-subsets, so at most C(npos, j) of them, each held
+    as j positions, an int32 count, intp source and offset indexes and, with
+    higher faces, one uint64 per 64 positions; the adjacency takes npos^2
+    bytes.
+    """
+    npos = len(vertices)
+    dtype = _position_dtype(npos)
+    pos = {int(v): i for i, v in enumerate(vertices)}
+    within = mask_of(pos)
+    adj = None  # flat: adj[v * npos + u] for the edge {u, v}
+    higher: dict[int, list] = {}  # top position -> per higher face, (word, bits) of the rest
+    for d in range(1, cx.dimension + 1):
+        for f in cx.faces_of_dim(d):
+            if f & within != f:
+                continue
+            ps = sorted(pos[v] for v in bits(f))
+            if d == 1:
+                if adj is None:
+                    adj = np.zeros(npos * npos, dtype=np.uint8)
+                adj[ps[0] * npos + ps[1]] = adj[ps[1] * npos + ps[0]] = 1
+            else:
+                by_word: dict[int, int] = {}
+                for q in ps[:-1]:
+                    by_word[q >> 6] = by_word.get(q >> 6, 0) | 1 << (q & 63)
+                rest = [(w, np.uint64(b)) for w, b in by_word.items()]
+                higher.setdefault(ps[-1], []).append(rest)
+    words = (npos + 63) // 64 if higher else 0
+    ceiling = [max_possible_dim_ge1_span(j, cx.dimension) for j in range(k + 1)]
+    live = 1 if ceiling[k] >= floor else 0  # the empty prefix, unless no row can reach the floor
+    rows = np.zeros((live, 0), dtype=dtype)
+    counts = np.zeros(live, dtype=np.int32)
+    masks = np.zeros((words, live), dtype=np.uint64)  # word-major: masks[w, row]
+    yield rows, counts
+    for j in range(1, k + 1):
+        tops = np.arange(j - 1, npos - (k - j), dtype=dtype)
+        # the (j-1)-rows below each top v are a colex prefix of the level
+        if j == 1:
+            below = np.full(len(tops), len(rows), dtype=np.intp)
+        else:
+            below = np.searchsorted(rows[:, -1], tops)
+        starts = np.cumsum(below) - below
+        src = np.arange(int(below.sum())) - np.repeat(starts, below)
+        top = np.repeat(tops, below)
+        prefix = np.take(rows, src, axis=0)
+        new = np.take(counts, src)
+        if adj is not None:
+            base = top.astype(np.intp) * npos
+            for i in range(j - 1):
+                new += np.take(adj, base + prefix[:, i])
+        if words:
+            held = np.take(masks, src, axis=1)
+            for v, at, size in zip(tops.tolist(), starts.tolist(), below.tolist()):
+                if v in higher and size:
+                    block = held[:, at : at + size]
+                    for (w, b), *more in higher[v]:
+                        inside = (block[w] & b) == b
+                        for w, b in more:
+                            inside &= (block[w] & b) == b
+                        new[at : at + size] += inside
+        keep = new + (ceiling[k] - ceiling[j]) >= floor
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            prefix, top, new = np.take(prefix, kept, axis=0), top[kept], new[kept]
+            if words:
+                held = np.take(held, kept, axis=1)
+        rows = np.empty((len(new), j), dtype=dtype)
+        rows[:, : j - 1] = prefix
+        rows[:, j - 1] = top
+        counts = new
+        if words and j < k:
+            masks = held
+            masks[top >> 6, np.arange(len(top))] |= np.left_shift(
+                np.uint64(1), (top & 63).astype(np.uint64)
+            )
+        yield rows, counts
+
+
+def floor_span_rows(
+    cx: SimplicialComplex, vertices, k: int, floor: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts) of the k-subsets of vertices spanning >= floor faces
+    of dimension >= 1; rows are positions into vertices, in colex order.
+
+    Exactly the rows of combination_array(len(vertices), k) whose
+    dim_ge1_counts reach the floor, with those counts.
+    """
+    for rows, counts in _span_levels(cx, vertices, k, floor):
+        pass  # each level replaces the last, so one level is held at a time
+    return rows, counts
+
+
 def _guard(total: int, limit: int) -> None:
     if total > limit:
         raise ResourceLimitError(
@@ -92,29 +212,64 @@ def _guard(total: int, limit: int) -> None:
         )
 
 
+def _greedy_span(cx: SimplicialComplex, active: list[int], k: int) -> int:
+    """Span of a deterministic greedy k-set of active vertices.
+
+    From each of the 3 vertices on the most faces, add the vertex that adds
+    the most faces until the set has k.  Each such set is a row of the
+    active scan, so its span is a floor that the maximum row reaches.
+    """
+    rests = {v: [] for v in active}  # faces through v, less v
+    for d in range(1, cx.dimension + 1):
+        for f in cx.faces_of_dim(d):
+            for v in bits(f):
+                rests[v].append(f ^ (1 << v))
+    best = 0
+    for start in sorted(active, key=lambda v: -len(rests[v]))[:3]:
+        chosen, span = 1 << start, 0
+        for _ in range(k - 1):
+            gain, pick = max(
+                (sum(1 for r in rests[v] if r & chosen == r), -v)
+                for v in active
+                if not chosen >> v & 1
+            )
+            chosen |= 1 << -pick
+            span += gain
+        best = max(best, span)
+    return best
+
+
 def active_span_counts(
-    cx: SimplicialComplex, m: int, limit: int = DEFAULT_SUBSET_LIMIT
+    cx: SimplicialComplex, m: int, floor: int | None, limit: int = DEFAULT_SUBSET_LIMIT
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(vertices, combos, counts) over the k-subsets of the active vertices.
+    """(vertices, rows, counts) of the k-subsets of the active vertices
+    that span >= floor faces of dimension >= 1.
 
     k = min(m, number of active vertices); None when k < 2, where no subset
     spans a face of dimension >= 1.  An m-set spans exactly what its active
-    part spans, so these rows decide every m-set of the complex.
+    part spans, so these rows decide every m-set of the complex.  A floor of
+    None is the span of a greedy k-set, so the rows hold the maximum span.
+    The limit applies to all C(active, k) subsets, before any work.
     """
     active = active_vertices(cx)
     k = min(m, len(active))
     if k < 2:
         return None
     _guard(math.comb(len(active), k), limit)
+    if floor is None:
+        floor = _greedy_span(cx, active, k)
     verts = np.asarray(active)
-    combos = combination_array(len(active), k)
-    return verts, combos, dim_ge1_counts(cx, combos, verts)
+    return verts, *floor_span_rows(cx, verts, k, floor)
 
 
 def max_dim_ge1_span(
     cx: SimplicialComplex, m: int, *, vertices=None, limit: int = DEFAULT_SUBSET_LIMIT
 ) -> int:
-    """Exact max over all m-subsets of the given vertices of spanned dim>=1 faces."""
+    """Exact max over all m-subsets of the given vertices of spanned dim>=1 faces.
+
+    Counts every subset with no floor, so it stays an independent check of
+    the floor scan.
+    """
     verts = sorted(vertices) if vertices is not None else cx.vertices()
     if m > len(verts):
         raise ResourceLimitError(f"not enough vertices for {m}-subsets")
@@ -129,17 +284,17 @@ def exact_shatter_value(
     """f(m) of the complex viewed as a set system with the empty set included.
 
     Equals 1 + max span over m-subsets; the maximum always pads with plain
-    vertices, so only subsets of edge-covered vertices need enumerating.
+    vertices, so only subsets of edge-covered vertices need enumerating, and
+    only those reaching a greedy set's span.
     """
     vcount = len(cx.faces_of_dim(0))
     if m == 0 or vcount == 0:
         return 1
     base = 1 + min(m, vcount)
-    scanned = active_span_counts(cx, m, limit)
+    scanned = active_span_counts(cx, m, None, limit)
     if scanned is None:
         return base
-    _, _, counts = scanned
-    return base + int(counts.max())
+    return base + int(scanned[2].max())
 
 
 def active_vertices(cx: SimplicialComplex) -> list[int]:

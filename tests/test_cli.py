@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from datetime import timedelta
 
@@ -113,6 +114,26 @@ def test_growth_csv(capsys):
     assert lines[1].startswith("seed,n,s,m,t,p,")
     assert len([x for x in lines if not x.startswith("#")]) == 5
     assert any(x.startswith("# slope,") for x in lines)
+
+
+def test_growth_exact_f_m_follows_limit_subsets(capsys):
+    # C(130, 4) = 11,358,880 is over the default limit but under 2*10^7, so
+    # the raised limit gives an exact f(m) and one just below C(130, 4) does not
+    total = math.comb(130, 4)
+    args = ("growth", "--s", "3", "--m", "4", "--n", "130", "--trials", "1")
+    rows = {}
+    for limit in (total - 1, total, 20_000_000):
+        code, out, _ = run_cli(capsys, *args, "--limit-subsets", str(limit))
+        assert code == 0
+        rows[limit] = out.splitlines()[2].split(",")
+    _, out, _ = run_cli(capsys, *args)
+    default = out.splitlines()[2].split(",")
+    f_m = 8  # column of f_m in the report row
+    assert default == rows[total - 1] and default[f_m] == "sampled"
+    assert rows[total] == rows[20_000_000]
+    assert rows[total][f_m].isdigit()
+    assert rows[total][:f_m] == default[:f_m]
+    assert rows[total][f_m + 1 :] == default[f_m + 1 :]
 
 
 def test_bh_probe_json(capsys):

@@ -260,6 +260,56 @@ def test_skeleton_deletion_beyond_63_vertices():
     assert set(cx.faces_of_dim(1)) == sampled - on_triangle
 
 
+def reference_skeleton_complex(n, d, m, p, seed):
+    """sample_skeleton_complex as it was before the floor scan, and the number
+    of d-simplices its deletion round removed: it counts every m-subset of
+    the d-simplices-only complex."""
+    threshold = probability_threshold(p)
+    faces = set()
+    for size in range(1, d + 1):
+        faces.update(iter_size_subsets(n, size))
+    key = level_key(seed, d + 1)
+    simplices = [
+        mask
+        for rank, mask in enumerate(iter_size_subsets(n, d + 1))
+        if rank_u53(key, rank) < threshold
+    ]
+    kept = simplices
+    if simplices:
+        alone = SimplicialComplex(n, simplices, validate=False)
+        combos = scan.combination_array(n, m)
+        counts = np.concatenate([
+            scan.dim_ge1_counts(alone, combos[lo : lo + (1 << 16)], np.arange(n))
+            for lo in range(0, len(combos), 1 << 16)
+        ])
+        bad = [mask_of(row) for row in combos[counts >= m - d + 1].tolist()]
+        kept = [s for s in simplices if not any(s & b == s for b in bad)]
+    faces.update(kept)
+    return SimplicialComplex(n, faces, validate=False), len(simplices) - len(kept)
+
+
+@pytest.mark.parametrize(
+    "n, d, m, p, seed",
+    [
+        (12, 1, 3, Fraction(1, 3), 1),
+        (20, 1, 4, Fraction(1, 4), 2),
+        (30, 1, 5, Fraction(1, 8), 7),
+        (26, 2, 5, Fraction(1, 12), 4),
+        (18, 2, 4, Fraction(1, 6), 5),
+        (40, 2, 4, Fraction(1, 30), 8),
+        (14, 3, 5, Fraction(1, 5), 6),
+        (16, 3, 6, Fraction(1, 4), 9),
+        # positions past 63: two bitset words per row
+        (66, 2, 4, None, 3),
+    ],
+)
+def test_skeleton_matches_full_scan_deletion(n, d, m, p, seed):
+    p = default_skeleton_p(n) if p is None else p
+    want, deleted = reference_skeleton_complex(n, d, m, p, seed)
+    assert deleted  # every case has bad m-sets
+    assert sample_skeleton_complex(n, d, m, p, seed) == want
+
+
 def test_skeleton_determinism():
     p = default_skeleton_p(20)
     assert sample_skeleton_complex(20, 2, 5, p, 3) == sample_skeleton_complex(20, 2, 5, p, 3)

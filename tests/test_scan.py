@@ -1,15 +1,18 @@
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from shatterlab import scan
-from shatterlab._bits import bits
+from shatterlab._bits import bits, mask_of
 from shatterlab.complexes import SimplicialComplex
-from shatterlab.errors import ResourceLimitError
-from shatterlab.randgen import sample_complex
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, ResourceLimitError
+from shatterlab.randgen import PruneResult, prune_bad_msets, sample_complex
+from shatterlab.scan import max_possible_dim_ge1_span
 from shatterlab.setsystem import shatter_value
 
 
@@ -104,3 +107,213 @@ def test_scan_limit_guard():
 def test_active_vertices():
     cx = SimplicialComplex.from_facets(6, [[0, 1], [3]])
     assert scan.active_vertices(cx) == [0, 1]
+
+
+# -- the floor scan against the full scan ---------------------------------------
+
+
+def reference_counts(cx, verts, k, chunk=1 << 16):
+    """Every k-row of positions into verts with its span, by the full scan."""
+    combos = scan.combination_array(len(verts), k)
+    if k == 0:
+        return combos, np.zeros(1, dtype=np.int32)
+    parts = [
+        scan.dim_ge1_counts(cx, combos[lo : lo + chunk], np.asarray(verts))
+        for lo in range(0, len(combos), chunk)
+    ]
+    return combos, np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
+
+
+def assert_floor_scan(cx, verts, k, floors=None):
+    """floor_span_rows equals the full scan filtered by >= floor, for every
+    floor from -1 to one past the maximum span, or for the given floors.
+    Returns the maximum span."""
+    combos, counts = reference_counts(cx, verts, k)
+    top = int(counts.max()) if len(counts) else 0
+    for floor in floors if floors is not None else range(-1, top + 2):
+        rows, got = scan.floor_span_rows(cx, np.asarray(verts), k, floor)
+        keep = counts >= floor
+        assert rows.shape == (int(keep.sum()), k)
+        assert np.array_equal(rows, combos[keep])
+        assert np.array_equal(got, counts[keep])
+    return top
+
+
+def random_complexes(seed, count, max_n=20):
+    rng = random.Random(seed)
+    for trial in range(count):
+        t = trial % 3 + 1
+        n = rng.randint(t + 2, max_n)
+        p = Fraction(rng.randint(3, 9), 10)
+        yield sample_complex(n, t, p, rng.randrange(1 << 30))
+
+
+def test_floor_scan_matches_full_scan_on_random_complexes():
+    for cx in random_complexes(11, 9):
+        active = scan.active_vertices(cx)
+        for k in range(2, 7):
+            if k <= len(active):
+                assert_floor_scan(cx, active, k)
+        # every vertex, isolated ones included, as positions
+        assert_floor_scan(cx, list(range(cx.n)), 4)
+
+
+def test_floor_scan_levels_hold_exactly_the_live_prefixes():
+    # level j holds the j-rows with room above their top for k - j positions
+    # and span + ceiling(k) - ceiling(j) >= floor; the ceiling may not be
+    # looser or tighter by one
+    for cx in random_complexes(12, 6, max_n=14):
+        verts = np.asarray(scan.active_vertices(cx))
+        ceiling = [max_possible_dim_ge1_span(j, cx.dimension) for j in range(7)]
+        for k in range(2, min(6, len(verts)) + 1):
+            for floor in (-1, 1, ceiling[k] // 2, ceiling[k] - 1, ceiling[k] + 1):
+                levels = list(scan._span_levels(cx, verts, k, floor))
+                assert len(levels) == k + 1
+                for j, (rows, counts) in enumerate(levels):
+                    combos, spans = reference_counts(cx, verts, j)
+                    live = spans + ceiling[k] - ceiling[j] >= floor
+                    if j:
+                        live &= combos[:, -1] <= len(verts) - 1 - (k - j)
+                    assert len(rows) <= math.comb(len(verts), j)
+                    assert np.array_equal(rows, combos[live])
+                    assert np.array_equal(counts, spans[live])
+
+
+def test_floor_scan_multiword_positions_and_large_labels():
+    big = 40_000
+    tets = [[0, 1, 2, 3], [1, 2, 70], [70, 71, 72, 79], [2, 70], [64, 65, 66, 67],
+            [60, 64, 66], [5, 63, 64], [65, 66, 78, 79], [76, 77, 78, 79]]
+    cases = [
+        (SimplicialComplex.from_facets(80, tets), list(range(80)), (2, 3)),
+        # a vertex list past 64 positions that leaves out vertices 3, 64 and 79
+        (SimplicialComplex.from_facets(80, tets),
+         [v for v in range(80) if v not in (3, 64, 79)], (3,)),
+        (SimplicialComplex.from_facets(80, tets),
+         [0, 1, 2, 3, 5, 60, 63, 64, 65, 66, 67, 70, 71, 72, 78, 79], (2, 3, 4, 5)),
+        (SimplicialComplex.from_facets(
+            big + 10,
+            [[big, big + 3, big + 7], [5, big], [big + 3, big + 9],
+             [big, big + 1, big + 2, big + 3]],
+        ), None, (2, 3, 4, 5)),
+    ]
+    for cx, verts, ks in cases:
+        verts = verts if verts is not None else cx.vertices()
+        for k in ks:
+            assert_floor_scan(cx, verts, k)
+    # tetrahedra at k = 4 in a 68-position list: labels 76..79 sit at
+    # positions 64..67, so {65, 66, 78, 79} tests two words and
+    # {76, 77, 78, 79} only the second
+    cx = SimplicialComplex.from_facets(80, tets)
+    verts = [0, 1, 2, 5] + list(range(16, 80))
+    assert assert_floor_scan(cx, verts, 4, floors=(-1, 1, 3, 7, 8, 10, 11, 12)) == 11
+
+
+def test_floor_scan_floor_no_row_reaches():
+    cx = SimplicialComplex.from_facets(9, [[0, 1, 2], [2, 3], [5, 6, 7, 8]])
+    verts = np.asarray(cx.vertices())
+    for k, floor in ((2, 2), (3, 5), (4, 12), (4, 100)):
+        rows, counts = scan.floor_span_rows(cx, verts, k, floor)
+        assert rows.shape == (0, k) and len(counts) == 0
+    # past the ceiling nothing is built at all
+    assert all(len(rows) == 0 for rows, _ in scan._span_levels(cx, verts, 4, 12))
+
+
+def test_position_dtype_fits_positions():
+    assert scan._position_dtype(32767) == np.int16
+    assert scan._position_dtype(32768) == np.int32
+    arr = scan.combination_array(40_000, 1)
+    assert arr.dtype == np.int32 and int(arr[-1, 0]) == 39_999
+    # no faces of dimension >= 1: no adjacency and no bitset words are built
+    cx = SimplicialComplex(40_000, [1 << v for v in range(0, 40_000, 7)], validate=False)
+    rows, counts = scan.floor_span_rows(cx, np.arange(40_000), 1, 0)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows[:, 0], np.arange(40_000)) and not counts.any()
+    rows, _ = scan.floor_span_rows(cx, np.arange(100), 2, 0)
+    assert rows.dtype == np.int16 and len(rows) == math.comb(100, 2)
+
+
+def test_over_limit_scan_raises_before_allocating():
+    cx = sample_complex(60, 1, Fraction(1, 2), 2)
+    calls = [
+        lambda: scan.active_span_counts(cx, 12, 1, 10**6),
+        lambda: scan.exact_shatter_value(cx, 12, limit=10**6),
+        lambda: prune_bad_msets(cx, 12, 2, limit=10**6),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"exceeds the limit 1000000; raise"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+# -- the pruning and f(m) callers against the full scan -------------------------
+
+
+def reference_prune(cx, m, z, *, limit=DEFAULT_SUBSET_LIMIT):
+    """prune_bad_msets as it was before the floor scan: every active k-row
+    is counted, and the rows at or above z are the bad sets."""
+    zc = math.ceil(Fraction(z))
+    if max_possible_dim_ge1_span(m, cx.dimension) < zc:
+        return PruneResult(cx, (), 0, 0, True)
+    active = scan.active_vertices(cx)
+    k = min(m, len(active))
+    if k < 2:
+        return PruneResult(cx, (), 0, 0, False)
+    if math.comb(len(active), k) > limit:
+        raise ResourceLimitError("over the limit")
+    verts = np.asarray(active)
+    combos = scan.combination_array(len(active), k)
+    counts = scan.dim_ge1_counts(cx, combos, verts)
+    bad = np.nonzero(counts >= zc)[0]
+    if not len(bad):
+        return PruneResult(cx, (), 0, len(combos), False)
+    removed = mask_of(int(v) for v in np.unique(verts[combos[bad]]))
+    faces = {f for f in cx.faces if not f & removed}
+    pruned = SimplicialComplex(cx.n, faces, validate=False)
+    return PruneResult(pruned, tuple(bits(removed)), int(len(bad)), len(combos), False)
+
+
+def reference_exact_shatter_value(cx, m):
+    """exact_shatter_value as it was before the floor scan: 1 + min(m, vertices)
+    + the largest span over every active k-row."""
+    vcount = len(cx.faces_of_dim(0))
+    if m == 0 or vcount == 0:
+        return 1
+    base = 1 + min(m, vcount)
+    active = scan.active_vertices(cx)
+    k = min(m, len(active))
+    if k < 2:
+        return base
+    combos = scan.combination_array(len(active), k)
+    return base + int(scan.dim_ge1_counts(cx, combos, np.asarray(active)).max())
+
+
+def test_prune_and_exact_match_full_scan_references():
+    rng = random.Random(21)
+    for cx in random_complexes(13, 24):
+        for m in range(1, 7):
+            assert scan.exact_shatter_value(cx, m) == reference_exact_shatter_value(cx, m)
+        for _ in range(4):
+            m = rng.randint(2, min(6, cx.n))
+            z = Fraction(rng.randint(4, 4 * max_possible_dim_ge1_span(m, cx.dimension) + 4), 4)
+            got = prune_bad_msets(cx, m, z)
+            assert got == reference_prune(cx, m, z)
+            pruned = got.complex
+            for m2 in (m, m - 1):
+                want = reference_exact_shatter_value(pruned, m2)
+                assert scan.exact_shatter_value(pruned, m2) == want
+
+
+def test_greedy_floor_is_a_row_span():
+    # the greedy floor never exceeds the maximum, and reaches it on a clique
+    for cx in random_complexes(14, 12, max_n=16):
+        active = scan.active_vertices(cx)
+        for k in range(2, min(6, len(active)) + 1):
+            _, counts = reference_counts(cx, active, k)
+            assert 0 <= scan._greedy_span(cx, active, k) <= int(counts.max())
+    cx = SimplicialComplex.from_facets(12, [[3, 5, 7, 9, 11], [0, 1], [1, 2], [0, 2]])
+    assert scan._greedy_span(cx, scan.active_vertices(cx), 4) == 6 + 4 + 1
