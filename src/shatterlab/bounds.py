@@ -133,16 +133,6 @@ def irrational_bound(s: float, m: int, n: int) -> ThresholdGrowth:
     return ThresholdGrowth(threshold, growth, s_t)
 
 
-def corollary_q(s: float, m: int) -> int:
-    """q = ceil((1/s) sqrt(m / log2 s)), the denominator picked in the reduction."""
-    return math.ceil(math.sqrt(m / math.log2(s)) / s)
-
-
-def best_rational_below(s: float, q: int) -> Fraction:
-    """Largest rational with denominator q that is <= s."""
-    return Fraction(math.floor(s * q), q)
-
-
 # ---------------------------------------------------------------------------
 # query dispatch for the CLI
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ runs diff cleanly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -31,14 +30,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _emit(args, rows: list[str] | None = None, obj=None) -> None:
-    if args.format == "json" and obj is not None:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str))
-    elif rows is not None:
+def _emit(args, rows: list[str] | None, obj) -> None:
+    """Print obj as one JSON line under --format json or without CSV rows."""
+    if args.format == "json" or rows is None:
+        print(verify.json_line(obj))
+    else:
         for row in rows:
             print(row)
-    elif obj is not None:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str))
 
 
 def _global_flags(defaults: dict) -> argparse.ArgumentParser:
@@ -206,7 +204,7 @@ def _cmd_dtree_build(args) -> int:
         "params": {"d": args.d, "Q": args.Q, "r": args.r},
         "min_density": str(dtree.min_density_formula(args.d, args.Q, args.r)),
     }
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    text = verify.json_line(obj)
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -362,16 +360,7 @@ def _cmd_search_kpartite(args) -> int:
 def _cmd_verify_paper(args) -> int:
     results = verify.run_suites(args.suite, tier=args.tier, seed=args.seed)
     for res in results:
-        obj = {
-            "suite": res.name,
-            "status": "pass" if res.passed else "fail",
-            "tolerance": res.tolerance,
-            "measured": res.measured,
-            "wall_time": res.wall_time,
-        }
-        if res.failures:
-            obj["failures"] = res.failures[:10]
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str))
+        print(res.line())
     ok = all(r.passed for r in results)
     print(f"# overall,{'pass' if ok else 'fail'}")
     return 0 if ok else 4

@@ -183,47 +183,10 @@ def density(cx: SimplicialComplex, subset) -> DensityReport:
     return DensityReport(smask, e, Fraction(e, smask.bit_count()))
 
 
-def nonadjacent(cx: SimplicialComplex, sigma, sigma2) -> bool:
-    """Vertex-disjoint and no edge of the complex meets both."""
-    a = _as_vertex_mask(cx.n, sigma)
-    b = _as_vertex_mask(cx.n, sigma2)
-    for f in (a, b):
-        if f not in cx:
-            raise InvalidArgumentError("arguments must be faces of the complex")
-    if a & b:
-        return False
-    return not any(e & a and e & b for e in cx.faces_of_dim(1))
-
-
 def span_count(cx: SimplicialComplex, subset) -> int:
     """Number of non-empty faces contained in the given vertex set."""
     vmask = _as_vertex_mask(cx.n, subset)
     return sum(1 for f in cx.faces if f & ~vmask == 0)
-
-
-def min_degree_prune(
-    cx: SimplicialComplex, d: int, threshold: int, *, iterate: bool = False
-) -> SimplicialComplex:
-    """Delete (d-1)-simplices of degree < threshold and every face containing them.
-
-    A single pass by default, matching the construction this implements; the
-    one pass does not guarantee delta_d >= threshold afterwards, so an
-    optional iterate-to-fixpoint mode is provided.
-    """
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
-    current = cx
-    while True:
-        doomed = [
-            s for s in current.faces_of_dim(d - 1) if degree(current, s, d) < threshold
-        ]
-        if not doomed:
-            break
-        faces = {f for f in current.faces if not any(f & s == s for s in doomed)}
-        current = SimplicialComplex(cx.n, faces, validate=False)
-        if not iterate:
-            break
-    return current
 
 
 @dataclass(frozen=True)

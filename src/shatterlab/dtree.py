@@ -73,14 +73,6 @@ def build_T0(d: int, Q: int) -> RootedDTree:
     return RootedDTree(cx, sigma_mask(d, 0), 0, TreeParams(d, Q, 0, ()))
 
 
-def single_simplex_tree(d: int) -> RootedDTree:
-    """One d-simplex rooted at its first d vertices; the induction base case."""
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
-    cx = SimplicialComplex(d + 1, submasks((1 << (d + 1)) - 1), validate=False)
-    return RootedDTree(cx, (1 << d) - 1, 0, None)
-
-
 def attachment_blocks(Q: int, r: int) -> tuple[int, ...]:
     """Block indices receiving a root, in attachment (= label) order.
 

@@ -70,11 +70,6 @@ def sample_complex(
     return SimplicialComplex(n, faces, validate=False)
 
 
-def expected_top_faces(n: int, t: int, p) -> float:
-    """C(n, t+1) * p^(2^(t+1) - t - 2), the expected t-face count of the model."""
-    return math.comb(n, t + 1) * float(p) ** ((1 << (t + 1)) - t - 2)
-
-
 # ---------------------------------------------------------------------------
 # vectorized sampler
 # ---------------------------------------------------------------------------
@@ -328,55 +323,6 @@ def prune_bad_msets(
     faces = {f for f in cx.faces if not f & removed}
     pruned = SimplicialComplex(cx.n, faces, validate=False)
     return PruneResult(pruned, tuple(bits(removed)), len(bad), total, False)
-
-
-def default_skeleton_p(n: int) -> Fraction:
-    """Default d-simplex probability for the skeleton model.
-
-    log log(max(n,16)) / n sits inside the window omega(1/n), o(log n / n)
-    for every desk-scale n; recorded in reports as an exact fraction.
-    """
-    return Fraction(math.log(math.log(max(n, 16)))).limit_denominator(10**9) / n
-
-
-def sample_skeleton_complex(
-    n: int, d: int, m: int, p, seed: int, *, limit: int = DEFAULT_SUBSET_LIMIT
-) -> SimplicialComplex:
-    """Complete (d-1)-skeleton plus independent random d-simplices, then one
-    deletion round: every d-simplex inside an m-set spanning >= m-d+1
-    d-simplices (counted before any deletion) is removed."""
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
-    if m <= d:
-        raise InvalidArgumentError("m must exceed d")
-    if n < d + 1:
-        raise InvalidArgumentError("need n >= d + 1")
-    threshold = probability_threshold(p)
-    skeleton_total = sum(math.comb(n, i) for i in range(1, d + 1))
-    if skeleton_total > limit or math.comb(n, d + 1) > limit:
-        raise ResourceLimitError("skeleton too large for explicit construction")
-    faces: set[int] = set()
-    for size in range(1, d + 1):
-        faces.update(iter_size_subsets(n, size))
-    key = level_key(seed, d + 1)
-    simplices = [
-        mask
-        for rank, mask in enumerate(iter_size_subsets(n, d + 1))
-        if rank_u53(key, rank) < threshold
-    ]
-    # one deletion round against the pre-deletion complex
-    kept = simplices
-    if simplices:
-        total = math.comb(n, m)
-        if total > limit:
-            raise ResourceLimitError(f"deletion scan needs {total} subsets (limit {limit})")
-        # the d-simplices alone, so that every counted face is one of them
-        alone = SimplicialComplex(n, simplices, validate=False)
-        rows, _ = scan.floor_span_rows(alone, np.arange(n), m, m - d + 1)
-        bad = [mask_of(row) for row in rows.tolist()]
-        kept = [s for s in simplices if not any(s & b == s for b in bad)]
-    faces.update(kept)
-    return SimplicialComplex(n, faces, validate=False)
 
 
 # ---------------------------------------------------------------------------

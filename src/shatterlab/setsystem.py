@@ -79,10 +79,6 @@ class SetSystem:
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
         return cls.from_masks(n, (mask_of(s) for s in sets))
 
-    @classmethod
-    def power_set(cls, n: int) -> "SetSystem":
-        return cls(n, tuple(range(1 << n)))
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -153,25 +149,6 @@ class ShatterProfile:
         return len(self.values) == len(other.values) and all(
             a >= b for a, b in zip(self.values, other.values)
         )
-
-    def violations(self, member_count: int | None = None) -> list[str]:
-        """Check the structural invariants every true profile satisfies."""
-        v = self.values
-        out = []
-        if v and v[0] != 1:
-            out.append(f"f(0) = {v[0]} != 1")
-        for m in range(len(v) - 1):
-            if v[m + 1] < v[m]:
-                out.append(f"f({m + 1}) = {v[m + 1]} < f({m}) = {v[m]}")
-            if v[m + 1] > 2 * v[m]:
-                out.append(f"f({m + 1}) = {v[m + 1]} > 2 f({m}) = {2 * v[m]}")
-        for m, val in enumerate(v):
-            cap = 1 << m
-            if member_count is not None:
-                cap = min(cap, member_count)
-            if val > cap:
-                out.append(f"f({m}) = {val} exceeds ceiling {cap}")
-        return out
 
 
 def is_downward_closed(system: SetSystem) -> bool:

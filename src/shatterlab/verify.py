@@ -11,6 +11,7 @@ run these functions and add no checks of their own.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -37,6 +38,24 @@ CEILING_S = {
 }
 
 
+def _finite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def json_line(obj) -> str:
+    """Canonical JSON text: sorted keys, no spaces, other types via str, and
+    a non-finite float (an undefined slope) as null, since JSON has no NaN."""
+    return json.dumps(
+        _finite(obj), sort_keys=True, separators=(",", ":"), default=str, allow_nan=False
+    )
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -46,9 +65,18 @@ class SuiteResult:
     failures: list[str] = field(default_factory=list)
     wall_time: float = 0.0
 
-    def summary_line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({self.tolerance}) {self.measured}"
+    def line(self) -> str:
+        """The suite's line of `verify-paper` output."""
+        obj = {
+            "suite": self.name,
+            "status": "pass" if self.passed else "fail",
+            "tolerance": self.tolerance,
+            "measured": self.measured,
+            "wall_time": self.wall_time,
+        }
+        if self.failures:
+            obj["failures"] = self.failures[:10]
+        return json_line(obj)
 
 
 def _finish(result: SuiteResult, start: float) -> SuiteResult:
@@ -76,7 +104,8 @@ def grid_cells(tier: str):
 
 
 def check_grid_cell(d: int, q: int, r: int) -> dict:
-    """Formula / block-scan / brute-force agreement plus shape counts."""
+    """Formula / block-scan / brute-force agreement, the d-tree check, and
+    shape counts."""
     tree = dtree.build_Tr(d, q, r)
     formula = dtree.min_density_formula(d, q, r)
     block, bi, bj = dtree.contiguous_min_density(tree)
@@ -91,6 +120,7 @@ def check_grid_cell(d: int, q: int, r: int) -> dict:
         "block_at": (bi, bj),
         "brute": brute,
         "witness_unrooted": unrooted,
+        "d_tree": dtree.is_d_tree(tree.complex, d),
         "balanced": unrooted or dtree.is_balanced(tree),
         "facets": len(tree.facet_masks()),
         "roots": tree.roots.bit_count(),
@@ -111,6 +141,8 @@ def suite_dtree_grid(tier: str, seed: int) -> SuiteResult:
                 f"{tag} density mismatch: formula={row['formula']} "
                 f"block={row['block']} brute={row['brute']}"
             )
+        if not row["d_tree"]:
+            res.failures.append(f"{tag} complex is not a d-tree")
         if not row["witness_unrooted"]:
             res.failures.append(f"{tag} brute-force minimum not at the unrooted vertices")
         if row["facets"] != d * q + r:

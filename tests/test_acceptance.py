@@ -2,9 +2,10 @@
 
 Every criterion, its tolerance and its wall-time ceiling are defined once,
 in `shatterlab.verify`.  Each test here only runs its suite at the full
-stated scale with the default seed, prints the suite's summary line (visible
-under -s) and asserts that the suite passed; `verify-paper --tier full` runs
-the same suites.  The tests keep the names of the criteria they check.
+stated scale with the default seed, prints the line `verify-paper` prints
+for it (visible under -s) and asserts that the suite passed; `verify-paper
+--tier full` runs the same suites.  The tests keep the names of the criteria
+they check.
 """
 
 import pytest
@@ -31,7 +32,7 @@ TEST_NAMES = {
 def _suite_test(name: str):
     def test():
         result = verify.SUITES[name]("full", DEFAULT_SEED)
-        print(result.summary_line(), flush=True)
+        print(result.line(), flush=True)
         assert result.passed, result.failures[:5]
 
     return test

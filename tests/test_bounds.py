@@ -1,12 +1,9 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from shatterlab.bounds import (
-    best_rational_below,
     cheong_lower,
-    corollary_q,
     eval_query,
     floor_log2,
     g_k,
@@ -116,31 +113,6 @@ def test_irrational_bound_vacuous_flag():
 def test_irrational_bound_precondition():
     with pytest.raises(InvalidArgumentError):
         irrational_bound(3.0, 26, 100)  # m < 27 = s^3
-
-
-def test_corollary_q_selection():
-    # ceil((1/s) sqrt(m/log2 s)) <= (2/s) sqrt(m/log2 s) whenever m >= s^3
-    for s in (2.0, 2.5, 3.7):
-        lo = math.ceil(s**3)
-        for m in range(lo, 10**6, 997):
-            q = corollary_q(s, m)
-            assert q <= 2.0 * math.sqrt(m / math.log2(s)) / s
-            assert q >= 1
-
-
-def test_corollary_chaining():
-    # the irrational threshold sits strictly below the rational threshold at s'
-    for s in (2.0, 2.5, 3.7):
-        lo = math.ceil(s**3)
-        for m in range(lo, 10**6, 4999):
-            q = corollary_q(s, m)
-            s_prime = best_rational_below(s, q)
-            if s_prime < 2:
-                continue
-            irr = s * m - 10 * math.sqrt(m) * s * math.sqrt(math.log2(s))
-            sp = float(s_prime)
-            rat = sp * m - 3 * q * sp * sp * math.log2(sp)
-            assert irr < rat
 
 
 def test_cheong_instances():

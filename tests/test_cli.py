@@ -146,6 +146,25 @@ def test_bh_probe_json(capsys):
     assert obj["g_k_m"] == 92 and obj["premise_all_ok"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("growth", "--s", "3", "--m", "4", "--n", "40", "--trials", "1"), "slope"),
+        (("bh-probe", "--k", "2", "--m", "13", "--n", "64", "--trials", "1"), "exponent"),
+    ],
+    ids=["growth", "bh-probe"],
+)
+def test_undefined_fit_prints_null(capsys, argv, key):
+    # one size leaves the log-log fit undefined; JSON has no NaN
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)[key] is None
+
+
 def test_bounds_eval(capsys):
     code, out, _ = run_cli(capsys, "bounds", "eval", "--kind", "tk_upper",
                            "--params", "m=7,k=1", "--format", "json")

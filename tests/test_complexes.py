@@ -11,8 +11,6 @@ from shatterlab.complexes import (
     delta_d,
     density,
     format_complex_json,
-    min_degree_prune,
-    nonadjacent,
     overlap_witness,
     parse_complex_json,
     span_count,
@@ -118,26 +116,17 @@ def test_density_rejects_empty():
         density(cx, [])
 
 
-def test_nonadjacent():
-    cx = SimplicialComplex.from_facets(6, [[0, 1, 2], [2, 3, 4], [4, 5]])
-    assert not nonadjacent(cx, [0, 1, 2], [2, 3, 4])  # share vertex 2
-    assert not nonadjacent(cx, [1, 2], [3, 4])  # edge {2,3} meets both
-    assert nonadjacent(cx, [0, 1], [3, 4])  # disjoint, no connecting edge
-    # path complex distances: vertices 0 and 4 are nonadjacent, 0 and 1 are not
-    path = SimplicialComplex.from_facets(5, [[i, i + 1] for i in range(4)])
-    assert nonadjacent(path, [0], [2])
-    assert nonadjacent(path, [0], [4])
-    assert not nonadjacent(path, [0], [1])
-
-
 def test_tr_roots_nonadjacent_to_rho_and_each_other():
     for d, q, r in [(1, 3, 2), (2, 5, 3), (2, 5, 7), (3, 2, 4)]:
         tree = build_Tr(d, q, r)
-        roots = bits(tree.roots)
+        # disjoint, and no edge meets both
+        edges = tree.complex.faces_of_dim(1)
+        roots = [1 << v for v in bits(tree.roots)]
         for root in roots:
-            assert nonadjacent(tree.complex, [root], tree.rho)
+            assert not root & tree.rho
+            assert not any(e & root and e & tree.rho for e in edges)
         for a, b in combinations(roots, 2):
-            assert nonadjacent(tree.complex, [a], [b])
+            assert not any(e & a and e & b for e in edges)
 
 
 def test_span_count():
@@ -153,34 +142,6 @@ def test_span_count():
         smask = mask_of(s)
         expected = sum(1 for f in c.faces if f & ~smask == 0)
         assert span_count(c, s) == expected
-
-
-def test_min_degree_prune_threshold_zero_is_identity():
-    t0 = build_T0(2, 5)
-    assert min_degree_prune(t0.complex, 2, 0) == t0.complex
-
-
-def test_min_degree_prune_T0():
-    t0 = build_T0(2, 5)
-    before = len(t0.complex.faces_of_dim(2))
-    pruned = min_degree_prune(t0.complex, 2, 2)
-    after = len(pruned.faces_of_dim(2))
-    assert after < before
-    # no victim survives: every removed edge had degree < 2 in the input
-    for e in t0.complex.faces_of_dim(1):
-        if degree(t0.complex, e, 2) < 2:
-            assert e not in pruned.faces
-
-
-def test_min_degree_prune_downward_closed():
-    rng = random.Random(77)
-    for _ in range(25):
-        cx = random_complex(rng)
-        if cx.dimension < 1:
-            continue
-        d = rng.randint(1, cx.dimension)
-        pruned = min_degree_prune(cx, d, rng.randint(1, 3))
-        pruned._validate()
 
 
 def test_overlap_three_triangles_through_a_vertex():

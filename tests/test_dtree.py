@@ -20,7 +20,6 @@ from shatterlab.dtree import (
     min_density_bruteforce,
     min_density_formula,
     sigma_mask,
-    single_simplex_tree,
 )
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 
@@ -111,6 +110,20 @@ def test_canonical_trees_are_d_trees():
     for d, q, r in [(1, 2, 0), (1, 4, 3), (2, 3, 2), (2, 5, 7), (3, 2, 5)]:
         t = build_Tr(d, q, r)
         assert is_d_tree(t.complex, d)
+
+
+@pytest.mark.parametrize(
+    "facets, n",
+    [
+        ([[0, 1, 2], [3, 4, 5]], 6),  # two disjoint triangles
+        ([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], 4),  # tetrahedron boundary, a 2-cycle
+        ([[0, 1, 2], [1, 2, 3], [3, 4]], 5),  # a lone edge facet
+        ([], 0),  # the empty complex
+    ],
+    ids=["disjoint", "two-cycle", "lone-edge", "empty"],
+)
+def test_non_trees_are_not_d_trees(facets, n):
+    assert not is_d_tree(SimplicialComplex.from_facets(n, facets), 2)
 
 
 def test_formula_instances():
@@ -294,7 +307,7 @@ def test_lopsided_attachment_checked_against_brute_force():
 
 
 def test_single_vertex_tree_trivially_balanced():
-    t = single_simplex_tree(2)
+    t = RootedDTree(SimplicialComplex.from_facets(3, [[0, 1, 2]]), 0b11, 0)
     # unrooted set is one vertex; the only candidate attains the minimum
     assert t.unrooted_mask.bit_count() == 1
     assert is_balanced(t)
@@ -319,7 +332,7 @@ def test_embedding_single_simplex_equals_degree():
     from shatterlab.complexes import degree
 
     cx = SimplicialComplex.from_facets(6, [[0, 1, 2], [1, 2, 3], [1, 2, 4], [0, 4, 5]])
-    t = single_simplex_tree(2)
+    t = RootedDTree(SimplicialComplex.from_facets(3, [[0, 1, 2]]), 0b11, 0)
     for sigma in cx.faces_of_dim(1):
         assert count_embeddings(t, cx, sigma).count == degree(cx, sigma, 2)
 

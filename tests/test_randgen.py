@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shatterlab import randgen, scan
-from shatterlab._bits import bits, iter_size_subsets, mask_of
+from shatterlab._bits import bits
 from shatterlab._keyed import (
     inverse_power_threshold,
     level_key,
@@ -22,15 +22,12 @@ from shatterlab.randgen import (
     _EDGE_CHUNK,
     REPORT_CSV_HEADER,
     bondy_hajnal_probe,
-    default_skeleton_p,
-    expected_top_faces,
     growth_experiment,
     materialize,
     max_possible_dim_ge1_span,
     prune_bad_msets,
     sample_complex,
     sample_levels,
-    sample_skeleton_complex,
     _triangle_pass,
 )
 
@@ -129,13 +126,7 @@ def test_edge_count_mean_within_tolerance():
               for seed in range(50)]
     mean = sum(counts) / len(counts)
     sigma_mean = math.sqrt(total * p * (1 - p) / len(counts))
-    assert abs(mean - expected_top_faces(n, 1, p)) <= 5 * sigma_mean
-
-
-def test_expected_top_faces_values():
-    assert expected_top_faces(10, 1, 0.5) == math.comb(10, 2) * 0.5
-    assert expected_top_faces(10, 2, 1) == math.comb(10, 3)
-    assert expected_top_faces(100, 2, 0.1) == pytest.approx(math.comb(100, 3) * 1e-4)
+    assert abs(mean - total * p) <= 5 * sigma_mean
 
 
 def test_max_possible_span_ceiling():
@@ -217,102 +208,6 @@ def test_post_prune_shatter_bound():
         f_m = scan.exact_shatter_value(pruned, m)
         assert f_m < z + m + 1
         assert f_m <= s * m + s - 1  # integral s: the statement form also holds
-
-
-def test_skeleton_p0_is_complete_skeleton():
-    cx = sample_skeleton_complex(15, 2, 5, 0, 1)
-    assert len(cx.faces_of_dim(0)) == 15
-    assert len(cx.faces_of_dim(1)) == math.comb(15, 2)
-    assert not cx.faces_of_dim(2)
-    assert scan.exact_shatter_value(cx, 5) == 1 + 5 + math.comb(5, 2)
-
-
-def test_skeleton_deletion_guarantee():
-    n, d, m = 26, 2, 6
-    cx = sample_skeleton_complex(n, d, m, default_skeleton_p(n), 11)
-    tris = cx.faces_of_dim(2)
-    # exhaustive oracle over all m-sets: at most m - d survivors inside any
-    for ys in combinations(range(n), m):
-        ymask = mask_of(ys)
-        inside = sum(1 for t in tris if t & ~ymask == 0)
-        assert inside <= m - d
-    f_m = scan.exact_shatter_value(cx, m)
-    assert f_m <= sum(math.comb(m, i) for i in range(d + 1)) + m - d
-
-
-def test_skeleton_deletion_beyond_63_vertices():
-    # d = 1, m = 3: an edge is deleted exactly when it lies on a triangle of
-    # the sampled graph
-    n, p, seed = 66, Fraction(1, 6), 5
-    key, threshold = level_key(seed, 2), probability_threshold(p)
-    sampled = {
-        mask
-        for rank, mask in enumerate(iter_size_subsets(n, 2))
-        if rank_u53(key, rank) < threshold
-    }
-    on_triangle = set()
-    for ys in combinations(range(n), 3):
-        pairs = {mask_of(e) for e in combinations(ys, 2)}
-        if pairs <= sampled:
-            on_triangle |= pairs
-    assert on_triangle
-    cx = sample_skeleton_complex(n, 1, 3, p, seed)
-    assert set(cx.faces_of_dim(1)) == sampled - on_triangle
-
-
-def reference_skeleton_complex(n, d, m, p, seed):
-    """sample_skeleton_complex as it was before the floor scan, and the number
-    of d-simplices its deletion round removed: it counts every m-subset of
-    the d-simplices-only complex."""
-    threshold = probability_threshold(p)
-    faces = set()
-    for size in range(1, d + 1):
-        faces.update(iter_size_subsets(n, size))
-    key = level_key(seed, d + 1)
-    simplices = [
-        mask
-        for rank, mask in enumerate(iter_size_subsets(n, d + 1))
-        if rank_u53(key, rank) < threshold
-    ]
-    kept = simplices
-    if simplices:
-        alone = SimplicialComplex(n, simplices, validate=False)
-        combos = scan.combination_array(n, m)
-        counts = np.concatenate([
-            scan.dim_ge1_counts(alone, combos[lo : lo + (1 << 16)], np.arange(n))
-            for lo in range(0, len(combos), 1 << 16)
-        ])
-        bad = [mask_of(row) for row in combos[counts >= m - d + 1].tolist()]
-        kept = [s for s in simplices if not any(s & b == s for b in bad)]
-    faces.update(kept)
-    return SimplicialComplex(n, faces, validate=False), len(simplices) - len(kept)
-
-
-@pytest.mark.parametrize(
-    "n, d, m, p, seed",
-    [
-        (12, 1, 3, Fraction(1, 3), 1),
-        (20, 1, 4, Fraction(1, 4), 2),
-        (30, 1, 5, Fraction(1, 8), 7),
-        (26, 2, 5, Fraction(1, 12), 4),
-        (18, 2, 4, Fraction(1, 6), 5),
-        (40, 2, 4, Fraction(1, 30), 8),
-        (14, 3, 5, Fraction(1, 5), 6),
-        (16, 3, 6, Fraction(1, 4), 9),
-        # positions past 63: two bitset words per row
-        (66, 2, 4, None, 3),
-    ],
-)
-def test_skeleton_matches_full_scan_deletion(n, d, m, p, seed):
-    p = default_skeleton_p(n) if p is None else p
-    want, deleted = reference_skeleton_complex(n, d, m, p, seed)
-    assert deleted  # every case has bad m-sets
-    assert sample_skeleton_complex(n, d, m, p, seed) == want
-
-
-def test_skeleton_determinism():
-    p = default_skeleton_p(20)
-    assert sample_skeleton_complex(20, 2, 5, p, 3) == sample_skeleton_complex(20, 2, 5, p, 3)
 
 
 def test_growth_report_invariants():

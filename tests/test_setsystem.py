@@ -47,7 +47,7 @@ def random_system(rng, n_max=8, count_max=24):
 
 
 def test_trace_power_set():
-    s = SetSystem.power_set(3)
+    s = SetSystem(3, tuple(range(1 << 3)))
     assert len(trace(s, [0, 1])) == 4
 
 
@@ -84,7 +84,7 @@ def test_shatter_star_system():
 
 
 def test_shatter_full_power_set():
-    assert shatter_value(SetSystem.power_set(3), 2) == 4
+    assert shatter_value(SetSystem(3, tuple(range(1 << 3))), 2) == 4
 
 
 def test_shatter_matches_oracle_random():
@@ -104,7 +104,7 @@ def test_shatter_oracle_sweep():
 
 
 def test_shatter_rejects_m_out_of_range():
-    s = SetSystem.power_set(2)
+    s = SetSystem(2, tuple(range(1 << 2)))
     with pytest.raises(InvalidArgumentError):
         shatter_value(s, 3)
 
@@ -125,7 +125,7 @@ def test_shatter_subset_limit():
 
 
 def test_profile_examples():
-    assert shatter_profile(SetSystem.power_set(3)).values == (1, 2, 4, 8)
+    assert shatter_profile(SetSystem(3, tuple(range(1 << 3)))).values == (1, 2, 4, 8)
     star = SetSystem.from_sets(3, [[], [0], [1], [2]])
     assert shatter_profile(star).values == (1, 2, 3, 4)
 
@@ -136,12 +136,16 @@ def test_profile_invariants(data):
     n = data.draw(st.integers(1, 6))
     masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
     s = SetSystem.from_masks(n, masks)
-    prof = shatter_profile(s)
-    assert prof.violations(len(s)) == []
+    v = shatter_profile(s).values
+    assert v[0] == 1
+    for m in range(n):
+        assert v[m] <= v[m + 1] <= 2 * v[m]
+    for m in range(n + 1):
+        assert v[m] <= min(1 << m, len(s))
 
 
 def test_vc_examples():
-    assert vc_dimension(SetSystem.power_set(4)) == 4
+    assert vc_dimension(SetSystem(4, tuple(range(1 << 4)))) == 4
     star = SetSystem.from_sets(4, [[], [0], [1], [2], [3]])
     assert vc_dimension(star) == 1
 
@@ -268,7 +272,7 @@ def test_transform_profile_on_random_closed_families(monkeypatch):
         for _ in range(12):
             facets = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 12))]
             families.append(SetSystem.from_masks(n, closure(facets)))
-    families.append(SetSystem.power_set(10))
+    families.append(SetSystem(10, tuple(range(1 << 10))))
     want = [profile_by_scan(s) for s in families]
     calls = count_scans(monkeypatch)
     assert [shatter_profile(s).values for s in families] == want

@@ -4,11 +4,14 @@ Each case breaks one input of one check at tier "quick" and asserts that the
 suite fails on that check, so a check cannot silently stop being enforced.
 """
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 from shatterlab import dtree, randgen, scan, verify
+from shatterlab.complexes import SimplicialComplex
 from shatterlab.verify import DEFAULT_SEED
 
 
@@ -20,6 +23,20 @@ def _witness_off_the_unrooted_set(monkeypatch):
         return value, witness & (witness - 1)  # same density, one vertex fewer
 
     monkeypatch.setattr(dtree, "min_density_bruteforce", fake)
+
+
+def _lone_vertex_in_one_cell(monkeypatch):
+    real = dtree.build_Tr
+
+    def fake(d, q, r):
+        tree = real(d, q, r)
+        if (d, q, r) != (2, 2, 1):
+            return tree
+        n = tree.complex.n
+        grown = SimplicialComplex(n + 1, tree.complex.faces | {1 << n}, validate=False)
+        return dataclasses.replace(tree, complex=grown)
+
+    monkeypatch.setattr(dtree, "build_Tr", fake)
 
 
 def _wrong_growth_exponent(monkeypatch):
@@ -43,13 +60,16 @@ def _no_embedding_pairs(monkeypatch):
     "suite, breaks, message",
     [
         ("dtree-grid", _witness_off_the_unrooted_set, "not at the unrooted vertices"),
+        ("dtree-grid", _lone_vertex_in_one_cell, "(d=2,Q=2,r=1) complex is not a d-tree"),
         ("growth", _wrong_growth_exponent, "target exponent 7/4"),
         ("bh-probe", _wrong_growth_exponent, "target exponent 7/4 != 11/5"),
         ("bh-probe", _wrong_g_k, "!= 92"),
         ("prune-guarantee", _short_scan, "not C(80,4)"),
         ("embedding", _no_embedding_pairs, "need 10"),
     ],
-    ids=["witness", "growth-target", "probe-target", "probe-g_k_m", "scan-length", "pairs"],
+    ids=[
+        "witness", "d-tree", "growth-target", "probe-target", "probe-g_k_m", "scan-length", "pairs"
+    ],
 )
 def test_suite_fails_on_a_broken_check(monkeypatch, suite, breaks, message):
     breaks(monkeypatch)
@@ -64,3 +84,8 @@ def test_suite_fails_over_its_ceiling(monkeypatch, suite):
     result = verify.SUITES[suite]("quick", DEFAULT_SEED)
     assert not result.passed
     assert result.failures[-1].endswith("ceiling 0.0 s")
+
+
+def test_suite_line_writes_an_undefined_value_as_null():
+    result = verify.SuiteResult("s", True, "t", {"exponent": float("nan")})
+    assert json.loads(result.line())["measured"] == {"exponent": None}
