@@ -46,6 +46,20 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def facets_present(family, mask: int) -> bool:
+    """True if every one-smaller subset of mask is in family (a set of masks).
+
+    A downward-closed family is one in which this holds for every member.
+    """
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask ^ low not in family:
+            return False
+        rest ^= low
+    return True
+
+
 def submasks(mask: int):
     """All non-empty submasks of mask, ascending numeric order."""
     sub = mask & -mask if mask else 0

@@ -8,10 +8,11 @@ intervals so comparisons against them stay honest.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from shatterlab.errors import InvalidArgumentError
+from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 
 # generous per-operation relative error for the float expressions below
 _REL_ERR = 2.0**-45
@@ -137,76 +138,92 @@ def irrational_bound(s: float, m: int, n: int) -> ThresholdGrowth:
 # query dispatch for the CLI
 # ---------------------------------------------------------------------------
 
-QUERY_KINDS = (
-    "g_k",
-    "tk_lower",
-    "tk_upper",
-    "rational_threshold",
-    "rational_growth",
-    "irrational_threshold",
-    "irrational_growth",
-    "cheong_lower",
-    "easy_upper_hint",
-    "s_d",
-    "t_d",
-)
+# Largest value of a query parameter that sets the work or the size of an
+# exact answer: the terms of g_k, the 4k-bit shift of tk_lower, the k parts
+# of easy_upper_hint, the digits of s_d.  It keeps every such answer under
+# 1,300 digits, far below the 4,300 that int-to-str allows; a larger value
+# exits 3 before any work.  Float answers are bounded by the float range.
+QUERY_PARAM_MAX = 1000
+
+
+@dataclass(frozen=True)
+class QueryKind:
+    params: tuple[tuple[str, type], ...]  # (name, int or Fraction), in call order
+    capped: tuple[str, ...]  # held to QUERY_PARAM_MAX (a rational in both parts)
+    evaluate: Callable[..., dict]
+
+
+def _threshold(res: ThresholdGrowth) -> dict:
+    t = res.threshold
+    return {"value": t.value, "interval": [t.lo, t.hi], "vacuous": t.vacuous}
+
+
+def _growth(res: ThresholdGrowth) -> dict:
+    return {"value": res.growth_bound, "exponent": res.exponent}
+
+
+def _easy_upper_hint(n: int, k: int) -> dict:
+    # No explicit constant exists for the O(m^k / k^k) direction; point at
+    # the k-partite witness family instead of inventing a number.
+    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+    return {
+        "value": math.prod(sizes),
+        "note": "number of transversal k-sets of a balanced k-partition; build the "
+        "witness family with `search kpartite`",
+    }
+
+
+_MK = (("m", int), ("k", int))
+_NK = (("n", int), ("k", int))
+_SMN = (("s", Fraction), ("m", int), ("n", int))
+_SD = (("s", Fraction), ("d", int))
+
+QUERIES = {
+    "g_k": QueryKind(_NK, ("n", "k"), lambda n, k: {"value": g_k(n, k)}),
+    "tk_lower": QueryKind(_MK, ("m", "k"), lambda m, k: {"value": tk_bounds(m, k)[0]}),
+    "tk_upper": QueryKind(_MK, ("m", "k"), lambda m, k: {"value": tk_bounds(m, k)[1]}),
+    "rational_threshold": QueryKind(
+        _SMN, (), lambda s, m, n: _threshold(rational_bound(s, m, n))
+    ),
+    "rational_growth": QueryKind(_SMN, (), lambda s, m, n: _growth(rational_bound(s, m, n))),
+    "irrational_threshold": QueryKind(
+        _SMN, (), lambda s, m, n: _threshold(irrational_bound(float(s), m, n))
+    ),
+    "irrational_growth": QueryKind(
+        _SMN, (), lambda s, m, n: _growth(irrational_bound(float(s), m, n))
+    ),
+    "cheong_lower": QueryKind(_MK, ("m", "k"), lambda m, k: {"value": cheong_lower(m, k)}),
+    "easy_upper_hint": QueryKind(_NK, ("n", "k"), _easy_upper_hint),
+    "s_d": QueryKind(_SD, ("s",), lambda s, d: {"value": str(sd_td(s, d)[1])}),
+    "t_d": QueryKind(_SD, ("s",), lambda s, d: {"value": str(sd_td(s, d)[0])}),
+}
+QUERY_KINDS = tuple(QUERIES)
 
 
 def eval_query(kind: str, params: dict) -> dict:
-    """Evaluate one named bound; params hold ints under m/n/k/d and rational s."""
-    if kind not in QUERY_KINDS:
+    """Evaluate one named bound; params map names to ints or Fractions.
+
+    InvalidArgumentError for an unknown kind or a missing or non-integer
+    parameter; ResourceLimitError for a capped parameter over
+    QUERY_PARAM_MAX or an answer outside the float range.
+    """
+    if kind not in QUERIES:
         raise InvalidArgumentError(f"unknown bound kind {kind!r}; choose from {QUERY_KINDS}")
-    out: dict = {"kind": kind}
-
-    def need(*names):
-        missing = [x for x in names if x not in params]
-        if missing:
-            raise InvalidArgumentError(f"kind {kind} requires parameters {missing}")
-        return [params[x] for x in names]
-
-    if kind == "g_k":
-        n, k = need("n", "k")
-        out["value"] = g_k(n, k)
-    elif kind in ("tk_lower", "tk_upper"):
-        m, k = need("m", "k")
-        lo, hi = tk_bounds(m, k)
-        out["value"] = lo if kind == "tk_lower" else hi
-    elif kind == "cheong_lower":
-        m, k = need("m", "k")
-        out["value"] = cheong_lower(m, k)
-    elif kind in ("rational_threshold", "rational_growth"):
-        s, m, n = need("s", "m", "n")
-        res = rational_bound(Fraction(s), m, n)
-        if kind == "rational_threshold":
-            out["value"] = res.threshold.value
-            out["interval"] = [res.threshold.lo, res.threshold.hi]
-            out["vacuous"] = res.threshold.vacuous
-        else:
-            out["value"] = res.growth_bound
-            out["exponent"] = str(res.exponent)
-    elif kind in ("irrational_threshold", "irrational_growth"):
-        s, m, n = need("s", "m", "n")
-        res = irrational_bound(float(s), m, n)
-        if kind == "irrational_threshold":
-            out["value"] = res.threshold.value
-            out["interval"] = [res.threshold.lo, res.threshold.hi]
-            out["vacuous"] = res.threshold.vacuous
-        else:
-            out["value"] = res.growth_bound
-            out["exponent"] = res.exponent
-    elif kind in ("s_d", "t_d"):
-        s, d = need("s", "d")
-        t_d, s_d = sd_td(Fraction(s), d)
-        out["value"] = str(s_d if kind == "s_d" else t_d)
-    elif kind == "easy_upper_hint":
-        # No explicit constant exists for the O(m^k / k^k) direction; point at
-        # the k-partite witness family instead of inventing a number.
-        n, k = need("n", "k")
-        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-        count = math.prod(sizes)
-        out["value"] = count
-        out["note"] = (
-            "number of transversal k-sets of a balanced k-partition; build the "
-            "witness family with `search kpartite`"
-        )
-    return out
+    query = QUERIES[kind]
+    missing = [name for name, _ in query.params if name not in params]
+    if missing:
+        raise InvalidArgumentError(f"kind {kind} requires parameters {missing}")
+    args = []
+    for name, wanted in query.params:
+        value = params[name]
+        if wanted is int and not isinstance(value, int):
+            raise InvalidArgumentError(f"parameter {name} must be an integer, got {value}")
+        args.append(wanted(value))
+    for (name, _), value in zip(query.params, args):
+        # an int is its own numerator; a rational is held in both parts
+        if name in query.capped and max(value.numerator, value.denominator) > QUERY_PARAM_MAX:
+            raise ResourceLimitError(f"parameter {name} is over the query cap {QUERY_PARAM_MAX}")
+    try:
+        return {"kind": kind, **query.evaluate(*args)}
+    except OverflowError as exc:
+        raise ResourceLimitError(f"kind {kind} leaves the float range: {exc}") from exc

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from shatterlab import bounds, compression, complexes, dtree, randgen, search, setsystem, verify
+from shatterlab._bits import bits
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 
@@ -30,10 +31,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _emit(args, rows: list[str] | None, obj) -> None:
-    """Print obj as one JSON line under --format json or without CSV rows."""
-    if args.format == "json" or rows is None:
-        print(verify.json_line(obj))
+def _emit(args, rows: list[str], obj) -> None:
+    """Print obj as one JSON line under --format json, else the CSV rows."""
+    if args.format == "json":
+        print(setsystem.json_line(obj))
     else:
         for row in rows:
             print(row)
@@ -194,8 +195,6 @@ def _cmd_complex_stats(args) -> int:
 
 def _cmd_dtree_build(args) -> int:
     tree = dtree.build_Tr(args.d, args.Q, args.r)
-    from shatterlab._bits import bits
-
     obj = {
         "n": tree.complex.n,
         "facets": [bits(f) for f in tree.facet_masks()],
@@ -204,7 +203,7 @@ def _cmd_dtree_build(args) -> int:
         "params": {"d": args.d, "Q": args.Q, "r": args.r},
         "min_density": str(dtree.min_density_formula(args.d, args.Q, args.r)),
     }
-    text = verify.json_line(obj)
+    text = setsystem.json_line(obj)
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -218,17 +217,19 @@ def _grid_row(cell) -> str:
     row = verify.check_grid_cell(d, q, r)
     return (
         f"{d},{q},{r},{row['formula']},{row['block']},{row['brute']},"
-        f"{int(row['balanced'])},{row['facets']}"
+        f"{int(row['witness_unrooted'])},{row['facets']}"
     )
 
 
 def _cmd_dtree_verify(args) -> int:
+    # the brute force takes d * Q unrooted vertices, so d and Q stop at its cap
+    cap = dtree.BRUTE_FORCE_VERTEX_CAP
     cells = []
-    for d in range(1, args.d_max + 1):
-        for q in range(1, args.Q_max + 1):
+    for d in range(1, min(args.d_max, cap) + 1):
+        for q in range(1, min(args.Q_max, cap // d) + 1):
             r_top = args.r_max if args.r_max is not None else 2 * q + 1
-            if d * q > dtree.BRUTE_FORCE_VERTEX_CAP:
-                continue  # d * Q unrooted vertices
+            if r_top >= 0:
+                dtree.check_tree_size(d, q, r_top)  # the largest tree of the row
             cells.extend((d, q, r) for r in range(0, r_top + 1))
     print("d,Q,r,formula,blockmin,brutemin,balanced,facets")
     bound = min(args.threads, len(cells), os.cpu_count() or 1)
@@ -267,20 +268,15 @@ def _cmd_growth(args) -> int:
         scan_limit=args.limit_subsets,
         workers=args.threads,
     )
-    if args.format == "json":
-        obj = {
-            "slope": result.slope,
-            "target_exponent": str(result.target_exponent),
-            "generator": randgen.GENERATOR_ID,
-            "reports": [r.csv_row() for r in result.reports],
-        }
-        _emit(args, None, obj)
-    else:
-        print(f"# generator={randgen.GENERATOR_ID}")
-        for line in result.csv_lines():
-            print(line)
-        print(f"# slope,{result.slope}")
-        print(f"# target_exponent,{result.target_exponent}")
+    rows = [f"# generator={randgen.GENERATOR_ID}", *result.csv_lines()]
+    rows += [f"# slope,{result.slope}", f"# target_exponent,{result.target_exponent}"]
+    obj = {
+        "slope": result.slope,
+        "target_exponent": str(result.target_exponent),
+        "generator": randgen.GENERATOR_ID,
+        "reports": [r.csv_row() for r in result.reports],
+    }
+    _emit(args, rows, obj)
     return 0
 
 
@@ -294,21 +290,21 @@ def _cmd_bh_probe(args) -> int:
         epsilon=args.epsilon,
         scan_limit=args.limit_subsets,
     )
-    if args.format == "json":
-        obj = {
-            "exponent": probe.exponent,
-            "target_exponent": str(probe.target_exponent),
-            "premise_all_ok": probe.premise_all_ok,
-            "exceeds_k": probe.exceeds_k,
-            "g_k_m": probe.g_k_m,
-            "rows": probe.csv_lines()[1:],
-        }
-        _emit(args, None, obj)
-    else:
-        for line in probe.csv_lines():
-            print(line)
-        print(f"# exponent,{probe.exponent}")
-        print(f"# premise_all_ok,{int(probe.premise_all_ok)}")
+    lines = probe.csv_lines()
+    rows = [
+        *lines,
+        f"# exponent,{probe.exponent}",
+        f"# premise_all_ok,{int(probe.premise_all_ok)}",
+    ]
+    obj = {
+        "exponent": probe.exponent,
+        "target_exponent": str(probe.target_exponent),
+        "premise_all_ok": probe.premise_all_ok,
+        "exceeds_k": probe.exceeds_k,
+        "g_k_m": probe.g_k_m,
+        "rows": lines[1:],
+    }
+    _emit(args, rows, obj)
     return 0
 
 
@@ -318,10 +314,12 @@ def _parse_params(text: str) -> dict:
         if not item:
             continue
         key, _, value = item.partition("=")
-        if not value:
+        rational = "/" in value or "." in value
+        # Fraction expands an exponent eagerly, so 1.0e999999999 would not finish
+        if not value or rational and "e" in value.lower():
             raise InvalidArgumentError(f"bad parameter {item!r}")
         try:
-            out[key.strip()] = Fraction(value) if "/" in value or "." in value else int(value)
+            out[key.strip()] = Fraction(value) if rational else int(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidArgumentError(f"bad parameter {item!r}") from exc
     return out
@@ -329,11 +327,9 @@ def _parse_params(text: str) -> dict:
 
 def _cmd_bounds_eval(args) -> int:
     result = bounds.eval_query(args.kind, _parse_params(args.params))
-    if args.format == "json":
-        _emit(args, None, result)
-    else:
-        print(",".join(str(k) for k in sorted(result)))
-        print(",".join(str(result[k]) for k in sorted(result)))
+    keys = sorted(result)
+    rows = [",".join(keys), ",".join(str(result[k]) for k in keys)]
+    _emit(args, rows, result)
     return 0
 
 

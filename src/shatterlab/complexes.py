@@ -11,19 +11,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
-from shatterlab._bits import bits, iter_bits, submasks
+from shatterlab._bits import bits, facets_present, iter_bits, submasks
 from shatterlab.errors import (
     DEFAULT_SUBSET_LIMIT,
     EmptyDomainError,
     InvalidArgumentError,
     ResourceLimitError,
 )
-from shatterlab.setsystem import SetSystem, _as_vertex_mask, _parse_members_json
+from shatterlab.setsystem import SetSystem, _as_vertex_mask, _parse_members_json, json_line
 
 # cap on n for a complex read from a file, so one label cannot build a huge mask
 MAX_FILE_VERTICES = 1 << 16
+# most labels of a facet that from_facets closes downward (2^24 - 1 faces)
+MAX_FACET_LABELS = 24
 
 
 class SimplicialComplex:
@@ -47,21 +48,13 @@ class SimplicialComplex:
                 raise InvalidArgumentError("faces must be non-empty vertex sets")
             if f >> self.n:
                 raise InvalidArgumentError(f"face {f:#x} exceeds ambient vertex range")
+        closed = self._faces | {0}  # the empty face is implicit
         for f in self._faces:
-            rest = f
-            while rest:
-                low = rest & -rest
-                sub = f ^ low
-                if sub and sub not in self._faces:
-                    raise InvalidArgumentError(
-                        f"not downward closed: {bits(sub)} missing under {bits(f)}"
-                    )
-                rest ^= low
+            if not facets_present(closed, f):
+                raise InvalidArgumentError(f"not downward closed: a facet of {bits(f)} is missing")
 
     @classmethod
-    def from_facets(
-        cls, n: int, facets: Iterable, *, validate: bool = False, limit: int | None = None
-    ):
+    def from_facets(cls, n: int, facets: Iterable, *, limit: int | None = None):
         """Downward closure of the given facets (iterables of labels or masks).
 
         With a limit, ResourceLimitError is raised before the closure would
@@ -76,7 +69,7 @@ class SimplicialComplex:
                     mask |= 1 << v
             if mask >> n:
                 raise InvalidArgumentError(f"facet {mask:#x} exceeds ambient vertex range")
-            if mask.bit_count() > 24:
+            if mask.bit_count() > MAX_FACET_LABELS:
                 raise InvalidArgumentError("facet too large to close downward explicitly")
             built += (1 << mask.bit_count()) - 1
             if limit is not None and built > limit:
@@ -85,7 +78,7 @@ class SimplicialComplex:
                     "raise --limit-subsets to force it"
                 )
             faces.update(submasks(mask))
-        return cls(n, faces, validate=validate)
+        return cls(n, faces, validate=False)
 
     # -- queries ----------------------------------------------------------
 
@@ -143,15 +136,6 @@ class SimplicialComplex:
         return sorted(out)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """e(S) and e(S)/|S| for a vertex subset S."""
-
-    subject: int
-    e_of_s: int
-    density: Fraction
-
-
 def degree(cx: SimplicialComplex, sigma, d: int) -> int:
     """Number of d-simplices of the complex containing the (d-1)-simplex sigma."""
     smask = _as_vertex_mask(cx.n, sigma)
@@ -172,15 +156,6 @@ def delta_d(cx: SimplicialComplex, d: int) -> int:
     if not lower:
         raise EmptyDomainError(f"complex has no faces of dimension {d - 1}")
     return min(degree(cx, s, d) for s in lower)
-
-
-def density(cx: SimplicialComplex, subset) -> DensityReport:
-    """Exact rational density e(S)/|S|; e(S) counts faces meeting S."""
-    smask = _as_vertex_mask(cx.n, subset)
-    if smask == 0:
-        raise InvalidArgumentError("density is undefined for the empty vertex set")
-    e = sum(1 for f in cx.faces if f & smask)
-    return DensityReport(smask, e, Fraction(e, smask.bit_count()))
 
 
 def span_count(cx: SimplicialComplex, subset) -> int:
@@ -250,10 +225,4 @@ def parse_complex_json(text: str, *, limit: int = DEFAULT_SUBSET_LIMIT) -> Simpl
 
 
 def format_complex_json(cx: SimplicialComplex) -> str:
-    import json
-
-    return json.dumps(
-        {"facets": [bits(f) for f in cx.facets()], "n": cx.n},
-        sort_keys=True,
-        separators=(",", ":"),
-    ) + "\n"
+    return json_line({"facets": [bits(f) for f in cx.facets()], "n": cx.n}) + "\n"

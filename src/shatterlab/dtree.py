@@ -15,12 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab._bits import bits, iter_bits, popcount_groups, submasks, zeta_transform
-from shatterlab.complexes import SimplicialComplex
-from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+from shatterlab._bits import bits, iter_bits, popcount_groups, zeta_transform
+from shatterlab.complexes import MAX_FACET_LABELS, SimplicialComplex
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.setsystem import _as_vertex_mask
 
 BRUTE_FORCE_VERTEX_CAP = 20
+# embeddings count_embeddings enumerates before it reports saturation
+EMBEDDING_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -55,24 +57,6 @@ def sigma_mask(d: int, i: int) -> int:
     return ((1 << d) - 1) << (i * d)
 
 
-def build_T0(d: int, Q: int) -> RootedDTree:
-    if d < 1 or Q < 1:
-        raise InvalidArgumentError("d and Q must be >= 1")
-    nv = d * (Q + 1)
-    faces = set()
-    for lo in range(nv):
-        hi = min(lo + d, nv - 1)
-        window = 0
-        for v in range(lo + 1, hi + 1):
-            window |= 1 << v
-        base = 1 << lo
-        faces.add(base)
-        for sub in submasks(window):
-            faces.add(base | sub)
-    cx = SimplicialComplex(nv, faces, validate=False)
-    return RootedDTree(cx, sigma_mask(d, 0), 0, TreeParams(d, Q, 0, ()))
-
-
 def attachment_blocks(Q: int, r: int) -> tuple[int, ...]:
     """Block indices receiving a root, in attachment (= label) order.
 
@@ -88,33 +72,41 @@ def attachment_blocks(Q: int, r: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def attach_vertex(tree: RootedDTree, sigma, *, rooted: bool = False) -> RootedDTree:
-    """Glue a new d-simplex formed by sigma and a fresh vertex."""
-    d = tree.d
-    smask = _as_vertex_mask(tree.complex.n, sigma)
-    if smask.bit_count() != d or smask not in tree.complex:
-        raise InvalidArgumentError("attachment site must be a (d-1)-simplex of the tree")
-    v = tree.complex.n
-    vbit = 1 << v
-    faces = set(tree.complex.faces)
-    faces.add(vbit)
-    for sub in submasks(smask):
-        faces.add(vbit | sub)
-    cx = SimplicialComplex(v + 1, faces, validate=False)
-    roots = tree.roots | vbit if rooted else tree.roots
-    return RootedDTree(cx, tree.rho, roots, None)
+def check_tree_size(d: int, Q: int, r: int) -> None:
+    """Raise unless (d, Q, r) names a canonical tree whose closure builds at
+    most DEFAULT_SUBSET_LIMIT faces, counted once per facet."""
+    if r < 0:
+        raise InvalidArgumentError("r must be >= 0")
+    if d < 1 or Q < 1:
+        raise InvalidArgumentError("d and Q must be >= 1")
+    if d + 1 > MAX_FACET_LABELS:
+        raise InvalidArgumentError(f"d-simplices of {d + 1} labels are too large to close")
+    faces = (d * Q + r) * ((2 << d) - 1)
+    if faces > DEFAULT_SUBSET_LIMIT:
+        raise ResourceLimitError(
+            f"T_r with d={d}, Q={Q}, r={r} closes {faces} faces, "
+            f"over the limit {DEFAULT_SUBSET_LIMIT}"
+        )
 
 
 def build_Tr(d: int, Q: int, r: int) -> RootedDTree:
-    if r < 0:
-        raise InvalidArgumentError("r must be >= 0")
-    tree = build_T0(d, Q)
+    """The canonical tree T_r: the closure of T0's dQ windows and r root facets.
+
+    T0's facets are the windows {i, ..., i + d} for i < dQ, whose closure is
+    every set of spread at most d.  Root k, labelled d(Q+1) + k, forms a
+    facet with sigma_b for the k-th block b of attachment_blocks(Q, r).
+    check_tree_size runs first, so an oversized tree raises before any face
+    or attachment is built.
+    """
+    check_tree_size(d, Q, r)
+    nv = d * (Q + 1)
     blocks = attachment_blocks(Q, r)
-    for block in blocks:
-        tree = attach_vertex(tree, sigma_mask(d, block), rooted=True)
-    return RootedDTree(
-        tree.complex, tree.rho, tree.roots, TreeParams(d, Q, r, blocks)
-    )
+    simplex = (2 << d) - 1  # the labels 0..d
+    facets = [simplex << i for i in range(d * Q)]
+    facets += [sigma_mask(d, b) | 1 << (nv + k) for k, b in enumerate(blocks)]
+    cx = SimplicialComplex.from_facets(nv + r, facets)
+    roots = ((1 << r) - 1) << nv
+    return RootedDTree(cx, sigma_mask(d, 0), roots, TreeParams(d, Q, r, blocks))
 
 
 def is_d_tree(cx: SimplicialComplex, d: int) -> bool:
@@ -190,14 +182,6 @@ def _vertex_list(subset: int, unrooted: list[int]) -> tuple[int, ...]:
     return tuple(unrooted[i] for i in iter_bits(subset))
 
 
-def is_balanced(tree: RootedDTree) -> bool:
-    """True iff the full unrooted set attains the minimum density."""
-    value, _ = min_density_bruteforce(tree)
-    full = tree.unrooted_mask
-    e = sum(1 for f in tree.complex.faces if f & full)
-    return Fraction(e, full.bit_count()) == value
-
-
 @dataclass(frozen=True)
 class EmbeddingCount:
     count: int
@@ -235,14 +219,13 @@ def _embedding_schedule(tree: RootedDTree) -> list[tuple[int, int]]:
     return schedule
 
 
-def count_embeddings(
-    tree: RootedDTree, cx: SimplicialComplex, sigma, cap: int = 1_000_000
-) -> EmbeddingCount:
+def count_embeddings(tree: RootedDTree, cx: SimplicialComplex, sigma) -> EmbeddingCount:
     """Injective maps V(T) -> V(C) sending rho to sigma and facets to d-simplices.
 
     The root is matched order-preservingly (sorted rho vertices onto sorted
     sigma vertices), so a single rooted d-simplex counts exactly the degree
-    of sigma.  Vertex injectivity already forces distinct facet images.
+    of sigma.  Vertex injectivity already forces distinct facet images.  The
+    count stops, saturated, at EMBEDDING_CAP maps.
     """
     d = tree.d
     smask = _as_vertex_mask(cx.n, sigma)
@@ -273,7 +256,7 @@ def count_embeddings(
             return
         if idx == len(schedule):
             count += 1
-            if count >= cap:
+            if count >= EMBEDDING_CAP:
                 saturated = True
             return
         new_v, glue = schedule[idx]

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from shatterlab import scan
-from shatterlab._bits import bits, iter_size_subsets, mask_of
+from shatterlab._bits import bits, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
     derive_seed,
@@ -38,6 +37,8 @@ from shatterlab.scan import max_possible_dim_ge1_span
 
 _PAIR_CHUNK = 1 << 21
 _EDGE_CHUNK = 1 << 12
+# uniform random m-subsets whose traces the Bondy-Hajnal probe counts per instance
+PROBE_SUBSET_SAMPLES = 600
 
 
 def sample_complex(
@@ -59,13 +60,8 @@ def sample_complex(
             raise ResourceLimitError(f"level {k} has {total} candidates (limit {limit})")
         key = level_key(seed, k)
         for rank, mask in enumerate(iter_size_subsets(n, k)):
-            rest = mask
-            while rest:  # gated on every facet of the candidate being a face
-                low = rest & -rest
-                if mask ^ low not in faces:
-                    break
-                rest ^= low
-            if not rest and rank_u53(key, rank) < threshold:
+            # gated on every facet of the candidate being a face
+            if facets_present(faces, mask) and rank_u53(key, rank) < threshold:
                 faces.add(mask)
     return SimplicialComplex(n, faces, validate=False)
 
@@ -350,7 +346,6 @@ class ExperimentReport:
     f_m_exact: int | str  # exact value, or "sampled" when enumeration is off-limits
     bad_sets_removed: int
     vertices_removed: int
-    wall_time: float
     pruning: str  # "scan", "shortcut", or "skipped"
     generator: str = GENERATOR_ID
 
@@ -402,7 +397,6 @@ def _sample_pruned(
 def _growth_trial(
     s: Fraction, m: int, n: int, t: int, threshold: int, trial_seed: int, scan_limit: int
 ) -> ExperimentReport:
-    start = time.perf_counter()
     z = (s - 1) * (m + 1)
     params = ExperimentParams(s, m, n, t, threshold / float(1 << 53), z)
     shortcut = max_possible_dim_ge1_span(m, t) < math.ceil(z)
@@ -423,7 +417,6 @@ def _growth_trial(
         f_m,
         res.bad_sets_found if res else 0,
         len(res.removed_vertices) if res else 0,
-        time.perf_counter() - start,
         "scan" if res and not res.shortcut else "shortcut",
     )
 
@@ -587,7 +580,6 @@ def bondy_hajnal_probe(
     seed: int,
     *,
     epsilon=Fraction(1),
-    subset_samples: int = 600,
     scan_limit: int = DEFAULT_SUBSET_LIMIT,
 ) -> ProbeResult:
     """Premise + growth-trend check against the g_k(m) shatter hypothesis.
@@ -628,7 +620,7 @@ def bondy_hajnal_probe(
             )
             rng = random.Random(derive_seed(seed, n, trial, 0xBAD5E75))
             max_trace = m + 1  # any m isolated-ish vertices give m+1 traces
-            for _ in range(subset_samples):
+            for _ in range(PROBE_SUBSET_SAMPLES):
                 ys = rng.sample(range(n), m)
                 max_trace = max(max_trace, sample.trace_count(ys))
             spot_traces = {}
@@ -644,7 +636,7 @@ def bondy_hajnal_probe(
                     max_trace,
                     max_trace <= gk_m,
                     pruning,
-                    subset_samples + len(spot_traces),
+                    PROBE_SUBSET_SAMPLES + len(spot_traces),
                     spot_traces,
                 )
             )

@@ -262,18 +262,16 @@ def active_span_counts(
     return verts, *floor_span_rows(cx, verts, k, floor)
 
 
-def max_dim_ge1_span(
-    cx: SimplicialComplex, m: int, *, vertices=None, limit: int = DEFAULT_SUBSET_LIMIT
-) -> int:
+def max_dim_ge1_span(cx: SimplicialComplex, m: int, *, vertices=None) -> int:
     """Exact max over all m-subsets of the given vertices of spanned dim>=1 faces.
 
     Counts every subset with no floor, so it stays an independent check of
-    the floor scan.
+    the floor scan; past DEFAULT_SUBSET_LIMIT subsets it raises instead.
     """
     verts = sorted(vertices) if vertices is not None else cx.vertices()
     if m > len(verts):
         raise ResourceLimitError(f"not enough vertices for {m}-subsets")
-    _guard(math.comb(len(verts), m), limit)
+    _guard(math.comb(len(verts), m), DEFAULT_SUBSET_LIMIT)
     combos = combination_array(len(verts), m)
     return int(dim_ge1_counts(cx, combos, np.asarray(verts)).max())
 

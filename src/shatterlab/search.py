@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from shatterlab._bits import submasks
+from shatterlab._bits import facets_present, submasks
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 
 # shatter_value stays importable from here: profiling tools wrap it by this name
@@ -116,12 +116,8 @@ def enumerate_downward_closed(n: int):
             return
         mask = order[i]
         yield from rec(i + 1)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if mask ^ low not in family:
-                return
-            rest ^= low
+        if not facets_present(family, mask):
+            return
         family.add(mask)
         yield from rec(i + 1)
         family.discard(mask)

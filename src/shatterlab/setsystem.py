@@ -23,6 +23,7 @@ import numpy as np
 from shatterlab._bits import (
     ZETA_MAX_N,
     bits,
+    facets_present,
     iter_size_subsets,
     mask_of,
     popcount_groups,
@@ -89,16 +90,6 @@ class SetSystem:
         return [bits(m) for m in self.members]
 
 
-def trace(system: SetSystem, subset) -> SetSystem:
-    """The system {e ∩ Y : e ∈ S}, deduplicated.
-
-    The result keeps the ambient labelling (members are subsets of Y); its
-    ground set is conceptually Y.
-    """
-    ymask = _as_vertex_mask(system.n, subset)
-    return SetSystem.from_masks(system.n, (e & ymask for e in system.members))
-
-
 def shatter_value(system: SetSystem, m: int, *, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     """max |trace(S,Y)| over all Y of size m, exhaustively.
 
@@ -154,14 +145,7 @@ class ShatterProfile:
 def is_downward_closed(system: SetSystem) -> bool:
     """True if every subset of every member is a member (incl. the empty set)."""
     family = system.member_set()
-    for e in system.members:
-        rest = e
-        while rest:
-            low = rest & -rest
-            if e ^ low not in family:
-                return False
-            rest ^= low
-    return True
+    return all(facets_present(family, e) for e in system.members)
 
 
 def max_members_inside(n: int, families: list, sizes) -> np.ndarray:
@@ -224,6 +208,8 @@ def vc_dimension(system: SetSystem) -> int:
 # space-separated vertex labels, a blank line denoting the empty set.
 # JSON: {"n": int, "sets": [[int, ...], ...]}.
 # Both round-trip bit-exactly; duplicate members are dropped with a count.
+# Every JSON text the package writes, files and CLI lines alike, comes from
+# json_line.
 # ---------------------------------------------------------------------------
 
 
@@ -291,10 +277,26 @@ def parse_json(text: str) -> tuple[SetSystem, int]:
     return system, len(masks) - len(system)
 
 
-def format_json(system: SetSystem) -> str:
+def _finite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def json_line(obj) -> str:
+    """Canonical JSON text: sorted keys, no spaces, other types via str, and
+    a non-finite float (an undefined slope) as null, since JSON has no NaN."""
     return json.dumps(
-        {"n": system.n, "sets": system.to_sets()}, sort_keys=True, separators=(",", ":")
-    ) + "\n"
+        _finite(obj), sort_keys=True, separators=(",", ":"), default=str, allow_nan=False
+    )
+
+
+def format_json(system: SetSystem) -> str:
+    return json_line({"n": system.n, "sets": system.to_sets()}) + "\n"
 
 
 def load_file(path: str) -> tuple[SetSystem, int]:

@@ -11,7 +11,6 @@ run these functions and add no checks of their own.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -21,12 +20,16 @@ from fractions import Fraction
 import numpy as np
 
 from shatterlab import bounds, compression, dtree, randgen, scan, search, setsystem
+from shatterlab._bits import iter_size_subsets
 from shatterlab._keyed import derive_seed
 from shatterlab.complexes import SimplicialComplex, delta_d, span_count
 from shatterlab.complexes import overlap_witness as overlap_witness_op
 from shatterlab.errors import InvalidArgumentError
 
 DEFAULT_SEED = 20260810
+# ground size and member draws of the seeded systems behind suites 3 and 4
+RANDOM_SYSTEM_MAX_N = 10
+RANDOM_SYSTEM_MAX_MEMBERS = 60
 
 # wall-time ceilings in seconds, per suite, at either tier
 CEILING_S = {
@@ -36,24 +39,6 @@ CEILING_S = {
     "prune-guarantee": 300.0,
     "extremal": 300.0,
 }
-
-
-def _finite(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
-
-
-def json_line(obj) -> str:
-    """Canonical JSON text: sorted keys, no spaces, other types via str, and
-    a non-finite float (an undefined slope) as null, since JSON has no NaN."""
-    return json.dumps(
-        _finite(obj), sort_keys=True, separators=(",", ":"), default=str, allow_nan=False
-    )
 
 
 @dataclass
@@ -76,7 +61,7 @@ class SuiteResult:
         }
         if self.failures:
             obj["failures"] = self.failures[:10]
-        return json_line(obj)
+        return setsystem.json_line(obj)
 
 
 def _finish(result: SuiteResult, start: float) -> SuiteResult:
@@ -110,7 +95,6 @@ def check_grid_cell(d: int, q: int, r: int) -> dict:
     formula = dtree.min_density_formula(d, q, r)
     block, bi, bj = dtree.contiguous_min_density(tree)
     brute, witness = dtree.min_density_bruteforce(tree)
-    unrooted = witness == tree.unrooted_mask
     return {
         "d": d,
         "Q": q,
@@ -119,9 +103,10 @@ def check_grid_cell(d: int, q: int, r: int) -> dict:
         "block": block,
         "block_at": (bi, bj),
         "brute": brute,
-        "witness_unrooted": unrooted,
+        # the tree is balanced exactly when this holds: ties go to the larger
+        # set, and the full unrooted set is the only largest one
+        "witness_unrooted": witness == tree.unrooted_mask,
         "d_tree": dtree.is_d_tree(tree.complex, d),
-        "balanced": unrooted or dtree.is_balanced(tree),
         "facets": len(tree.facet_masks()),
         "roots": tree.roots.bit_count(),
         "vertices": tree.complex.n,
@@ -158,9 +143,9 @@ def suite_dtree_grid(tier: str, seed: int) -> SuiteResult:
 # -- suites 3 + 4: compression and Sauer consistency ------------------------
 
 
-def random_system(rng: random.Random, max_n: int = 10, max_members: int = 60):
-    n = rng.randint(1, max_n)
-    count = rng.randint(1, max_members)
+def random_system(rng: random.Random):
+    n = rng.randint(1, RANDOM_SYSTEM_MAX_N)
+    count = rng.randint(1, RANDOM_SYSTEM_MAX_MEMBERS)
     masks = {rng.randrange(1 << n) for _ in range(count)}
     return setsystem.SetSystem.from_masks(n, masks)
 
@@ -339,20 +324,16 @@ def suite_overlap(tier: str, seed: int) -> SuiteResult:
 
 
 def complete_complex(n: int, dim: int) -> SimplicialComplex:
-    faces = [m for m in range(1, 1 << n) if m.bit_count() <= dim + 1]
-    return SimplicialComplex(n, faces, validate=False)
+    """Every face of at most dim + 1 of the n vertices."""
+    return SimplicialComplex.from_facets(n, iter_size_subsets(n, min(n, dim + 1)))
 
 
 def suite_embedding(tier: str, seed: int) -> SuiteResult:
     start = time.perf_counter()
     res = SuiteResult("embedding", False, "exact count >= (delta_d - f)^f")
     trees = [
-        dtree.build_T0(1, 1),
-        dtree.build_T0(1, 2),
-        dtree.build_T0(1, 3),
-        dtree.build_T0(2, 1),
-        dtree.build_Tr(1, 2, 1),
-        dtree.build_T0(3, 1),
+        dtree.build_Tr(d, q, r)
+        for d, q, r in [(1, 1, 0), (1, 2, 0), (1, 3, 0), (2, 1, 0), (1, 2, 1), (3, 1, 0)]
     ]
     checked = 0
     n_max = 12 if tier == "full" else 9
@@ -369,7 +350,7 @@ def suite_embedding(tier: str, seed: int) -> SuiteResult:
             if delta < f + 1:
                 continue
             sigma = (1 << d) - 1  # any (d-1)-simplex; the complex is symmetric
-            count = dtree.count_embeddings(tree, cx, sigma, cap=10_000_000)
+            count = dtree.count_embeddings(tree, cx, sigma)
             checked += 1
             lower = (delta - f) ** f
             if count.saturated or count.count < lower:

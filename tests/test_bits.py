@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from shatterlab._bits import ZETA_MAX_N, popcount_groups, zeta_transform
+from shatterlab._bits import ZETA_MAX_N, facets_present, popcount_groups, zeta_transform
 
 
 def test_zeta_transform_matches_direct_subset_sums():
@@ -42,3 +42,12 @@ def test_popcount_groups():
             assert group.tolist() == [x for x in range(1 << n) if x.bit_count() == j]
     with pytest.raises(ValueError):
         popcount_groups(ZETA_MAX_N + 1)
+
+
+def test_facets_present():
+    family = {0, 0b1, 0b10, 0b11, 0b100}
+    assert facets_present(family, 0b11)  # {0, 1}: both singletons are in
+    assert facets_present(family, 0b1)  # a singleton needs the empty set
+    assert not facets_present(family - {0}, 0b1)
+    assert not facets_present(family, 0b111)  # {0, 2} and {1, 2} are missing
+    assert facets_present(set(), 0)  # the empty set has no facets

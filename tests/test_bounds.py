@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from shatterlab.bounds import (
+    QUERY_PARAM_MAX,
     cheong_lower,
     eval_query,
     floor_log2,
@@ -13,7 +14,7 @@ from shatterlab.bounds import (
     sd_td,
     tk_bounds,
 )
-from shatterlab.errors import InvalidArgumentError
+from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 
 
 def test_g_k_values():
@@ -162,3 +163,29 @@ def test_eval_query_dispatch():
         eval_query("nope", {})
     with pytest.raises(InvalidArgumentError):
         eval_query("g_k", {"n": 3})
+
+
+def test_eval_query_checks_types_and_caps_before_any_work():
+    with pytest.raises(InvalidArgumentError):
+        eval_query("tk_lower", {"m": 3, "k": Fraction(5, 2)})
+    with pytest.raises(InvalidArgumentError):
+        eval_query("g_k", {"n": Fraction(3, 2), "k": 2})
+    for kind, params in [
+        ("tk_lower", {"m": 3, "k": 10**12}),
+        ("g_k", {"n": 10**9, "k": 10**9}),
+        ("easy_upper_hint", {"n": 10**12, "k": 10**12}),
+        ("s_d", {"s": Fraction(QUERY_PARAM_MAX + 1), "d": 1}),
+        ("t_d", {"s": Fraction(2 * QUERY_PARAM_MAX + 1, QUERY_PARAM_MAX), "d": 1}),
+    ]:
+        with pytest.raises(ResourceLimitError):
+            eval_query(kind, params)
+    top = QUERY_PARAM_MAX
+    assert eval_query("g_k", {"n": top, "k": top})["value"] == 1 << top
+    assert eval_query("tk_lower", {"m": top, "k": top})["value"] == tk_bounds(top, top)[0]
+
+
+def test_eval_query_float_overflow_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        eval_query("rational_growth", {"s": Fraction(1000), "m": 10**100, "n": 10**100})
+    with pytest.raises(ResourceLimitError):
+        eval_query("irrational_threshold", {"s": Fraction(10**400), "m": 3, "n": 4})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shatterlab import bounds
 from shatterlab.cli import main
 from shatterlab.setsystem import parse_json
 
@@ -252,6 +253,29 @@ def test_global_flag_before_or_after_the_subcommand(recording_pool, capsys, flag
     assert first != run(*argv)  # and the flag took effect
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("dtree", "build", "--d", "40", "--Q", "40", "--r", "0"), 2),  # 41-label facets
+        (("dtree", "build", "--d", "20", "--Q", "1", "--r", "0"), 3),  # 20 * (2^21 - 1) faces
+        (("dtree", "build", "--d", "1", "--Q", "1", "--r", "100000000"), 3),
+        (("dtree", "verify", "--d-max", "1", "--Q-max", "1", "--r-max", "100000000"), 3),
+        (("dtree", "verify", "--d-max", "1000000000", "--Q-max", "1000000000"), 3),
+        (("bounds", "eval", "--kind", "tk_lower", "--params", "m=3,k=2.5"), 2),
+        (("bounds", "eval", "--kind", "g_k", "--params", "n=3/2,k=2"), 2),
+        (("bounds", "eval", "--kind", "tk_lower", "--params", "m=3,k=1000000000000"), 3),
+        (("bounds", "eval", "--kind", "g_k", "--params", "n=1000000000,k=1000000000"), 3),
+        (("bounds", "eval", "--kind", "easy_upper_hint", "--params", "n=12,k=1000000000000"), 3),
+        (("bounds", "eval", "--kind", "s_d", "--params", "s=1.0e999999999,d=1"), 2),
+    ],
+)
+def test_oversized_trees_and_bounds_exit_at_once(capsys, argv, want):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == want and out == "" and "Traceback" not in err
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "4000", "--t", "1", "--p", "1/2",
                            "--limit-subsets", "1000")
@@ -344,3 +368,33 @@ def test_file_commands_keep_the_exit_code_contract(tmp_path, capsys, case):
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 2, 3), (argv, content)
         assert "Traceback" not in err
+
+
+_param_value = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(-(10**15), 10**15).map(str),
+    st.fractions(-50, 50, max_denominator=7).map(str),
+    st.decimals(-50, 50, places=2).map(str),
+    st.text(alphabet="0123456789./-+e", max_size=8),
+)
+_params_text = st.dictionaries(
+    st.sampled_from(["m", "n", "k", "d", "s", "x"]), _param_value, min_size=2
+).map(lambda params: ",".join(f"{key}={value}" for key, value in params.items()))
+
+
+@settings(
+    max_examples=150,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.one_of(st.sampled_from(bounds.QUERY_KINDS), st.text(max_size=6)),
+    params=st.one_of(_params_text, st.text(max_size=12)),
+)
+def test_bounds_eval_keeps_the_exit_code_contract(capsys, kind, params):
+    try:
+        code, _, err = run_cli(capsys, "bounds", "eval", "--kind", kind, "--params", params)
+    except SystemExit as exc:  # argparse rejects an unknown kind
+        code, err = exc.code, capsys.readouterr().err
+    assert code in (0, 2, 3), (kind, params)
+    assert "Traceback" not in err

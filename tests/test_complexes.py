@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,13 +8,12 @@ from shatterlab.complexes import (
     SimplicialComplex,
     degree,
     delta_d,
-    density,
     format_complex_json,
     overlap_witness,
     parse_complex_json,
     span_count,
 )
-from shatterlab.dtree import build_T0, build_Tr, sigma_mask
+from shatterlab.dtree import build_Tr, sigma_mask
 from shatterlab.errors import EmptyDomainError, InvalidArgumentError, ResourceLimitError
 
 
@@ -41,7 +39,7 @@ def test_rejects_open_family():
 
 
 def test_degree_T0_example():
-    t0 = build_T0(2, 5)
+    t0 = build_Tr(2, 5, 0)
     # edge {0,1} lies in the single triangle {0,1,2}
     assert degree(t0.complex, [0, 1], 2) == 1
     assert delta_d(t0.complex, 2) == 1
@@ -78,42 +76,14 @@ def test_degree_errors():
         delta_d(cx, 3)  # no 2-simplices to take degrees of
 
 
-def test_density_single_simplex():
-    d = 3
-    cx = SimplicialComplex.from_facets(d + 1, [range(d + 1)])
-    rep = density(cx, range(d + 1))
-    assert rep.e_of_s == (1 << (d + 1)) - 1
-    assert rep.density == Fraction((1 << (d + 1)) - 1, d + 1)
-
-
 def test_density_T0_full_unrooted_block():
     # the faces of T0 meeting the full unrooted set number 2^d per vertex
     for d, q in [(1, 4), (2, 5), (3, 3)]:
-        t0 = build_T0(d, q)
+        t0 = build_Tr(d, q, 0)
         s = 0
         for i in range(1, q + 1):
             s |= sigma_mask(d, i)
-        rep = density(t0.complex, s)
-        assert rep.density == Fraction(1 << d)
-        assert rep.e_of_s == (1 << d) * s.bit_count()
-
-
-def test_density_complementary_count():
-    rng = random.Random(8)
-    for _ in range(40):
-        cx = random_complex(rng)
-        verts = cx.vertices()
-        s = rng.sample(verts, rng.randint(1, len(verts)))
-        rep = density(cx, s)
-        smask = mask_of(s)
-        avoiding = sum(1 for f in cx.faces if not f & smask)
-        assert rep.e_of_s == len(cx.faces) - avoiding
-
-
-def test_density_rejects_empty():
-    cx = SimplicialComplex.from_facets(3, [[0, 1]])
-    with pytest.raises(InvalidArgumentError):
-        density(cx, [])
+        assert sum(1 for f in t0.complex.faces if f & s) == (1 << d) * s.bit_count()
 
 
 def test_tr_roots_nonadjacent_to_rho_and_each_other():

@@ -4,24 +4,35 @@ from itertools import combinations
 
 import pytest
 
+from shatterlab import dtree
 from shatterlab._bits import bits
-from shatterlab.complexes import SimplicialComplex, density
+from shatterlab.complexes import SimplicialComplex
 from shatterlab.dtree import (
     BRUTE_FORCE_VERTEX_CAP,
     RootedDTree,
-    attach_vertex,
     attachment_blocks,
-    build_T0,
     build_Tr,
     contiguous_min_density,
     count_embeddings,
-    is_balanced,
     is_d_tree,
     min_density_bruteforce,
     min_density_formula,
     sigma_mask,
 )
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+
+
+def density(cx, subset):
+    """e(S)/|S|, with e(S) the faces meeting S."""
+    mask = sum(1 << v for v in subset) if not isinstance(subset, int) else subset
+    return Fraction(sum(1 for f in cx.faces if f & mask), mask.bit_count())
+
+
+def grow(tree, site, rooted):
+    """The tree with a new vertex glued to the (d-1)-simplex site."""
+    v = tree.complex.n
+    cx = SimplicialComplex.from_facets(v + 1, [*tree.facet_masks(), site | 1 << v])
+    return RootedDTree(cx, tree.rho, tree.roots | (1 << v if rooted else 0))
 
 
 def brute_min_density_oracle(tree):
@@ -40,7 +51,7 @@ def brute_min_density_oracle(tree):
 
 
 def test_T0_1_1():
-    t = build_T0(1, 1)
+    t = build_Tr(1, 1, 0)
     assert t.complex.n == 2
     assert sorted(t.complex.faces) == [1, 2, 3]
     assert len(t.facet_masks()) == 1
@@ -48,7 +59,7 @@ def test_T0_1_1():
 
 
 def test_T0_2_5_shape():
-    t = build_T0(2, 5)
+    t = build_Tr(2, 5, 0)
     assert t.complex.n == 12
     assert len(t.complex.faces) == 43
     assert len(t.complex.faces_of_dim(1)) == 21
@@ -59,7 +70,7 @@ def test_T0_2_5_shape():
 
 def test_T0_blocks_are_faces_and_partition():
     for d, q in [(1, 5), (2, 4), (3, 4)]:
-        t = build_T0(d, q)
+        t = build_Tr(d, q, 0)
         union = 0
         for i in range(q + 1):
             sm = sigma_mask(d, i)
@@ -72,11 +83,20 @@ def test_T0_blocks_are_faces_and_partition():
 
 def test_T0_invalid_args():
     with pytest.raises(InvalidArgumentError):
-        build_T0(0, 3)
+        build_Tr(0, 3, 0)
     with pytest.raises(InvalidArgumentError):
-        build_T0(2, 0)
+        build_Tr(2, 0, 0)
     with pytest.raises(InvalidArgumentError):
         build_Tr(1, 1, -1)
+    with pytest.raises(InvalidArgumentError):
+        build_Tr(40, 40, 0)  # facets of 41 labels are never closed
+
+
+def test_Tr_face_bound_is_checked_before_building():
+    # 20 windows of 2^21 - 1 faces each, and 10^8 + 1 edges of 3 faces each
+    for d, q, r in [(20, 1, 0), (1, 1, 10**8)]:
+        with pytest.raises(ResourceLimitError):
+            build_Tr(d, q, r)
 
 
 def test_Tr_attachment_schedule():
@@ -96,8 +116,11 @@ def test_Tr_2_5_3():
 
 
 def test_Tr_r0_equals_T0():
-    for d, q in [(1, 3), (2, 4)]:
-        assert build_Tr(d, q, 0).complex == build_T0(d, q).complex
+    # T0 is every non-empty set of spread (max - min) at most d
+    for d, q in [(1, 3), (2, 4), (3, 2)]:
+        nv = d * (q + 1)
+        spread = [m for m in range(1, 1 << nv) if m.bit_length() - (m & -m).bit_length() <= d]
+        assert build_Tr(d, q, 0).complex == SimplicialComplex(nv, spread)
 
 
 def test_Tr_2_5_7():
@@ -139,12 +162,12 @@ def test_bruteforce_examples():
     assert value == Fraction(49, 10)
     assert witness == t.unrooted_mask
 
-    t0 = build_T0(1, 2)
+    t0 = build_Tr(1, 2, 0)
     value, witness = min_density_bruteforce(t0)
     assert value == 2
     assert witness == t0.unrooted_mask  # both unrooted vertices
 
-    t1 = build_T0(2, 1)
+    t1 = build_Tr(2, 1, 0)
     value, _ = min_density_bruteforce(t1)
     assert value == min_density_formula(2, 1, 0)
 
@@ -195,11 +218,11 @@ def test_bruteforce_matches_reference_loop_on_grid():
 
 def test_bruteforce_ties_across_sizes():
     # on a rooted path every suffix {j..5} has density exactly 2
-    t = build_T0(1, 5)
+    t = build_Tr(1, 5, 0)
     minimizers = [
         size for size in range(1, 6)
         for sub in combinations(bits(t.unrooted_mask), size)
-        if density(t.complex, sub).density == 2
+        if density(t.complex, sub) == 2
     ]
     assert sorted(set(minimizers)) == [1, 2, 3, 4, 5]
     assert min_density_bruteforce(t) == reference_min_density(t) == (2, t.unrooted_mask)
@@ -209,10 +232,10 @@ def test_bruteforce_matches_reference_loop_on_grown_trees():
     rng = random.Random(5)
     for _ in range(40):
         d = rng.randint(1, 3)
-        tree = build_T0(d, rng.randint(1, 8 // d))
+        tree = build_Tr(d, rng.randint(1, 8 // d), 0)
         for _ in range(rng.randint(1, 4)):
             sites = sorted(f for f in tree.complex.faces if f.bit_count() == d)
-            tree = attach_vertex(tree, rng.choice(sites), rooted=rng.random() < 0.5)
+            tree = grow(tree, rng.choice(sites), rooted=rng.random() < 0.5)
         assert min_density_bruteforce(tree) == reference_min_density(tree)
 
 
@@ -228,12 +251,11 @@ def test_contiguous_examples():
     value, i, j = contiguous_min_density(t)
     assert (value, i, j) == (Fraction(49, 10), 1, 5)
 
-    t0 = build_T0(2, 5)
+    t0 = build_Tr(2, 5, 0)
     value, i, j = contiguous_min_density(t0)
     assert value == 4 and (i, j) == (1, 5)
     # blocks with j < Q pay the dangling surcharge
-    rep = density(t0.complex, sigma_mask(2, 1) | sigma_mask(2, 2))
-    assert rep.density > 4
+    assert density(t0.complex, sigma_mask(2, 1) | sigma_mask(2, 2)) > 4
 
 
 def test_dangling_count_formula():
@@ -241,20 +263,19 @@ def test_dangling_count_formula():
     assert (2 - 1) * 4 + 1 == 5
     assert (3 - 1) * 8 + 1 == 17
     for d, q in [(2, 4), (3, 3)]:
-        t0 = build_T0(d, q)
+        t0 = build_Tr(d, q, 0)
         for i in range(1, q):
             for j in range(i, q):
                 s = 0
                 for b in range(i, j + 1):
                     s |= sigma_mask(d, b)
-                rep = density(t0.complex, s)
                 size = d * (j - i + 1)
                 expected = Fraction((1 << d) * size + (d - 1) * (1 << d) + 1, size)
-                assert rep.density == expected
+                assert density(t0.complex, s) == expected
 
 
 def test_contiguous_requires_canonical():
-    t = build_T0(1, 2)
+    t = build_Tr(1, 2, 0)
     bare = RootedDTree(t.complex, t.rho, t.roots, None)
     with pytest.raises(InvalidArgumentError):
         contiguous_min_density(bare)
@@ -269,7 +290,7 @@ def test_block_closed_forms_match_actual_density():
                 s = 0
                 for b in range(i, j + 1):
                     s |= sigma_mask(d, b)
-                actual = density(tree.complex, s).density
+                actual = density(tree.complex, s)
                 size = d * (j - i + 1)
                 l_count = sum(1 for a in attach if i <= a <= j)
                 e = (1 << d) * size + ((1 << d) - 1) * l_count
@@ -291,34 +312,29 @@ def test_recursion_shift_identity():
 
 
 def test_balanced_on_grid_samples():
+    # balanced: the full unrooted set attains the minimum density
     for d, q, r in [(1, 1, 0), (1, 5, 11), (2, 4, 5), (3, 2, 2)]:
-        assert is_balanced(build_Tr(d, q, r))
+        tree = build_Tr(d, q, r)
+        value, witness = min_density_bruteforce(tree)
+        assert witness == tree.unrooted_mask
+        assert density(tree.complex, witness) == value
 
 
 def test_lopsided_attachment_checked_against_brute_force():
-    # extra unrooted vertex on the last block: balance is whatever brute force says
-    t0 = build_T0(2, 5)
-    lop = attach_vertex(t0, sigma_mask(2, 5), rooted=False)
+    # extra unrooted vertex on the last block: balance is whatever brute force
+    # says, and the witness is the full set exactly when that is balanced
+    lop = grow(build_Tr(2, 5, 0), sigma_mask(2, 5), rooted=False)
     value, witness = min_density_bruteforce(lop)
-    full = lop.unrooted_mask
-    e_full = sum(1 for f in lop.complex.faces if f & full)
-    assert is_balanced(lop) == (Fraction(e_full, full.bit_count()) == value)
-    assert value <= Fraction(e_full, full.bit_count())
+    full = density(lop.complex, lop.unrooted_mask)
+    assert value <= full
+    assert (witness == lop.unrooted_mask) == (full == value)
 
 
 def test_single_vertex_tree_trivially_balanced():
     t = RootedDTree(SimplicialComplex.from_facets(3, [[0, 1, 2]]), 0b11, 0)
     # unrooted set is one vertex; the only candidate attains the minimum
     assert t.unrooted_mask.bit_count() == 1
-    assert is_balanced(t)
-
-
-def test_attach_validates_site():
-    t = build_T0(2, 2)
-    with pytest.raises(InvalidArgumentError):
-        attach_vertex(t, [0], rooted=True)  # wrong dimension
-    with pytest.raises(InvalidArgumentError):
-        attach_vertex(t, [0, 3], rooted=True)  # not a face
+    assert min_density_bruteforce(t) == (Fraction(4), t.unrooted_mask)
 
 
 # -- embeddings --------------------------------------------------------------
@@ -338,14 +354,14 @@ def test_embedding_single_simplex_equals_degree():
 
 
 def test_embedding_path_into_k4():
-    t = build_T0(1, 2)  # path on 3 vertices rooted at an endpoint
+    t = build_Tr(1, 2, 0)  # path on 3 vertices rooted at an endpoint
     assert count_embeddings(t, complete_graph(4), [0]).count == 6
 
 
 def test_embedding_path_oracle_complete_graphs():
     # injective maps of a path into K_n: (n-1)(n-2)...(n-v+1)
     for q in (1, 2, 3):
-        t = build_T0(1, q)
+        t = build_Tr(1, q, 0)
         v = t.complex.n
         for n in range(v, 8):
             expected = 1
@@ -356,23 +372,24 @@ def test_embedding_path_oracle_complete_graphs():
 
 def test_embedding_facet_images_distinct():
     # explicit walk: images of distinct facets are distinct sets under injectivity
-    t = build_T0(1, 2)
+    t = build_Tr(1, 2, 0)
     cx = complete_graph(4)
     # count maps allowing equal facet images would be larger; with 3 distinct
     # vertices the two edge images always differ, so this is the same number
     assert count_embeddings(t, cx, [0]).count == 6
 
 
-def test_embedding_cap_flags_saturation():
-    t = build_T0(1, 2)
-    res = count_embeddings(t, complete_graph(6), [0], cap=3)
+def test_embedding_cap_flags_saturation(monkeypatch):
+    monkeypatch.setattr(dtree, "EMBEDDING_CAP", 3)
+    t = build_Tr(1, 2, 0)
+    res = count_embeddings(t, complete_graph(6), [0])
     assert res.saturated and res.count == 3
 
 
 def test_embedding_lower_bound_small():
     from shatterlab.complexes import delta_d
 
-    for tree, n in [(build_T0(1, 2), 7), (build_T0(1, 3), 9), (build_T0(2, 1), 8)]:
+    for tree, n in [(build_Tr(1, 2, 0), 7), (build_Tr(1, 3, 0), 9), (build_Tr(2, 1, 0), 8)]:
         d = tree.d
         faces = [
             list(c)
@@ -383,6 +400,6 @@ def test_embedding_lower_bound_small():
         f = len(tree.facet_masks())
         delta = delta_d(cx, d)
         assert delta >= f + 1
-        got = count_embeddings(tree, cx, list(range(d)), cap=10**7)
+        got = count_embeddings(tree, cx, list(range(d)))
         assert not got.saturated
         assert got.count >= (delta - f) ** f

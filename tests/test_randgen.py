@@ -251,8 +251,9 @@ def test_growth_rejects_bad_s():
         growth_experiment(Fraction(3, 2), 4, (64,), 1, 0)
 
 
-def test_probe_small_scale():
-    probe = bondy_hajnal_probe(2, 13, (256, 512), 2, 7, subset_samples=100)
+def test_probe_small_scale(monkeypatch):
+    monkeypatch.setattr(randgen, "PROBE_SUBSET_SAMPLES", 100)
+    probe = bondy_hajnal_probe(2, 13, (256, 512), 2, 7)
     assert probe.g_k_m == 92
     assert probe.s == 6 and probe.target_exponent == Fraction(11, 5)
     assert probe.premise_all_ok
@@ -271,7 +272,8 @@ def test_probe_scan_mode_samples_once(monkeypatch):
         return sample_levels(*args, **kwargs)
 
     monkeypatch.setattr(randgen, "sample_levels", counted)
-    probe = bondy_hajnal_probe(2, 12, (16,), 3, 7, subset_samples=50, epsilon=Fraction(1, 100))
+    monkeypatch.setattr(randgen, "PROBE_SUBSET_SAMPLES", 50)
+    probe = bondy_hajnal_probe(2, 12, (16,), 3, 7, epsilon=Fraction(1, 100))
     assert len(calls) == len(probe.instances) == 3
     assert probe.csv_lines() == [
         "seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked",
@@ -309,12 +311,13 @@ def test_pruned_sample_answers_queries_like_the_pruned_complex():
         assert sample.trace_count(ys) == 1 + span_count(res.complex, ys), ys
 
 
-def test_probe_exponent_is_nan_when_pruning_empties_every_instance():
+def test_probe_exponent_is_nan_when_pruning_empties_every_instance(monkeypatch):
     # at n = 16 and 18 scan-mode pruning removes every face of all four
     # instances; the log-log fit is undefined and must not take log(0)
+    monkeypatch.setattr(randgen, "PROBE_SUBSET_SAMPLES", 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probe = bondy_hajnal_probe(2, 13, (16, 18), 2, 7, subset_samples=50)
+        probe = bondy_hajnal_probe(2, 13, (16, 18), 2, 7)
     assert [sum(i.faces_by_dim) for i in probe.instances] == [0, 0, 0, 0]
     assert math.isnan(probe.exponent)
     assert probe.exceeds_k is False

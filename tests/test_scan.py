@@ -98,10 +98,11 @@ def test_exact_shatter_after_vertex_removal():
         assert scan.exact_shatter_value(cx, m) == shatter_value(view, m)
 
 
-def test_scan_limit_guard():
+def test_scan_limit_guard(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_SUBSET_LIMIT", 10_000)
     cx = sample_complex(40, 1, 0.4, 1)
     with pytest.raises(ResourceLimitError):
-        scan.max_dim_ge1_span(cx, 10, limit=10_000)
+        scan.max_dim_ge1_span(cx, 10)
 
 
 def test_active_vertices():

@@ -15,7 +15,6 @@ from shatterlab.setsystem import (
     parse_text,
     shatter_profile,
     shatter_value,
-    trace,
     vc_dimension,
 )
 
@@ -44,38 +43,6 @@ def random_system(rng, n_max=8, count_max=24):
     n = rng.randint(1, n_max)
     masks = {rng.randrange(1 << n) for _ in range(rng.randint(1, count_max))}
     return SetSystem.from_masks(n, masks)
-
-
-def test_trace_power_set():
-    s = SetSystem(3, tuple(range(1 << 3)))
-    assert len(trace(s, [0, 1])) == 4
-
-
-def test_trace_singleton_system():
-    s = SetSystem.from_sets(4, [[]])
-    for y in ([], [0], [1, 3]):
-        assert trace(s, y).to_sets() == [[]]
-
-
-def test_trace_hand_example():
-    s = SetSystem.from_sets(4, [[1, 2], [2, 3]])
-    assert trace(s, [2]).to_sets() == [[2]]
-
-
-def test_trace_rejects_bad_labels():
-    s = SetSystem.from_sets(3, [[0, 1]])
-    with pytest.raises(InvalidArgumentError):
-        trace(s, [3])
-
-
-def test_trace_composes():
-    rng = random.Random(5)
-    for _ in range(50):
-        s = random_system(rng)
-        universe = list(range(s.n))
-        y = frozenset(rng.sample(universe, rng.randint(0, s.n)))
-        z = frozenset(rng.sample(sorted(y), rng.randint(0, len(y))))
-        assert trace(trace(s, y), z) == trace(s, z)
 
 
 def test_shatter_star_system():
