@@ -197,7 +197,7 @@ def _cmd_dtree_build(args) -> int:
     tree = dtree.build_Tr(args.d, args.Q, args.r)
     obj = {
         "n": tree.complex.n,
-        "facets": [bits(f) for f in tree.facet_masks()],
+        "facets": [bits(f) for f in tree.complex.facets()],
         "rho": bits(tree.rho),
         "roots": bits(tree.roots),
         "params": {"d": args.d, "Q": args.Q, "r": args.r},
@@ -225,11 +225,18 @@ def _cmd_dtree_verify(args) -> int:
     # the brute force takes d * Q unrooted vertices, so d and Q stop at its cap
     cap = dtree.BRUTE_FORCE_VERTEX_CAP
     cells = []
+    faces = 0  # faces closed over the whole grid, (dQ + r)(2^(d+1) - 1) per tree
     for d in range(1, min(args.d_max, cap) + 1):
         for q in range(1, min(args.Q_max, cap // d) + 1):
             r_top = args.r_max if args.r_max is not None else 2 * q + 1
             if r_top >= 0:
                 dtree.check_tree_size(d, q, r_top)  # the largest tree of the row
+            rows = max(r_top + 1, 0)
+            faces += (rows * d * q + rows * (rows - 1) // 2) * ((2 << d) - 1)
+            if faces > DEFAULT_SUBSET_LIMIT:
+                raise ResourceLimitError(
+                    f"the grid closes more than {DEFAULT_SUBSET_LIMIT} faces over its trees"
+                )
             cells.extend((d, q, r) for r in range(0, r_top + 1))
     print("d,Q,r,formula,blockmin,brutemin,balanced,facets")
     bound = min(args.threads, len(cells), os.cpu_count() or 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from shatterlab._bits import bits, facets_present, iter_bits, submasks
+from shatterlab._bits import bits, iter_bits, submasks
 from shatterlab.errors import (
     DEFAULT_SUBSET_LIMIT,
     EmptyDomainError,
@@ -32,26 +32,15 @@ class SimplicialComplex:
 
     __slots__ = ("n", "_faces", "_by_dim")
 
-    def __init__(self, n: int, faces: Iterable[int], *, validate: bool = True):
+    def __init__(self, n: int, faces: Iterable[int]):
+        """The complex with the given faces, which must be downward closed;
+        from_facets builds one from outside input."""
         self.n = n
         self._faces = frozenset(faces)
         by_dim: dict[int, list[int]] = {}
         for f in self._faces:
             by_dim.setdefault(f.bit_count() - 1, []).append(f)
         self._by_dim = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        for f in self._faces:
-            if f <= 0:
-                raise InvalidArgumentError("faces must be non-empty vertex sets")
-            if f >> self.n:
-                raise InvalidArgumentError(f"face {f:#x} exceeds ambient vertex range")
-        closed = self._faces | {0}  # the empty face is implicit
-        for f in self._faces:
-            if not facets_present(closed, f):
-                raise InvalidArgumentError(f"not downward closed: a facet of {bits(f)} is missing")
 
     @classmethod
     def from_facets(cls, n: int, facets: Iterable, *, limit: int | None = None):
@@ -78,7 +67,7 @@ class SimplicialComplex:
                     "raise --limit-subsets to force it"
                 )
             faces.update(submasks(mask))
-        return cls(n, faces, validate=False)
+        return cls(n, faces)
 
     # -- queries ----------------------------------------------------------
 

@@ -48,9 +48,6 @@ class RootedDTree:
     def unrooted_mask(self) -> int:
         return self.complex.vertex_mask & ~(self.rho | self.roots)
 
-    def facet_masks(self) -> list[int]:
-        return self.complex.facets()
-
 
 def sigma_mask(d: int, i: int) -> int:
     """Block sigma_i = {id, ..., (i+1)d - 1} (0-based relabelling)."""
@@ -109,30 +106,42 @@ def build_Tr(d: int, Q: int, r: int) -> RootedDTree:
     return RootedDTree(cx, sigma_mask(d, 0), roots, TreeParams(d, Q, r, blocks))
 
 
-def is_d_tree(cx: SimplicialComplex, d: int) -> bool:
-    """Leaf-stripping check of the inductive d-tree definition."""
-    single = (1 << (d + 1)) - 1  # face count of one d-simplex
-    faces = set(cx.faces)
-    while True:
-        if not faces:
-            return False
-        verts = 0
-        for f in faces:
-            verts |= f
-        facets = [f for f in faces if not any(f != g and f & g == f for g in faces)]
-        if any(f.bit_count() != d + 1 for f in facets):
-            return False
-        if len(facets) == 1:
-            return len(faces) == single and verts.bit_count() == d + 1
-        leaf = None
-        for v in bits(verts):
-            vbit = 1 << v
-            if sum(1 for f in facets if f & vbit) == 1:
-                leaf = vbit
+def attachment_order(cx: SimplicialComplex, d: int, root: int) -> list[tuple[int, int]] | None:
+    """The order in which the facets of a d-tree are glued on, grown from root.
+
+    The root is a facet of cx, or a tree's simplex root rho.  Each step takes
+    the least pending facet with exactly one vertex not yet placed whose
+    other d vertices, its glue, lie inside a face already placed (the root
+    or an earlier facet).  Returns (new vertex, glue mask) per facet other
+    than the root, or None when some facet does not have d + 1 vertices or
+    never attaches.  A d-tree admits such an order from any of its facets.
+    """
+    facets = cx.facets()
+    if any(f.bit_count() != d + 1 for f in facets):
+        return None
+    placed = [root]
+    covered = root
+    pending = [f for f in facets if f != root]
+    order: list[tuple[int, int]] = []
+    while pending:
+        for i, f in enumerate(pending):
+            new = f & ~covered
+            glue = f ^ new
+            if new.bit_count() == 1 and any(glue & p == glue for p in placed):
                 break
-        if leaf is None:
-            return False
-        faces = {f for f in faces if not f & leaf}
+        else:
+            return None
+        del pending[i]
+        placed.append(f)
+        covered |= f
+        order.append((new.bit_length() - 1, glue))
+    return order
+
+
+def is_d_tree(cx: SimplicialComplex, d: int) -> bool:
+    """Whether cx is a d-tree: non-empty and glued on from its first facet."""
+    facets = cx.facets()
+    return bool(facets) and attachment_order(cx, d, facets[0]) is not None
 
 
 def min_density_formula(d: int, Q: int, r: int) -> Fraction:
@@ -188,37 +197,6 @@ class EmbeddingCount:
     saturated: bool  # enumeration stopped at the cap
 
 
-def _embedding_schedule(tree: RootedDTree) -> list[tuple[int, int]]:
-    """Facet attachment order starting from a facet containing the root.
-
-    Returns (new_vertex, glue_mask) per facet; the first entry glues to rho
-    itself.  Any d-tree admits such an order from any of its facets.
-    """
-    facets = tree.facet_masks()
-    if not any(f & tree.rho == tree.rho for f in facets):
-        raise InvalidArgumentError("no facet of the tree contains rho")
-    covered = tree.rho
-    schedule: list[tuple[int, int]] = []
-    pending = set(facets)
-    progress = True
-    while pending and progress:
-        progress = False
-        for f in sorted(pending):
-            new = f & ~covered
-            if new.bit_count() != 1:
-                continue
-            schedule.append((new.bit_length() - 1, f ^ new))
-            covered |= f
-            pending.discard(f)
-            progress = True
-            break
-    if pending:
-        raise InvalidArgumentError("complex is not a d-tree reachable from the root facet")
-    if covered != tree.complex.vertex_mask:
-        raise InvalidArgumentError("tree has vertices outside all facets")
-    return schedule
-
-
 def count_embeddings(tree: RootedDTree, cx: SimplicialComplex, sigma) -> EmbeddingCount:
     """Injective maps V(T) -> V(C) sending rho to sigma and facets to d-simplices.
 
@@ -231,7 +209,9 @@ def count_embeddings(tree: RootedDTree, cx: SimplicialComplex, sigma) -> Embeddi
     smask = _as_vertex_mask(cx.n, sigma)
     if smask.bit_count() != d or smask not in cx:
         raise InvalidArgumentError("sigma must be a (d-1)-simplex of the target complex")
-    schedule = _embedding_schedule(tree)
+    schedule = attachment_order(tree.complex, d, tree.rho)
+    if schedule is None:
+        raise InvalidArgumentError("the tree is not a d-tree grown from its root rho")
     mapping = dict(zip(bits(tree.rho), bits(smask)))
     used = smask
     cx_vertices = cx.vertices()

@@ -39,6 +39,9 @@ _PAIR_CHUNK = 1 << 21
 _EDGE_CHUNK = 1 << 12
 # uniform random m-subsets whose traces the Bondy-Hajnal probe counts per instance
 PROBE_SUBSET_SAMPLES = 600
+# largest n the vectorized sampler takes: it hashes all C(n, 2) pairs, and
+# t = 2 and probe samples hold an n x n adjacency
+MAX_SAMPLE_VERTICES = 1 << 14
 
 
 def sample_complex(
@@ -63,7 +66,7 @@ def sample_complex(
             # gated on every facet of the candidate being a face
             if facets_present(faces, mask) and rank_u53(key, rank) < threshold:
                 faces.add(mask)
-    return SimplicialComplex(n, faces, validate=False)
+    return SimplicialComplex(n, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +256,10 @@ def sample_levels(
         raise InvalidArgumentError("vectorized sampling supports t in {1, 2}")
     if n < 1:
         raise InvalidArgumentError("need n >= 1")
+    if n > MAX_SAMPLE_VERTICES:
+        raise ResourceLimitError(
+            f"n = {n} is over the sampler's limit of {MAX_SAMPLE_VERTICES} vertices"
+        )
     thr = probability_threshold(p)
     us, vs = _sample_edges_np(n, thr, seed)
     sample = LevelSample(n, t, seed, thr, us, vs)
@@ -271,7 +278,7 @@ def materialize(sample: LevelSample) -> SimplicialComplex:
         if sample.triangles is not None:
             for a, b, c in sample.triangles.tolist():
                 faces.add((1 << int(a)) | (1 << int(b)) | (1 << int(c)))
-    return SimplicialComplex(sample.n, faces, validate=False)
+    return SimplicialComplex(sample.n, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +324,7 @@ def prune_bad_msets(
         return PruneResult(cx, (), 0, total, False)
     removed = mask_of(int(v) for v in np.unique(verts[bad]))
     faces = {f for f in cx.faces if not f & removed}
-    pruned = SimplicialComplex(cx.n, faces, validate=False)
+    pruned = SimplicialComplex(cx.n, faces)
     return PruneResult(pruned, tuple(bits(removed)), len(bad), total, False)
 
 

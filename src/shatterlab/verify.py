@@ -2,11 +2,12 @@
 
 This module is the one definition of each acceptance criterion.  Each suite
 runs at the full stated scale by default ("full" tier) and at a reduced
-scale for smoke runs ("quick").  Results carry the measured values and the
-tolerance they were held to; a suite passes only if every one of its checks
-does, including its wall-time ceiling in CEILING_S.  The CLI command
+scale for smoke runs ("quick").  SUITES holds one record per criterion: its
+name, tolerance, wall-time ceiling and check.  Results carry the measured
+values and the tolerance they were held to; a suite passes only if every one
+of its checks does, including its ceiling.  The CLI command
 `verify-paper` and the acceptance tests (one per suite, at tier "full") both
-run these functions and add no checks of their own.
+run these suites and add no checks of their own.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,15 +32,6 @@ DEFAULT_SEED = 20260810
 # ground size and member draws of the seeded systems behind suites 3 and 4
 RANDOM_SYSTEM_MAX_N = 10
 RANDOM_SYSTEM_MAX_MEMBERS = 60
-
-# wall-time ceilings in seconds, per suite, at either tier
-CEILING_S = {
-    "dtree-grid": 60.0,
-    "compression": 60.0,
-    "growth": 600.0,
-    "prune-guarantee": 300.0,
-    "extremal": 300.0,
-}
 
 
 @dataclass
@@ -64,14 +57,27 @@ class SuiteResult:
         return setsystem.json_line(obj)
 
 
-def _finish(result: SuiteResult, start: float) -> SuiteResult:
-    elapsed = time.perf_counter() - start
-    ceiling = CEILING_S.get(result.name)
-    if ceiling is not None and elapsed >= ceiling:
-        result.failures.append(f"took {elapsed:.1f} s, ceiling {ceiling} s")
-    result.wall_time = round(elapsed, 3)
-    result.passed = not result.failures
-    return result
+@dataclass(frozen=True)
+class Suite:
+    """One acceptance criterion: its check fills a result's measured values
+    and failures; calling the suite times the check against its wall-time
+    ceiling in seconds (None: no ceiling) and sets passed."""
+
+    name: str
+    tolerance: str
+    ceiling_s: float | None
+    check: Callable[[SuiteResult, str, int], None]
+
+    def __call__(self, tier: str, seed: int) -> SuiteResult:
+        start = time.perf_counter()
+        result = SuiteResult(self.name, False, self.tolerance)
+        self.check(result, tier, seed)
+        elapsed = time.perf_counter() - start
+        if self.ceiling_s is not None and elapsed >= self.ceiling_s:
+            result.failures.append(f"took {elapsed:.1f} s, ceiling {self.ceiling_s} s")
+        result.wall_time = round(elapsed, 3)
+        result.passed = not result.failures
+        return result
 
 
 # -- suite 1 + 2: canonical d-tree grid -------------------------------------
@@ -107,15 +113,13 @@ def check_grid_cell(d: int, q: int, r: int) -> dict:
         # set, and the full unrooted set is the only largest one
         "witness_unrooted": witness == tree.unrooted_mask,
         "d_tree": dtree.is_d_tree(tree.complex, d),
-        "facets": len(tree.facet_masks()),
+        "facets": len(tree.complex.facets()),
         "roots": tree.roots.bit_count(),
         "vertices": tree.complex.n,
     }
 
 
-def suite_dtree_grid(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("dtree-grid", False, "exact rational equality")
+def _dtree_grid(res: SuiteResult, tier: str, seed: int) -> None:
     cells = 0
     for d, q, r in grid_cells(tier):
         row = check_grid_cell(d, q, r)
@@ -137,7 +141,6 @@ def suite_dtree_grid(tier: str, seed: int) -> SuiteResult:
         if row["vertices"] != d * (q + 1) + r:
             res.failures.append(f"{tag} vertex count {row['vertices']}")
     res.measured = {"cells": cells}
-    return _finish(res, start)
 
 
 # -- suites 3 + 4: compression and Sauer consistency ------------------------
@@ -150,9 +153,7 @@ def random_system(rng: random.Random):
     return setsystem.SetSystem.from_masks(n, masks)
 
 
-def suite_compression(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("compression", False, "zero violations over seeded systems")
+def _compression(res: SuiteResult, tier: str, seed: int) -> None:
     trials = 500 if tier == "full" else 100
     rng = random.Random(seed)
     for i in range(trials):
@@ -169,12 +170,9 @@ def suite_compression(tier: str, seed: int) -> SuiteResult:
                 f"trial {i}: profile not dominated: {prof_out.values} vs {prof_in.values}"
             )
     res.measured = {"systems": trials}
-    return _finish(res, start)
 
 
-def suite_sauer(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("sauer", False, "exact: |C| <= g_d(n), equality on skeletons")
+def _sauer(res: SuiteResult, tier: str, seed: int) -> None:
     trials = 500 if tier == "full" else 100
     rng = random.Random(seed)
     for i in range(trials):
@@ -197,15 +195,12 @@ def suite_sauer(tier: str, seed: int) -> SuiteResult:
                     f"skeleton k={k} n={n}: vc={d} size={len(skel)} != g={bounds.g_k(n, d)}"
                 )
     res.measured = {"systems": trials, "skeletons": skeletons}
-    return _finish(res, start)
 
 
 # -- suite 5: growth exponents ----------------------------------------------
 
 
-def suite_growth(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("growth", False, "slope 1.5 +/- 0.2 (s=3), 2.0 +/- 0.25 (s=5)")
+def _growth(res: SuiteResult, tier: str, seed: int) -> None:
     if tier == "full":
         n3, trials3 = (256, 512, 1024, 2048, 4096, 8192), 20
         n5, trials5 = (256, 512, 1024), 20
@@ -226,15 +221,12 @@ def suite_growth(tier: str, seed: int) -> SuiteResult:
         res.failures.append(f"s=5 target exponent {g5.target_exponent} != 2")
     if not 1.75 <= g5.slope <= 2.25:
         res.failures.append(f"s=5 slope {g5.slope:.4f} outside 2.0 +/- 0.25")
-    return _finish(res, start)
 
 
 # -- suite 6: prune guarantee at n = 80 --------------------------------------
 
 
-def suite_prune_guarantee(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("prune-guarantee", False, "exact per seed: max span <= 9, f(4) < 15")
+def _prune_guarantee(res: SuiteResult, tier: str, seed: int) -> None:
     seeds = 5 if tier == "full" else 2
     n, m, s = 80, 4, Fraction(3)
     z = (s - 1) * (m + 1)
@@ -262,7 +254,6 @@ def suite_prune_guarantee(tier: str, seed: int) -> SuiteResult:
         if not f4 < 15:
             res.failures.append(f"seed {i}: exact f(4) = {f4} not < 15")
     res.measured = {"max_span_per_seed": spans, "f4_per_seed": f4s}
-    return _finish(res, start)
 
 
 # -- suite 7: overlap witness -----------------------------------------------
@@ -292,9 +283,7 @@ def planted_overlap_instance(rng: random.Random):
     return cx, rho_mask, d, d_prime, m, n_simplices
 
 
-def suite_overlap(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("overlap", False, "exact count >= min(N, ratio * (m - d))")
+def _overlap(res: SuiteResult, tier: str, seed: int) -> None:
     target = 200 if tier == "full" else 50
     rng = random.Random(seed)
     done = 0
@@ -317,7 +306,6 @@ def suite_overlap(tier: str, seed: int) -> SuiteResult:
         if witness.count != span_count(cx, witness.vertex_set):
             res.failures.append(f"instance {done}: count disagrees with span_count")
     res.measured = {"instances": done}
-    return _finish(res, start)
 
 
 # -- suite 8: embedding lower bound -----------------------------------------
@@ -328,9 +316,7 @@ def complete_complex(n: int, dim: int) -> SimplicialComplex:
     return SimplicialComplex.from_facets(n, iter_size_subsets(n, min(n, dim + 1)))
 
 
-def suite_embedding(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("embedding", False, "exact count >= (delta_d - f)^f")
+def _embedding(res: SuiteResult, tier: str, seed: int) -> None:
     trees = [
         dtree.build_Tr(d, q, r)
         for d, q, r in [(1, 1, 0), (1, 2, 0), (1, 3, 0), (2, 1, 0), (1, 2, 1), (3, 1, 0)]
@@ -339,7 +325,7 @@ def suite_embedding(tier: str, seed: int) -> SuiteResult:
     n_max = 12 if tier == "full" else 9
     for tree in trees:
         d = tree.d
-        f = len(tree.facet_masks())
+        f = len(tree.complex.facets())
         if f > 3:
             continue
         for n in range(d + 3, n_max + 1):
@@ -360,15 +346,12 @@ def suite_embedding(tier: str, seed: int) -> SuiteResult:
     if checked < 10:
         res.failures.append(f"only {checked} tree/complex pairs checked, need 10")
     res.measured = {"pairs": checked}
-    return _finish(res, start)
 
 
 # -- suite 9: extremal oracle equivalence ------------------------------------
 
 
-def suite_extremal(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("extremal", False, "exact equality with exhaustive oracle")
+def _extremal(res: SuiteResult, tier: str, seed: int) -> None:
     n_max = 5 if tier == "full" else 4
     queries = 0
     for n in range(1, n_max + 1):
@@ -392,15 +375,12 @@ def suite_extremal(tier: str, seed: int) -> SuiteResult:
                             f"(n={n},m={m},b={b}): {got.max_size} > Sauer cap {cap}"
                         )
     res.measured = {"queries": queries}
-    return _finish(res, start)
 
 
 # -- suite 10: bound identities ----------------------------------------------
 
 
-def suite_bounds(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult("bounds", False, "exact integer/rational identities")
+def _bounds(res: SuiteResult, tier: str, seed: int) -> None:
     top = 64 if tier == "full" else 24
     for n in range(1, top + 1):
         for k in range(1, top + 1):
@@ -424,17 +404,12 @@ def suite_bounds(tier: str, seed: int) -> SuiteResult:
             if s_d != closed:
                 res.failures.append(f"telescoping fails at s={s}, d={d}")
     res.measured = {"pascal_grid": top, "tk_grid": m_top, "sd_checks": checked}
-    return _finish(res, start)
 
 
 # -- suite 11: Bondy-Hajnal probe ---------------------------------------------
 
 
-def suite_bh_probe(tier: str, seed: int) -> SuiteResult:
-    start = time.perf_counter()
-    res = SuiteResult(
-        "bh-probe", False, "premise f(13) <= 92 on all checks; exponent >= 2.0"
-    )
+def _bh_probe(res: SuiteResult, tier: str, seed: int) -> None:
     if tier == "full":
         n_list, trials = (256, 512, 1024, 2048, 4096), 3
     else:
@@ -460,20 +435,32 @@ def suite_bh_probe(tier: str, seed: int) -> SuiteResult:
         res.failures.append(f"exponent {probe.exponent:.4f} < 2.0")
     if not probe.exceeds_k:
         res.failures.append("exponent does not exceed k (no conjecture tension)")
-    return _finish(res, start)
 
 
 SUITES = {
-    "dtree-grid": suite_dtree_grid,
-    "compression": suite_compression,
-    "sauer": suite_sauer,
-    "growth": suite_growth,
-    "prune-guarantee": suite_prune_guarantee,
-    "overlap": suite_overlap,
-    "embedding": suite_embedding,
-    "extremal": suite_extremal,
-    "bounds": suite_bounds,
-    "bh-probe": suite_bh_probe,
+    suite.name: suite
+    for suite in (
+        Suite("dtree-grid", "exact rational equality", 60.0, _dtree_grid),
+        Suite("compression", "zero violations over seeded systems", 60.0, _compression),
+        Suite("sauer", "exact: |C| <= g_d(n), equality on skeletons", None, _sauer),
+        Suite("growth", "slope 1.5 +/- 0.2 (s=3), 2.0 +/- 0.25 (s=5)", 600.0, _growth),
+        Suite(
+            "prune-guarantee",
+            "exact per seed: max span <= 9, f(4) < 15",
+            300.0,
+            _prune_guarantee,
+        ),
+        Suite("overlap", "exact count >= min(N, ratio * (m - d))", None, _overlap),
+        Suite("embedding", "exact count >= (delta_d - f)^f", None, _embedding),
+        Suite("extremal", "exact equality with exhaustive oracle", 300.0, _extremal),
+        Suite("bounds", "exact integer/rational identities", None, _bounds),
+        Suite(
+            "bh-probe",
+            "premise f(13) <= 92 on all checks; exponent >= 2.0",
+            None,
+            _bh_probe,
+        ),
+    )
 }
 
 

@@ -267,6 +267,10 @@ def test_global_flag_before_or_after_the_subcommand(recording_pool, capsys, flag
         (("bounds", "eval", "--kind", "g_k", "--params", "n=1000000000,k=1000000000"), 3),
         (("bounds", "eval", "--kind", "easy_upper_hint", "--params", "n=12,k=1000000000000"), 3),
         (("bounds", "eval", "--kind", "s_d", "--params", "s=1.0e999999999,d=1"), 2),
+        # each row passes check_tree_size, but the grid closes about 1.35e11 faces
+        (("dtree", "verify", "--d-max", "1", "--Q-max", "1", "--r-max", "300000"), 3),
+        (("growth", "--s", "3", "--m", "4", "--n", "100000", "--trials", "1"), 3),
+        (("bh-probe", "--k", "2", "--m", "13", "--n", "100000"), 3),
     ],
 )
 def test_oversized_trees_and_bounds_exit_at_once(capsys, argv, want):

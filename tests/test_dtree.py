@@ -4,13 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from shatterlab import dtree
+from shatterlab import dtree, verify
 from shatterlab._bits import bits
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.dtree import (
     BRUTE_FORCE_VERTEX_CAP,
     RootedDTree,
     attachment_blocks,
+    attachment_order,
     build_Tr,
     contiguous_min_density,
     count_embeddings,
@@ -20,6 +21,7 @@ from shatterlab.dtree import (
     sigma_mask,
 )
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+from shatterlab.search import enumerate_downward_closed
 
 
 def density(cx, subset):
@@ -31,7 +33,7 @@ def density(cx, subset):
 def grow(tree, site, rooted):
     """The tree with a new vertex glued to the (d-1)-simplex site."""
     v = tree.complex.n
-    cx = SimplicialComplex.from_facets(v + 1, [*tree.facet_masks(), site | 1 << v])
+    cx = SimplicialComplex.from_facets(v + 1, [*tree.complex.facets(), site | 1 << v])
     return RootedDTree(cx, tree.rho, tree.roots | (1 << v if rooted else 0))
 
 
@@ -54,7 +56,7 @@ def test_T0_1_1():
     t = build_Tr(1, 1, 0)
     assert t.complex.n == 2
     assert sorted(t.complex.faces) == [1, 2, 3]
-    assert len(t.facet_masks()) == 1
+    assert len(t.complex.facets()) == 1
     assert t.rho == 1 and t.roots == 0
 
 
@@ -63,8 +65,8 @@ def test_T0_2_5_shape():
     assert t.complex.n == 12
     assert len(t.complex.faces) == 43
     assert len(t.complex.faces_of_dim(1)) == 21
-    assert len(t.facet_masks()) == 10
-    facets = {frozenset(bits(f)) for f in t.facet_masks()}
+    assert len(t.complex.facets()) == 10
+    facets = {frozenset(bits(f)) for f in t.complex.facets()}
     assert facets == {frozenset({i, i + 1, i + 2}) for i in range(10)}
 
 
@@ -108,7 +110,7 @@ def test_Tr_attachment_schedule():
 
 def test_Tr_2_5_3():
     t = build_Tr(2, 5, 3)
-    assert len(t.facet_masks()) == 13
+    assert len(t.complex.facets()) == 13
     assert t.roots.bit_count() == 3
     assert t.complex.n == 2 * 6 + 3
     # roots are fresh labels 12, 13, 14 in attachment order
@@ -125,7 +127,7 @@ def test_Tr_r0_equals_T0():
 
 def test_Tr_2_5_7():
     t = build_Tr(2, 5, 7)
-    assert len(t.facet_masks()) == 2 * 5 + 7
+    assert len(t.complex.facets()) == 2 * 5 + 7
     assert t.roots.bit_count() == 7
 
 
@@ -147,6 +149,89 @@ def test_canonical_trees_are_d_trees():
 )
 def test_non_trees_are_not_d_trees(facets, n):
     assert not is_d_tree(SimplicialComplex.from_facets(n, facets), 2)
+
+
+def reference_is_d_tree(cx, d):
+    """The leaf-stripping check that attachment_order replaced: strip a
+    vertex lying in exactly one facet until one d-simplex is left."""
+    single = (1 << (d + 1)) - 1  # face count of one d-simplex
+    faces = set(cx.faces)
+    while True:
+        if not faces:
+            return False
+        verts = 0
+        for f in faces:
+            verts |= f
+        facets = [f for f in faces if not any(f != g and f & g == f for g in faces)]
+        if any(f.bit_count() != d + 1 for f in facets):
+            return False
+        if len(facets) == 1:
+            return len(faces) == single and verts.bit_count() == d + 1
+        leaf = None
+        for v in bits(verts):
+            vbit = 1 << v
+            if sum(1 for f in facets if f & vbit) == 1:
+                leaf = vbit
+                break
+        if leaf is None:
+            return False
+        faces = {f for f in faces if not f & leaf}
+
+
+def reference_schedule(tree):
+    """The embedding schedule that attachment_order replaced: from rho, glue
+    on the least pending facet with exactly one uncovered vertex."""
+    facets = tree.complex.facets()
+    covered = tree.rho
+    schedule = []
+    pending = set(facets)
+    progress = True
+    while pending and progress:
+        progress = False
+        for f in sorted(pending):
+            new = f & ~covered
+            if new.bit_count() != 1:
+                continue
+            schedule.append((new.bit_length() - 1, f ^ new))
+            covered |= f
+            pending.discard(f)
+            progress = True
+            break
+    assert not pending and covered == tree.complex.vertex_mask
+    return schedule
+
+
+def assert_glued_in_order(cx, d, root, order):
+    """Each step adds one new vertex glued to d vertices inside a placed face,
+    and the placed facets are exactly the facets of cx."""
+    placed, covered = [root], root
+    for new, glue in order:
+        assert glue.bit_count() == d and not covered >> new & 1
+        assert any(glue & p == glue for p in placed)
+        placed.append(glue | 1 << new)
+        covered |= 1 << new
+    assert sorted(p for p in placed if p.bit_count() == d + 1) == cx.facets()
+
+
+def test_is_d_tree_matches_leaf_stripping_on_every_small_complex():
+    pairs = 0
+    for n in range(6):
+        for family in enumerate_downward_closed(n):
+            cx = SimplicialComplex(n, family - {0})
+            for d in range(5):
+                assert is_d_tree(cx, d) == reference_is_d_tree(cx, d), (n, sorted(family), d)
+                pairs += 1
+    assert pairs == 38_870  # 7,774 families on n = 0..5, five d each
+
+
+def test_attachment_order_on_grid_trees():
+    for d, q, r in verify.grid_cells("full"):
+        tree = build_Tr(d, q, r)
+        for root in tree.complex.facets():
+            assert_glued_in_order(tree.complex, d, root, attachment_order(tree.complex, d, root))
+        order = attachment_order(tree.complex, d, tree.rho)
+        assert_glued_in_order(tree.complex, d, tree.rho, order)
+        assert order == reference_schedule(tree), (d, q, r)
 
 
 def test_formula_instances():
@@ -397,7 +482,7 @@ def test_embedding_lower_bound_small():
             for c in combinations(range(n), size)
         ]
         cx = SimplicialComplex.from_facets(n, faces)
-        f = len(tree.facet_masks())
+        f = len(tree.complex.facets())
         delta = delta_d(cx, d)
         assert delta >= f + 1
         got = count_embeddings(tree, cx, list(range(d)))

@@ -5,8 +5,9 @@ A public function that nothing in `src/shatterlab` or the benchmark in
 benchmarked layer; it is kept alive only by its own tests.  A reference is
 any use of the name other than its own `def`: a name, an attribute, an
 import or a string (the benchmark names the attributes it wraps by string).
-Likewise a defaulted parameter that no call there passes has one value in
-use, so it is a constant, not an option.
+Likewise a defaulted parameter (of a public function, method or class
+constructor) that no call there passes, or that every call passes as the
+same literal, has one value in use, so it is a constant, not an option.
 """
 
 import ast
@@ -23,7 +24,7 @@ ALLOWED = {
 }
 
 
-# (qualified name, parameter) -> why no call in the library passes it
+# (qualified name, parameter) -> why it keeps one value in use
 ALLOWED_DEFAULTS = {
     ("main", "argv"): "the console script calls main() so that argparse reads "
     "sys.argv; tests pass argv",
@@ -31,14 +32,19 @@ ALLOWED_DEFAULTS = {
 
 
 def _public_defs(tree: ast.Module):
-    """(qualified name, def node, whether calls bind self or cls first)."""
+    """(qualified name, def node, name its calls use, whether calls bind self
+    or cls first).  The __init__ of a public class is called by class name."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node, False
+            yield node.name, node, node.name, False
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub, True
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                if sub.name == "__init__" and not node.name.startswith("_"):
+                    yield f"{node.name}.__init__", sub, node.name, True
+                elif not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub, sub.name, True
 
 
 def _trees():
@@ -66,8 +72,8 @@ def test_every_public_function_has_a_reference():
     referenced = set().union(*map(_referenced_names, trees.values()))
     defined = {}
     for path in library:
-        for qualname, node, _ in _public_defs(trees[path]):
-            defined[qualname] = (path.name, node.name)
+        for qualname, _, name, _ in _public_defs(trees[path]):
+            defined[qualname] = (path.name, name)
     assert set(ALLOWED) <= set(defined)
     unreferenced = [
         f"{module}: {qualname}"
@@ -78,45 +84,80 @@ def test_every_public_function_has_a_reference():
 
 
 def _defaulted(node: ast.FunctionDef, bound: bool):
-    """(parameter, position in a call's positional arguments or None)."""
+    """(parameter, position in a call's positional arguments or None, default)."""
     args = node.args
     positional = args.posonlyargs + args.args
-    for i in range(len(positional) - len(args.defaults), len(positional)):
-        yield positional[i].arg, i - bound
+    offset = len(positional) - len(args.defaults)
+    for i, default in enumerate(args.defaults, start=offset):
+        yield positional[i].arg, i - bound, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
-def _passes(call: ast.Call, param: str, position) -> bool:
-    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
-        return True
-    if position is None:
+def _bound_value(call: ast.Call, param: str, position, default: ast.expr):
+    """The expression a call binds to param (its default when the call does
+    not pass it), or None when *args or **kwargs hide it."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+        if kw.arg is None:
+            return None
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return default
+
+
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
         return False
-    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    return True
 
 
-def test_every_defaulted_parameter_is_passed_by_some_call():
-    library, trees = _trees()
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Calls keyed by the called name; `cls(...)` inside a class counts as a
+    call of that class."""
     calls: dict[str, list[ast.Call]] = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
-    unpassed = []
+                calls.setdefault(owner if name == "cls" else name, []).append(child)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    for tree in trees.values():
+        visit(tree, None)
+    return calls
+
+
+def test_every_defaulted_parameter_has_more_than_one_value_in_use():
+    """A parameter that no call passes, or that every call passes as the same
+    literal, has one value in use."""
+    library, trees = _trees()
+    calls = _calls_by_name(trees)
+    single = []
     for path in library:
-        for qualname, node, bound in _public_defs(trees[path]):
-            for param, position in _defaulted(node, bound):
+        for qualname, node, name, bound in _public_defs(trees[path]):
+            for param, position, default in _defaulted(node, bound):
                 if (qualname, param) in ALLOWED_DEFAULTS:
                     continue
-                if not any(_passes(c, param, position) for c in calls.get(node.name, [])):
-                    unpassed.append(f"{path.name}: {qualname}({param}=)")
+                values = [_bound_value(c, param, position, default) for c in calls.get(name, [])]
+                if None in values:
+                    continue
+                if all(v is default for v in values) or (
+                    len({ast.dump(v) for v in values}) == 1 and _is_literal(values[0])
+                ):
+                    single.append(f"{path.name}: {qualname}({param}=)")
     assert set(ALLOWED_DEFAULTS) <= {
         (qualname, param)
         for path in library
-        for qualname, node, bound in _public_defs(trees[path])
-        for param, _ in _defaulted(node, bound)
+        for qualname, node, _, bound in _public_defs(trees[path])
+        for param, _, _ in _defaulted(node, bound)
     }
-    assert unpassed == []
+    assert single == []

@@ -225,7 +225,7 @@ def test_position_dtype_fits_positions():
     arr = scan.combination_array(40_000, 1)
     assert arr.dtype == np.int32 and int(arr[-1, 0]) == 39_999
     # no faces of dimension >= 1: no adjacency and no bitset words are built
-    cx = SimplicialComplex(40_000, [1 << v for v in range(0, 40_000, 7)], validate=False)
+    cx = SimplicialComplex(40_000, [1 << v for v in range(0, 40_000, 7)])
     rows, counts = scan.floor_span_rows(cx, np.arange(40_000), 1, 0)
     assert rows.dtype == np.int32
     assert np.array_equal(rows[:, 0], np.arange(40_000)) and not counts.any()
@@ -274,7 +274,7 @@ def reference_prune(cx, m, z, *, limit=DEFAULT_SUBSET_LIMIT):
         return PruneResult(cx, (), 0, len(combos), False)
     removed = mask_of(int(v) for v in np.unique(verts[combos[bad]]))
     faces = {f for f in cx.faces if not f & removed}
-    pruned = SimplicialComplex(cx.n, faces, validate=False)
+    pruned = SimplicialComplex(cx.n, faces)
     return PruneResult(pruned, tuple(bits(removed)), int(len(bad)), len(combos), False)
 
 
