@@ -194,7 +194,7 @@ def _cmd_complex_stats(args) -> int:
 
 
 def _cmd_dtree_build(args) -> int:
-    tree = dtree.build_Tr(args.d, args.Q, args.r)
+    tree = dtree.build_Tr(args.d, args.Q, args.r, limit=args.limit_subsets)
     obj = {
         "n": tree.complex.n,
         "facets": [bits(f) for f in tree.complex.facets()],
@@ -230,12 +230,13 @@ def _cmd_dtree_verify(args) -> int:
         for q in range(1, min(args.Q_max, cap // d) + 1):
             r_top = args.r_max if args.r_max is not None else 2 * q + 1
             if r_top >= 0:
-                dtree.check_tree_size(d, q, r_top)  # the largest tree of the row
+                # the largest tree of the row
+                dtree.check_tree_size(d, q, r_top, limit=args.limit_subsets)
             rows = max(r_top + 1, 0)
             faces += (rows * d * q + rows * (rows - 1) // 2) * ((2 << d) - 1)
-            if faces > DEFAULT_SUBSET_LIMIT:
+            if faces > args.limit_subsets:
                 raise ResourceLimitError(
-                    f"the grid closes more than {DEFAULT_SUBSET_LIMIT} faces over its trees"
+                    f"the grid closes more than {args.limit_subsets} faces over its trees"
                 )
             cells.extend((d, q, r) for r in range(0, r_top + 1))
     print("d,Q,r,formula,blockmin,brutemin,balanced,facets")

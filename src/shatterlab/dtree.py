@@ -69,9 +69,9 @@ def attachment_blocks(Q: int, r: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def check_tree_size(d: int, Q: int, r: int) -> None:
+def check_tree_size(d: int, Q: int, r: int, *, limit: int = DEFAULT_SUBSET_LIMIT) -> None:
     """Raise unless (d, Q, r) names a canonical tree whose closure builds at
-    most DEFAULT_SUBSET_LIMIT faces, counted once per facet."""
+    most limit faces, counted once per facet."""
     if r < 0:
         raise InvalidArgumentError("r must be >= 0")
     if d < 1 or Q < 1:
@@ -79,23 +79,22 @@ def check_tree_size(d: int, Q: int, r: int) -> None:
     if d + 1 > MAX_FACET_LABELS:
         raise InvalidArgumentError(f"d-simplices of {d + 1} labels are too large to close")
     faces = (d * Q + r) * ((2 << d) - 1)
-    if faces > DEFAULT_SUBSET_LIMIT:
+    if faces > limit:
         raise ResourceLimitError(
-            f"T_r with d={d}, Q={Q}, r={r} closes {faces} faces, "
-            f"over the limit {DEFAULT_SUBSET_LIMIT}"
+            f"T_r with d={d}, Q={Q}, r={r} closes {faces} faces, over the limit {limit}"
         )
 
 
-def build_Tr(d: int, Q: int, r: int) -> RootedDTree:
+def build_Tr(d: int, Q: int, r: int, *, limit: int = DEFAULT_SUBSET_LIMIT) -> RootedDTree:
     """The canonical tree T_r: the closure of T0's dQ windows and r root facets.
 
     T0's facets are the windows {i, ..., i + d} for i < dQ, whose closure is
     every set of spread at most d.  Root k, labelled d(Q+1) + k, forms a
     facet with sigma_b for the k-th block b of attachment_blocks(Q, r).
-    check_tree_size runs first, so an oversized tree raises before any face
-    or attachment is built.
+    check_tree_size runs first, so a tree that closes more than limit faces
+    raises before any face or attachment is built.
     """
-    check_tree_size(d, Q, r)
+    check_tree_size(d, Q, r, limit=limit)
     nv = d * (Q + 1)
     blocks = attachment_blocks(Q, r)
     simplex = (2 << d) - 1  # the labels 0..d

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab import scan
+from shatterlab import _keyed, scan
 from shatterlab._bits import bits, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
@@ -37,6 +37,9 @@ from shatterlab.scan import max_possible_dim_ge1_span
 
 _PAIR_CHUNK = 1 << 21
 _EDGE_CHUNK = 1 << 12
+# cells of induced adjacency, or of triangle candidates, that trace_count
+# holds at once
+TRACE_BLOCK_CELLS = 1 << 16
 # uniform random m-subsets whose traces the Bondy-Hajnal probe counts per instance
 PROBE_SUBSET_SAMPLES = 600
 # largest n the vectorized sampler takes: it hashes all C(n, 2) pairs, and
@@ -79,7 +82,9 @@ class LevelSample:
     """Sampled complex of dimension <= 2 in array form.
 
     Holds what the experiments need (edge endpoints, triangle count, keys to
-    re-derive any face decision) without materializing bitmask faces.
+    re-derive any face decision) without materializing bitmask faces;
+    trace_count answers batches of m-set queries from the adjacency and the
+    keys, and after remove_vertices it answers as the pruned complex.
     """
 
     n: int
@@ -127,54 +132,54 @@ class LevelSample:
         self.present = present
         self._adj = None
 
-    def degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
+    def trace_count(self, rows) -> np.ndarray:
+        """Traces on each row of a (B, m) array of distinct vertices: 1 (the
+        empty trace) + surviving vertices + faces of dimension >= 1.
 
-    def has_triangle(self, a: int, b: int, c: int) -> bool:
-        """Face decision for the triangle {a,b,c}, recomputed from the key."""
-        u, v, w = sorted((a, b, c))
-        rank = u + math.comb(v, 2) + math.comb(w, 3)
-        return rank_u53(level_key(self.seed, 3), rank) < self.threshold
-
-    def span_dim_ge1(self, subset) -> int:
-        """Faces of dimension >= 1 inside the given vertex set (exact)."""
-        ys = sorted(set(subset))
+        Rows go in blocks of at most TRACE_BLOCK_CELLS induced adjacency cells
+        (or one row).  A block's triangle candidates are its edges u < v with
+        each w > v of the row adjacent to both, gated in chunks of at most
+        TRACE_BLOCK_CELLS cells by re-deriving their decisions from the key.
+        """
+        rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)  # u < v < w by position
+        m = rows.shape[1]
         adj = self.adjacency()
-        count = 0
-        pairs = []
-        for i, u in enumerate(ys):
-            for v in ys[i + 1 :]:
-                if adj[u, v]:
-                    count += 1
-                    pairs.append((u, v))
-        if self.t >= 2:
-            for u, v in pairs:
-                for w in ys:
-                    if w > v and adj[u, w] and adj[v, w] and self.has_triangle(u, v, w):
-                        count += 1
-        return count
+        present = np.ones(self.n, dtype=bool) if self.present is None else self.present
+        out = 1 + present[rows].sum(axis=1)
+        above = np.triu(np.ones((m, m), dtype=bool), k=1)  # above[j, k]: k > j
+        key = level_key(self.seed, 3)
+        step = max(1, TRACE_BLOCK_CELLS // (m * m))
+        chunk = max(1, TRACE_BLOCK_CELLS // m)
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            sub = adj[block[:, :, None], block[:, None, :]]
+            r, i, j = np.nonzero(sub & above)
+            out[lo : lo + step] += np.bincount(r, minlength=len(block))
+            if self.t < 2:
+                continue
+            for at in range(0, len(r), chunk):
+                rc, ic, jc = r[at : at + chunk], i[at : at + chunk], j[at : at + chunk]
+                e, k = np.nonzero(sub[rc, ic] & sub[rc, jc] & above[jc])
+                rc, ic, jc = rc[e], ic[e], jc[e]
+                ranks = _triangle_ranks(block[rc, ic], block[rc, jc], block[rc, k])
+                # _keyed's hash: randgen.rank_u53_np is the sampling passes' own
+                ok = _keyed.rank_u53_np(key, ranks) < np.uint64(self.threshold)
+                out[lo : lo + step] += np.bincount(rc[ok], minlength=len(block))
+        return out
 
-    def trace_count(self, subset) -> int:
-        """Distinct traces on the subset (empty trace and vertices included)."""
-        ys = set(subset)
-        alive = (
-            len(ys) if self.present is None else sum(1 for v in ys if self.present[v])
-        )
-        return 1 + alive + self.span_dim_ge1(ys)
+
+def _triangle_ranks(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Colex ranks of the triangles u < v < w (int64 vertex arrays)."""
+    return u + v * (v - 1) // 2 + w * (w - 1) * (w - 2) // 6
 
 
-def _decode_pair_ranks(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r = ranks.astype(np.float64)
-    v = ((1.0 + np.sqrt(8.0 * r + 1.0)) / 2.0).astype(np.int64)
-    base = v * (v - 1) // 2
-    over = base > ranks.astype(np.int64)
-    v[over] -= 1
-    base[over] = v[over] * (v[over] - 1) // 2
-    under = (v + 1) * v // 2 <= ranks.astype(np.int64)
-    v[under] += 1
-    base[under] = v[under] * (v[under] - 1) // 2
-    u = ranks.astype(np.int64) - base
-    return u, v
+def _decode_pair_ranks(ranks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v < n with the given colex ranks u + v(v - 1)/2."""
+    ranks = ranks.astype(np.int64)
+    starts = np.arange(n, dtype=np.int64)
+    starts = starts * (starts - 1) // 2
+    v = np.searchsorted(starts, ranks, side="right") - 1
+    return ranks - starts[v], v
 
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +191,7 @@ def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.
             ranks = np.arange(lo, min(lo + _PAIR_CHUNK, total), dtype=np.uint64)
             hit = ranks[rank_u53_np(key, ranks) < np.uint64(threshold)]
             if len(hit):
-                u, v = _decode_pair_ranks(hit)
+                u, v = _decode_pair_ranks(hit, n)
                 us.append(u.astype(np.int32))
                 vs.append(v.astype(np.int32))
     if not us:
@@ -219,8 +224,6 @@ def _triangle_pass(
     packed = np.packbits(sample.adjacency(), axis=1)
     cut = np.packbits(np.triu(np.ones((n, n), dtype=bool), k=1), axis=1)
     nbytes = packed.shape[1]
-    comb2 = np.array([math.comb(x, 2) for x in range(n)], dtype=np.int64)
-    comb3 = np.array([math.comb(x, 3) for x in range(n)], dtype=np.int64)
     count = 0
     kept = []
     eu, ev = sample.edges_u, sample.edges_v
@@ -237,8 +240,7 @@ def _triangle_pass(
         w = (at % nbytes) * 8 + (hit & 7)
         uu = u_c[ei].astype(np.int64)
         vv = v_c[ei].astype(np.int64)
-        ranks = (uu + comb2[vv] + comb3[w]).astype(np.uint64)
-        ok = rank_u53_np(key, ranks) < np.uint64(threshold)
+        ok = rank_u53_np(key, _triangle_ranks(uu, vv, w)) < np.uint64(threshold)
         count += int(ok.sum())
         if collect and ok.any():
             kept.append(np.stack([uu[ok], vv[ok], w[ok]], axis=1).astype(np.int32))
@@ -566,7 +568,7 @@ class ProbeResult:
 
 def _probe_spot_sets(sample: LevelSample, m: int) -> dict[str, tuple[int, ...]]:
     """Deterministic adversarial-ish subsets for the premise spot checks."""
-    deg = sample.degrees()
+    deg = sample.adjacency().sum(axis=1)
     order = np.argsort(deg, kind="stable")
     top = tuple(int(v) for v in order[-m:])
     hub = int(order[-1])
@@ -626,15 +628,12 @@ def bondy_hajnal_probe(
                 n, t, threshold, trial_seed, m, z, prune=pruning == "scan", limit=scan_limit
             )
             rng = random.Random(derive_seed(seed, n, trial, 0xBAD5E75))
-            max_trace = m + 1  # any m isolated-ish vertices give m+1 traces
-            for _ in range(PROBE_SUBSET_SAMPLES):
-                ys = rng.sample(range(n), m)
-                max_trace = max(max_trace, sample.trace_count(ys))
-            spot_traces = {}
-            for name, ys in _probe_spot_sets(sample, m).items():
-                tc = sample.trace_count(ys)
-                spot_traces[name] = tc
-                max_trace = max(max_trace, tc)
+            rows = [rng.sample(range(n), m) for _ in range(PROBE_SUBSET_SAMPLES)]
+            spots = _probe_spot_sets(sample, m)
+            traces = sample.trace_count(rows + list(spots.values())).tolist()
+            # any m isolated-ish vertices give m+1 traces
+            max_trace = max(m + 1, *traces)
+            spot_traces = dict(zip(spots, traces[PROBE_SUBSET_SAMPLES:]))
             instances.append(
                 ProbeInstance(
                     trial_seed,

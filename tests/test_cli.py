@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -278,6 +279,42 @@ def test_oversized_trees_and_bounds_exit_at_once(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert code == want and out == "" and "Traceback" not in err
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("dtree", "build", "--d", "2", "--Q", "5", "--r", "3"),
+            "59ae44d3b9462e959625708c791edc3213a3e2592fa88ffa7769af283379a0a9",
+        ),
+        (
+            ("dtree", "verify", "--threads", "1"),
+            "112643d2dee16dfc0ebdafc3b9c7fa5f13fc611b91e6de145d7e08d34851172e",
+        ),
+    ],
+    ids=["build", "verify"],
+)
+def test_dtree_honours_limit_subsets(capsys, argv, digest):
+    # 91 faces for the tree, 12 for the first row of the grid
+    code, out, err = run_cli(capsys, *argv, "--limit-subsets", "10")
+    assert code == 3 and out == "" and err.startswith("resource limit:")
+    assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and _sha256(out) == digest
+
+
+def test_bh_probe_large_m_bytes_are_pinned(capsys):
+    # m = 60 rows span many trace_count blocks; the digest was recorded with
+    # a per-set pair loop that shares no code with the batched counter
+    code, out, _ = run_cli(capsys, "bh-probe", "--k", "2", "--m", "60", "--n", "256,300",
+                           "--trials", "1", "--format", "json")
+    assert code == 0
+    assert _sha256(out) == "bb5ec1731b3cb56dfcb01a739068b3c3e48715b4113da907f1109a58b53901af"
 
 
 def test_exit_code_resource_limit(tmp_path, capsys):

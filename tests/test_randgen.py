@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from shatterlab import randgen, scan
+from shatterlab import _keyed, randgen, scan
 from shatterlab._bits import bits, facets_present
 from shatterlab._keyed import (
     inverse_power_threshold,
@@ -28,6 +29,7 @@ from shatterlab.randgen import (
     prune_bad_msets,
     sample_complex,
     sample_levels,
+    _decode_pair_ranks,
     _triangle_pass,
 )
 
@@ -104,6 +106,18 @@ def test_fast_sampler_matches_reference_across_edge_chunks():
     sample = sample_levels(123, 2, Fraction(3, 5), 4, collect=True)
     assert sample.edge_count > _EDGE_CHUNK
     assert materialize(sample) == sample_complex(123, 2, Fraction(3, 5), 4)
+
+
+def test_pair_decode_is_the_colex_order():
+    for n in (2, 3, 9, 200):
+        u, v = _decode_pair_ranks(np.arange(math.comb(n, 2), dtype=np.uint64), n)
+        assert list(zip(u.tolist(), v.tolist())) == [(a, b) for b in range(n) for a in range(b)]
+    n = 8192
+    ranks = np.random.default_rng(0).integers(0, math.comb(n, 2), 20_000).astype(np.uint64)
+    ranks[:2] = (0, math.comb(n, 2) - 1)
+    u, v = _decode_pair_ranks(ranks, n)
+    for r, a, b in zip(ranks.tolist(), u.tolist(), v.tolist()):
+        assert 0 <= a < b < n and a + math.comb(b, 2) == r
 
 
 def test_triangle_candidates_match_trace_of_cube():
@@ -307,8 +321,57 @@ def test_pruned_sample_answers_queries_like_the_pruned_complex():
     rng = random.Random(5)
     subsets = [rng.sample(range(n), m) for _ in range(300)]
     subsets += list(randgen._probe_spot_sets(sample, m).values())
-    for ys in subsets:
-        assert sample.trace_count(ys) == 1 + span_count(res.complex, ys), ys
+    traces = sample.trace_count(subsets)
+    for ys, trace in zip(subsets, traces.tolist()):
+        assert trace == 1 + span_count(res.complex, ys), ys
+
+
+@pytest.mark.parametrize(
+    "t, z", [(1, None), (1, 24), (2, None), (2, 44)], ids=["t1", "t1-pruned", "t2", "t2-pruned"]
+)
+def test_trace_count_across_blocks_and_chunks(monkeypatch, t, z):
+    # blocks of two 8-vertex rows, and chunks of 23 candidate edges; at
+    # p = 1/2 a block holds about 28 edges, so blocks take several chunks.
+    # Pruning at z = 24 (t = 1) and 44 (t = 2) removes 9 and 8 of 24 vertices.
+    n, m = 24, 8
+    monkeypatch.setattr(randgen, "TRACE_BLOCK_CELLS", 3 * m * m - 1)
+    hashed = []
+
+    def counted(key, ranks):
+        hashed.append(len(ranks))
+        return rank_u53_np(key, ranks)
+
+    monkeypatch.setattr(_keyed, "rank_u53_np", counted)
+    sample = sample_levels(n, t, Fraction(1, 2), 0, collect=True)
+    cx = materialize(sample)
+    if z is not None:
+        res = prune_bad_msets(cx, m, z)
+        assert 0 < len(res.removed_vertices) < n - m
+        sample.remove_vertices(res.removed_vertices)
+        cx = res.complex
+    rng = random.Random(3)
+    rows = [rng.sample(range(n), m) for _ in range(41)]
+    traces = sample.trace_count(rows).tolist()
+    assert traces == [1 + span_count(cx, ys) for ys in rows]
+    # 41 rows make 21 blocks; t = 2 hashes once per chunk, t = 1 never
+    assert len(hashed) > 21 if t == 2 else hashed == []
+
+
+def test_trace_count_memory_is_bounded():
+    # an unblocked batch of all C(120, 3) triples of 50 rows would take
+    # hundreds of MB; tracemalloc sees numpy's buffers
+    sample = sample_levels(256, 2, Fraction(1, 3), 0)
+    rng = random.Random(1)
+    rows = np.array([rng.sample(range(256), 120) for _ in range(50)])
+    sample.adjacency()
+    tracemalloc.start()
+    try:
+        traces = sample.trace_count(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert traces.shape == (50,) and traces.min() > 1 + 120
 
 
 def test_probe_exponent_is_nan_when_pruning_empties_every_instance(monkeypatch):
