@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from shatterlab import bounds, compression, complexes, dtree, randgen, search, setsystem, verify
 from shatterlab._bits import bits
+from shatterlab._pool import bounded_map
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 
@@ -212,15 +213,6 @@ def _cmd_dtree_build(args) -> int:
     return 0
 
 
-def _grid_row(cell) -> str:
-    d, q, r = cell
-    row = verify.check_grid_cell(d, q, r)
-    return (
-        f"{d},{q},{r},{row['formula']},{row['block']},{row['brute']},"
-        f"{int(row['witness_unrooted'])},{row['facets']}"
-    )
-
-
 def _cmd_dtree_verify(args) -> int:
     # the brute force takes d * Q unrooted vertices, so d and Q stop at its cap
     cap = dtree.BRUTE_FORCE_VERTEX_CAP
@@ -239,18 +231,14 @@ def _cmd_dtree_verify(args) -> int:
                     f"the grid closes more than {args.limit_subsets} faces over its trees"
                 )
             cells.extend((d, q, r) for r in range(0, r_top + 1))
-    print("d,Q,r,formula,blockmin,brutemin,balanced,facets")
-    bound = min(args.threads, len(cells), os.cpu_count() or 1)
-    if bound > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=bound) as pool:
-            for row in pool.map(_grid_row, cells, chunksize=4):
-                print(row)
-    else:
-        for cell in cells:
-            print(_grid_row(cell))
-    return 0
+    print(verify.GRID_CSV_HEADER)
+    failed = False
+    for line, failures in bounded_map(verify.check_grid_cell, cells, args.threads):
+        print(line)
+        for failure in failures:
+            print(f"fail: {failure}", file=sys.stderr)
+        failed = failed or bool(failures)
+    return 4 if failed else 0
 
 
 def _cmd_sample(args) -> int:

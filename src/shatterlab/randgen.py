@@ -11,8 +11,8 @@ faces of dimension >= 1, after which no surviving m-set can.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +30,7 @@ from shatterlab._keyed import (
     rank_u53,
     rank_u53_np,
 )
+from shatterlab._pool import bounded_map
 from shatterlab.bounds import floor_log2, g_k, growth_exponent
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
@@ -389,39 +390,95 @@ class ExperimentReport:
 REPORT_CSV_HEADER = "seed,n,s,m,t,p,faces_total,faces_top,f_m,bad_msets,removed_vertices"
 
 
-def _sample_pruned(
-    n: int, t: int, threshold: int, seed: int, m: int, z, *, prune: bool, limit: int
-) -> tuple[LevelSample, PruneResult | None]:
-    """Sample the level model at p = threshold / 2^53; when prune is set, also
-    prune the materialized sample at (m, z) and drop the removed vertices
-    from the sample, which then answers queries as the pruned complex."""
-    sample = sample_levels(n, t, Fraction(threshold, 1 << 53), seed, collect=prune)
+@dataclass(frozen=True)
+class _Trial:
+    """One (n, trial) point of a sweep, with the constants all its points share."""
+
+    params: ExperimentParams
+    shortcut: bool  # no m-set of a dimension-t complex spans ceil(z) faces
+    limit: int  # the scan limit
+    master_seed: int
+    trial: int
+    threshold: int  # p as an exact keyed-hash threshold
+    seed: int  # derive_seed(master_seed, n, trial)
+
+
+def _sample_pruned(job: _Trial, prune: bool) -> tuple[LevelSample, PruneResult | None]:
+    """Sample the job's level model; when prune is set, also prune the
+    materialized sample at (m, z) and drop the removed vertices from the
+    sample, which then answers queries as the pruned complex."""
+    p = job.params
+    sample = sample_levels(p.n, p.t, Fraction(job.threshold, 1 << 53), job.seed, collect=prune)
     if not prune:
         return sample, None
-    res = prune_bad_msets(materialize(sample), m, z, limit=limit)
+    res = prune_bad_msets(materialize(sample), p.m, p.z, limit=job.limit)
     sample.remove_vertices(res.removed_vertices)
     return sample, res
 
 
-def _growth_trial(
-    s: Fraction, m: int, n: int, t: int, threshold: int, trial_seed: int, scan_limit: int
-) -> ExperimentReport:
+def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit: int, workers: int):
+    """Run instance on each (n, trial) at p = n^(-1/(s-1)) and z = (s-1)(m+1),
+    n-major, in a pool bounded by workers (instance must then be a
+    module-level function), and fit the log-log slope of the total faces of
+    each result against n.  Returns (n_list as a tuple, results, slope)."""
+    if s < 2:
+        raise InvalidArgumentError("s must be >= 2")
+    if m < 1 or trials < 1:
+        raise InvalidArgumentError("need m >= 1 and trials >= 1")
+    n_list = tuple(int(n) for n in n_list)
+    if not n_list:
+        raise InvalidArgumentError("need at least one size n")
+    t = floor_log2(s)
+    if t not in (1, 2):
+        raise InvalidArgumentError("sampling supports t in {1, 2}")
     z = (s - 1) * (m + 1)
-    params = ExperimentParams(s, m, n, t, threshold / float(1 << 53), z)
     shortcut = max_possible_dim_ge1_span(m, t) < math.ceil(z)
-    prune = math.comb(n, m) <= scan_limit or not shortcut
-    sample, res = _sample_pruned(
-        n, t, threshold, trial_seed, m, z, prune=prune, limit=scan_limit
-    )
+    jobs = []
+    for n in n_list:
+        threshold = inverse_power_threshold(n, 1 / (s - 1))
+        params = ExperimentParams(s, m, n, t, threshold / float(1 << 53), z)
+        jobs += [
+            _Trial(params, shortcut, limit, seed, trial, threshold, derive_seed(seed, n, trial))
+            for trial in range(trials)
+        ]
+    results = list(bounded_map(instance, jobs, workers))
+    totals = [(job.params.n, sum(res.faces_by_dim)) for job, res in zip(jobs, results)]
+    return n_list, results, _loglog_slope(n_list, totals)
+
+
+def _loglog_slope(n_list, totals) -> float:
+    """Least-squares slope of log(mean total) against log(n).
+
+    totals holds (n, total face count) pairs, averaged per n.  nan for a
+    single point, or when some mean is <= 0 (pruning can empty every
+    instance at some n), where the log-log fit is undefined.
+    """
+    means = []
+    for n in n_list:
+        at_n = [total for size, total in totals if size == n]
+        means.append(sum(at_n) / len(at_n))
+    if len(n_list) < 2 or min(means) <= 0:
+        return float("nan")
+    xs = np.log(np.asarray(n_list, dtype=float))
+    ys = np.log(np.asarray(means, dtype=float))
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+def _growth_trial(job: _Trial) -> ExperimentReport:
+    """Prune when C(n, m) fits under the limit or the shortcut fails; exact
+    f(m) of the pruned complex when the scan fits."""
+    p = job.params
+    prune = math.comb(p.n, p.m) <= job.limit or not job.shortcut
+    sample, res = _sample_pruned(job, prune)
     f_m: int | str = "sampled"
     if res is not None:
         try:
-            f_m = scan.exact_shatter_value(res.complex, m, limit=scan_limit)
+            f_m = scan.exact_shatter_value(res.complex, p.m, limit=job.limit)
         except ResourceLimitError:
             pass
     return ExperimentReport(
-        trial_seed,
-        params,
+        job.seed,
+        p,
         sample.counts_by_dim(),
         f_m,
         res.bad_sets_found if res else 0,
@@ -457,61 +514,14 @@ def growth_experiment(
 ) -> GrowthResult:
     """Seeded sample->prune sweeps over n_list with a log-log regression slope.
 
-    Per trial: p = n^(-1/(s-1)) via an exact integer threshold, pruning at
-    z = (s-1)(m+1), total face count of the pruned complex recorded, exact
-    f(m) whenever C(n,m) fits under the enumeration limit.  With workers > 1
-    the trials run in a pool of at most min(workers, trial count, CPU count)
-    processes.
+    Per trial at p = n^(-1/(s-1)) and z = (s-1)(m+1): the pruned complex's
+    face counts, and exact f(m) whenever C(n,m) fits under the enumeration
+    limit.  With workers > 1 the trials run in a pool of at most
+    min(workers, trial count, CPU count) processes.
     """
     s = Fraction(s)
-    if s < 2:
-        raise InvalidArgumentError("s must be >= 2")
-    if m < 1 or trials < 1:
-        raise InvalidArgumentError("need m >= 1 and trials >= 1")
-    t = floor_log2(s)
-    if t not in (1, 2):
-        raise InvalidArgumentError("growth experiments support t in {1, 2}")
-    n_list = tuple(int(n) for n in n_list)
-    jobs = []
-    for n in n_list:
-        threshold = inverse_power_threshold(n, 1 / (s - 1))
-        for trial in range(trials):
-            trial_seed = derive_seed(seed, n, trial)
-            jobs.append((s, m, n, t, threshold, trial_seed, scan_limit))
-    bound = min(workers, len(jobs), os.cpu_count() or 1)
-    if bound > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=bound) as pool:
-            reports = list(pool.map(_growth_trial_star, jobs, chunksize=1))
-    else:
-        reports = [_growth_trial(*job) for job in jobs]
-    slope = _loglog_slope(n_list, [(r.params.n, r.total_faces) for r in reports])
-    return GrowthResult(
-        s, m, n_list, trials, seed, reports, slope, growth_exponent(s)
-    )
-
-
-def _loglog_slope(n_list, totals) -> float:
-    """Least-squares slope of log(mean total) against log(n).
-
-    totals holds (n, total face count) pairs, averaged per n.  nan for a
-    single point, or when some mean is <= 0 (pruning can empty every
-    instance at some n), where the log-log fit is undefined.
-    """
-    means = []
-    for n in n_list:
-        at_n = [total for size, total in totals if size == n]
-        means.append(sum(at_n) / len(at_n))
-    if len(n_list) < 2 or min(means) <= 0:
-        return float("nan")
-    xs = np.log(np.asarray(n_list, dtype=float))
-    ys = np.log(np.asarray(means, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def _growth_trial_star(args):
-    return _growth_trial(*args)
+    n_list, reports, slope = _sweep(s, m, n_list, trials, seed, _growth_trial, scan_limit, workers)
+    return GrowthResult(s, m, n_list, trials, seed, reports, slope, growth_exponent(s))
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +591,35 @@ def _probe_spot_sets(sample: LevelSample, m: int) -> dict[str, tuple[int, ...]]:
     return out
 
 
+def _probe_instance(job: _Trial, gk_m: int) -> ProbeInstance:
+    """Prune when the scan fits, then count the traces of
+    PROBE_SUBSET_SAMPLES uniform m-sets and the spot sets against g_k(m)."""
+    n, m = job.params.n, job.params.m
+    pruning = "skipped"
+    if job.shortcut:
+        pruning = "shortcut"
+    elif math.comb(n, m) <= job.limit:
+        pruning = "scan"
+    sample, _ = _sample_pruned(job, pruning == "scan")
+    rng = random.Random(derive_seed(job.master_seed, n, job.trial, 0xBAD5E75))
+    rows = [rng.sample(range(n), m) for _ in range(PROBE_SUBSET_SAMPLES)]
+    spots = _probe_spot_sets(sample, m)
+    traces = sample.trace_count(rows + list(spots.values())).tolist()
+    # any m isolated-ish vertices give m+1 traces
+    max_trace = max(m + 1, *traces)
+    spot_traces = dict(zip(spots, traces[PROBE_SUBSET_SAMPLES:]))
+    return ProbeInstance(
+        job.seed,
+        n,
+        sample.counts_by_dim(),
+        max_trace,
+        max_trace <= gk_m,
+        pruning,
+        PROBE_SUBSET_SAMPLES + len(spot_traces),
+        spot_traces,
+    )
+
+
 def bondy_hajnal_probe(
     k: int,
     m: int,
@@ -601,52 +640,14 @@ def bondy_hajnal_probe(
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
     s = Fraction((1 << (k + 1)) - k - 1) + Fraction(epsilon)
     gk_m = g_k(m, k)
     if s * m + s - 1 > gk_m:
         raise InvalidArgumentError(
             f"m={m} too small: need s*m + s - 1 <= g_k(m) = {gk_m}, got {s * m + s - 1}"
         )
-    t = floor_log2(s)
-    if t not in (1, 2):
-        raise InvalidArgumentError("probe sampling supports t in {1, 2}")
-    z = (s - 1) * (m + 1)
-    n_list = tuple(int(n) for n in n_list)
-    instances = []
-    for n in n_list:
-        threshold = inverse_power_threshold(n, 1 / (s - 1))
-        for trial in range(trials):
-            trial_seed = derive_seed(seed, n, trial)
-            pruning = "skipped"
-            if max_possible_dim_ge1_span(m, t) < math.ceil(z):
-                pruning = "shortcut"
-            elif math.comb(n, m) <= scan_limit:
-                pruning = "scan"
-            sample, _ = _sample_pruned(
-                n, t, threshold, trial_seed, m, z, prune=pruning == "scan", limit=scan_limit
-            )
-            rng = random.Random(derive_seed(seed, n, trial, 0xBAD5E75))
-            rows = [rng.sample(range(n), m) for _ in range(PROBE_SUBSET_SAMPLES)]
-            spots = _probe_spot_sets(sample, m)
-            traces = sample.trace_count(rows + list(spots.values())).tolist()
-            # any m isolated-ish vertices give m+1 traces
-            max_trace = max(m + 1, *traces)
-            spot_traces = dict(zip(spots, traces[PROBE_SUBSET_SAMPLES:]))
-            instances.append(
-                ProbeInstance(
-                    trial_seed,
-                    n,
-                    sample.counts_by_dim(),
-                    max_trace,
-                    max_trace <= gk_m,
-                    pruning,
-                    PROBE_SUBSET_SAMPLES + len(spot_traces),
-                    spot_traces,
-                )
-            )
-    exponent = _loglog_slope(n_list, [(i.n, sum(i.faces_by_dim)) for i in instances])
+    instance = functools.partial(_probe_instance, gk_m=gk_m)
+    n_list, instances, exponent = _sweep(s, m, n_list, trials, seed, instance, scan_limit, 1)
     return ProbeResult(
         k,
         s,
@@ -660,4 +661,3 @@ def bondy_hajnal_probe(
         all(i.premise_ok for i in instances),
         exponent > k,
     )
-

@@ -94,53 +94,44 @@ def grid_cells(tier: str):
                 yield d, q, r
 
 
-def check_grid_cell(d: int, q: int, r: int) -> dict:
-    """Formula / block-scan / brute-force agreement, the d-tree check, and
-    shape counts."""
+GRID_CSV_HEADER = "d,Q,r,formula,blockmin,brutemin,balanced,facets"
+
+
+def check_grid_cell(cell: tuple[int, int, int]) -> tuple[str, list[str]]:
+    """One (d, Q, r) cell's GRID_CSV_HEADER row and its failed checks: the
+    formula, block-scan and brute-force minimum densities agree, the tree is
+    a d-tree, is balanced, and has its facet, root and vertex counts."""
+    d, q, r = cell
     tree = dtree.build_Tr(d, q, r)
     formula = dtree.min_density_formula(d, q, r)
-    block, bi, bj = dtree.contiguous_min_density(tree)
+    block, _, _ = dtree.contiguous_min_density(tree)
     brute, witness = dtree.min_density_bruteforce(tree)
-    return {
-        "d": d,
-        "Q": q,
-        "r": r,
-        "formula": formula,
-        "block": block,
-        "block_at": (bi, bj),
-        "brute": brute,
-        # the tree is balanced exactly when this holds: ties go to the larger
-        # set, and the full unrooted set is the only largest one
-        "witness_unrooted": witness == tree.unrooted_mask,
-        "d_tree": dtree.is_d_tree(tree.complex, d),
-        "facets": len(tree.complex.facets()),
-        "roots": tree.roots.bit_count(),
-        "vertices": tree.complex.n,
-    }
+    facets = len(tree.complex.facets())
+    # the tree is balanced exactly when this holds: ties go to the larger
+    # set, and the full unrooted set is the only largest one
+    balanced = witness == tree.unrooted_mask
+    tag = f"(d={d},Q={q},r={r})"
+    failures = []
+    if not formula == block == brute:
+        failures.append(f"{tag} density mismatch: formula={formula} block={block} brute={brute}")
+    if not dtree.is_d_tree(tree.complex, d):
+        failures.append(f"{tag} complex is not a d-tree")
+    if not balanced:
+        failures.append(f"{tag} brute-force minimum not at the unrooted vertices")
+    if facets != d * q + r:
+        failures.append(f"{tag} facet count {facets} != {d * q + r}")
+    if tree.roots.bit_count() != r:
+        failures.append(f"{tag} root count {tree.roots.bit_count()} != {r}")
+    if tree.complex.n != d * (q + 1) + r:
+        failures.append(f"{tag} vertex count {tree.complex.n}")
+    return f"{d},{q},{r},{formula},{block},{brute},{int(balanced)},{facets}", failures
 
 
 def _dtree_grid(res: SuiteResult, tier: str, seed: int) -> None:
-    cells = 0
-    for d, q, r in grid_cells(tier):
-        row = check_grid_cell(d, q, r)
-        cells += 1
-        tag = f"(d={d},Q={q},r={r})"
-        if not row["formula"] == row["block"] == row["brute"]:
-            res.failures.append(
-                f"{tag} density mismatch: formula={row['formula']} "
-                f"block={row['block']} brute={row['brute']}"
-            )
-        if not row["d_tree"]:
-            res.failures.append(f"{tag} complex is not a d-tree")
-        if not row["witness_unrooted"]:
-            res.failures.append(f"{tag} brute-force minimum not at the unrooted vertices")
-        if row["facets"] != d * q + r:
-            res.failures.append(f"{tag} facet count {row['facets']} != {d * q + r}")
-        if row["roots"] != r:
-            res.failures.append(f"{tag} root count {row['roots']} != {r}")
-        if row["vertices"] != d * (q + 1) + r:
-            res.failures.append(f"{tag} vertex count {row['vertices']}")
-    res.measured = {"cells": cells}
+    cells = list(grid_cells(tier))
+    for cell in cells:
+        res.failures += check_grid_cell(cell)[1]
+    res.measured = {"cells": len(cells)}
 
 
 # -- suites 3 + 4: compression and Sauer consistency ------------------------

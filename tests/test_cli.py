@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shatterlab import bounds
+from shatterlab import bounds, dtree, verify
 from shatterlab.cli import main
 from shatterlab.setsystem import parse_json
 
@@ -96,6 +96,21 @@ def test_dtree_verify_pool_is_bounded(recording_pool, capsys):
     assert code == 0 and out.splitlines() == [seq.splitlines()[0]]
     assert recording_pool == [3, 2]
     assert par == seq
+
+
+def test_dtree_verify_exits_4_on_a_failed_cell(monkeypatch, capsys):
+    formula = dtree.min_density_formula
+    monkeypatch.setattr(dtree, "min_density_formula", lambda d, q, r: formula(d, q, r) + 1)
+    code, out, err = run_cli(capsys, "dtree", "verify", "--d-max", "1", "--Q-max", "1",
+                             "--r-max", "2", "--threads", "1")
+    assert code == 4
+    assert len(out.splitlines()) == 4  # the header and every row, failed or not
+    failures = [line.removeprefix("fail: ") for line in err.splitlines()]
+    assert failures[0] == "(d=1,Q=1,r=0) density mismatch: formula=3 block=2 brute=2"
+    assert len(failures) == 3
+    # the acceptance suite judges its cells with the same checks
+    suite = verify.SUITES["dtree-grid"]("quick", verify.DEFAULT_SEED)
+    assert not suite.passed and set(failures) <= set(suite.failures)
 
 
 def test_sample_deterministic_output(tmp_path, capsys):
@@ -226,6 +241,11 @@ def test_shatter_rejects_malformed_json(tmp_path, capsys, text):
         ("bounds", "eval", "--kind", "g_k", "--params", "n=4,k=1/0"),
         ("verify-paper", "--suite", "nope"),
         ("shatter", "--in", "."),  # a directory
+        # an empty size list has no instance to fit or to check the premise on
+        ("growth", "--s", "3", "--m", "4", "--n", ""),
+        ("growth", "--s", "3", "--m", "4", "--n", ","),
+        ("bh-probe", "--k", "2", "--m", "13", "--n", ""),
+        ("bh-probe", "--k", "2", "--m", "13", "--n", ","),
     ],
 )
 def test_bad_flag_values_exit_2(capsys, argv):
@@ -315,6 +335,40 @@ def test_bh_probe_large_m_bytes_are_pinned(capsys):
                            "--trials", "1", "--format", "json")
     assert code == 0
     assert _sha256(out) == "bb5ec1731b3cb56dfcb01a739068b3c3e48715b4113da907f1109a58b53901af"
+
+
+_SCAN_GROWTH = ("growth", "--s", "5", "--m", "6", "--n", "20,24", "--trials", "2")
+_SCAN_CSV = "1fbd97998d6bfccd1c8f13a669eafc1544ad58e9c166cc3ccdba86776b6cf674"
+_SCAN_JSON = "f10b6d2ddf2c6fd7d6244574280f1d62ea42af012db00513034d99af131233be"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ((*_SCAN_GROWTH, "--threads", "1"), _SCAN_CSV),
+        ((*_SCAN_GROWTH, "--threads", "2"), _SCAN_CSV),
+        ((*_SCAN_GROWTH, "--threads", "1", "--format", "json"), _SCAN_JSON),
+        ((*_SCAN_GROWTH, "--threads", "2", "--format", "json"), _SCAN_JSON),
+        (
+            ("growth", "--s", "3", "--m", "4", "--n", "64,128", "--trials", "2", "--seed", "5",
+             "--threads", "1"),
+            "ff1d39a1ecc425ea189adad72a29647c082442aa6bee7d30e105213496e4d112",
+        ),
+        (
+            ("bh-probe", "--k", "2", "--m", "13", "--n", "16,256", "--trials", "2",
+             "--format", "json"),
+            "e41bcb22255e63fc49983e6d00ee03e28e6c73bebb711c41f7110e6f48548383",
+        ),
+    ],
+    ids=["scan-csv-1", "scan-csv-2", "scan-json-1", "scan-json-2", "shortcut", "probe"],
+)
+def test_sweep_bytes_are_pinned(capsys, argv, digest):
+    # growth at s = 5 scans (t = 2), and at s = 3 takes the shortcut (t = 1);
+    # the probe scans at n = 16 and skips at n = 256.  --threads 2 runs the
+    # real pool of two processes.  The digests were recorded when growth and
+    # the probe still had a sweep loop each.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and _sha256(out) == digest
 
 
 def test_exit_code_resource_limit(tmp_path, capsys):

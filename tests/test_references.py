@@ -8,6 +8,8 @@ import or a string (the benchmark names the attributes it wraps by string).
 Likewise a defaulted parameter (of a public function, method or class
 constructor) that no call there passes, or that every call passes as the
 same literal, has one value in use, so it is a constant, not an option.
+And every worker pool is the one bounded pool: no other function names
+ProcessPoolExecutor.
 """
 
 import ast
@@ -161,3 +163,14 @@ def test_every_defaulted_parameter_has_more_than_one_value_in_use():
         for param, _, _ in _defaulted(node, bound)
     }
     assert single == []
+
+
+def test_one_function_names_the_process_pool():
+    library, trees = _trees()
+    owners = [
+        f"{path.name}: {getattr(node, 'name', type(node).__name__)}"
+        for path in library
+        for node in trees[path].body
+        if "ProcessPoolExecutor" in _referenced_names(node)
+    ]
+    assert owners == ["_pool.py: bounded_map"]
