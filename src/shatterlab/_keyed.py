@@ -5,6 +5,7 @@ reproducible under any evaluation order or parallel schedule.  The scalar
 and numpy paths implement the identical function (splitmix64 finalizer over
 a mixed key) and acceptance of a face compares the 53-bit output against an
 integer threshold floor(p * 2^53), so no floating point enters the decision.
+rank_u53_np works in place on one copy of its ranks.
 """
 
 from __future__ import annotations
@@ -42,15 +43,25 @@ def rank_u53(key: int, rank: int) -> int:
 
 
 def rank_u53_np(key: int, ranks: np.ndarray) -> np.ndarray:
-    """Vectorized rank_u53; bit-identical to the scalar path."""
-    z = ranks.astype(np.uint64) * np.uint64(_RANK_SALT)
+    """Vectorized rank_u53; bit-identical to the scalar path.
+
+    Steps run in place on one uint64 copy of ranks, with one scratch array
+    for the shifts; the caller's array is never written.
+    """
+    z = ranks.astype(np.uint64)
+    tmp = np.empty_like(z)
+    z *= np.uint64(_RANK_SALT)
     z ^= np.uint64(key)
-    z ^= z >> np.uint64(30)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z >> np.uint64(11)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    z >>= np.uint64(11)
+    return z
 
 
 def probability_threshold(p) -> int:

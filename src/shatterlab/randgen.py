@@ -36,7 +36,9 @@ from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.scan import max_possible_dim_ge1_span
 
-_PAIR_CHUNK = 1 << 21
+# pair ranks hashed at once: the hash's two uint64 buffers of this many
+# entries stay in cache
+_PAIR_CHUNK = 1 << 16
 _EDGE_CHUNK = 1 << 12
 # cells of induced adjacency, or of triangle candidates, that trace_count
 # holds at once
@@ -174,25 +176,33 @@ def _triangle_ranks(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u + v * (v - 1) // 2 + w * (w - 1) * (w - 2) // 6
 
 
-def _decode_pair_ranks(ranks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs u < v < n with the given colex ranks u + v(v - 1)/2."""
-    ranks = ranks.astype(np.int64)
+def _pair_offsets(n: int) -> np.ndarray:
+    """Colex rank v(v - 1)/2 of the first pair with top vertex v, for v < n."""
     starts = np.arange(n, dtype=np.int64)
-    starts = starts * (starts - 1) // 2
+    return starts * (starts - 1) // 2
+
+
+def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v < n with the given colex ranks u + v(v - 1)/2, where
+    starts is _pair_offsets(n)."""
+    ranks = ranks.astype(np.int64)
     v = np.searchsorted(starts, ranks, side="right") - 1
     return ranks - starts[v], v
 
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash all C(n, 2) pair ranks, _PAIR_CHUNK at a time, and decode the
+    accepted ones in colex order."""
     key = level_key(seed, 2)
     total = math.comb(n, 2)
+    starts = _pair_offsets(n)
     us, vs = [], []
     if threshold > 0:
         for lo in range(0, total, _PAIR_CHUNK):
             ranks = np.arange(lo, min(lo + _PAIR_CHUNK, total), dtype=np.uint64)
             hit = ranks[rank_u53_np(key, ranks) < np.uint64(threshold)]
             if len(hit):
-                u, v = _decode_pair_ranks(hit, n)
+                u, v = _decode_pair_ranks(hit, starts)
                 us.append(u.astype(np.int32))
                 vs.append(v.astype(np.int32))
     if not us:
@@ -443,23 +453,24 @@ def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit:
         ]
     results = list(bounded_map(instance, jobs, workers))
     totals = [(job.params.n, sum(res.faces_by_dim)) for job, res in zip(jobs, results)]
-    return n_list, results, _loglog_slope(n_list, totals)
+    return n_list, results, _loglog_slope(totals)
 
 
-def _loglog_slope(n_list, totals) -> float:
+def _loglog_slope(totals) -> float:
     """Least-squares slope of log(mean total) against log(n).
 
-    totals holds (n, total face count) pairs, averaged per n.  nan for a
-    single point, or when some mean is <= 0 (pruning can empty every
-    instance at some n), where the log-log fit is undefined.
+    totals holds (n, total face count) pairs, averaged per distinct n in
+    order of first occurrence.  nan for fewer than two distinct sizes, or
+    when some mean is <= 0 (pruning can empty every instance at some n),
+    where the log-log fit is undefined.
     """
-    means = []
-    for n in n_list:
-        at_n = [total for size, total in totals if size == n]
-        means.append(sum(at_n) / len(at_n))
-    if len(n_list) < 2 or min(means) <= 0:
+    at_n: dict[int, list[int]] = {}
+    for n, total in totals:
+        at_n.setdefault(n, []).append(total)
+    means = [sum(group) / len(group) for group in at_n.values()]
+    if len(means) < 2 or min(means) <= 0:
         return float("nan")
-    xs = np.log(np.asarray(n_list, dtype=float))
+    xs = np.log(np.asarray(list(at_n), dtype=float))
     ys = np.log(np.asarray(means, dtype=float))
     return float(np.polyfit(xs, ys, 1)[0])
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from datetime import timedelta
 
 import pytest
@@ -180,6 +181,27 @@ def test_undefined_fit_prints_null(capsys, argv, key):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out, parse_constant=_reject_constant)[key] is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("growth", "--s", "3", "--m", "4", "--threads", "1"), "slope"),
+        (("bh-probe", "--k", "2", "--m", "13"), "exponent"),
+    ],
+    ids=["growth", "bh-probe"],
+)
+def test_repeated_sizes_leave_the_fit_undefined(capsys, argv, key, fmt):
+    # n = 64 twice is one distinct size: no fit, and no warning from polyfit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--n", "64,64", "--trials", "1", "--format", fmt)
+    assert code == 0 and "RankWarning" not in err
+    if fmt == "json":
+        assert json.loads(out, parse_constant=_reject_constant)[key] is None
+    else:
+        assert f"# {key},nan" in out.splitlines()
 
 
 def test_bounds_eval(capsys):

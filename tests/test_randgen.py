@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -30,7 +31,10 @@ from shatterlab.randgen import (
     sample_complex,
     sample_levels,
     _decode_pair_ranks,
+    _pair_offsets,
+    _sample_edges_np,
     _triangle_pass,
+    _triangle_ranks,
 )
 
 
@@ -40,6 +44,24 @@ def test_keyed_hash_scalar_vector_agree():
     vec = rank_u53_np(key, ranks)
     for r in range(0, 50_000, 1237):
         assert int(vec[r]) == rank_u53(key, r)
+
+
+def test_keyed_hash_agrees_at_the_ends_of_its_range():
+    # uint64 ranks near 2^53 and near 2^64 - 1, where rank * salt wraps, and
+    # int64 triangle ranks up to C(2^14, 3), the sampler's largest
+    key = level_key(987654321, 3)
+    top = np.uint64((1 << 64) - 1) - np.arange(1000, dtype=np.uint64)
+    near53 = np.arange((1 << 53) - 500, (1 << 53) + 500, dtype=np.uint64)
+    rng = np.random.default_rng(2)
+    uvw = np.sort(rng.choice(1 << 14, size=(2000, 3)), axis=1)
+    uvw = uvw[(uvw[:, 0] < uvw[:, 1]) & (uvw[:, 1] < uvw[:, 2])]
+    tri = _triangle_ranks(uvw[:, 0], uvw[:, 1], uvw[:, 2])
+    tri = np.concatenate([tri, [0, math.comb(1 << 14, 3) - 1]]).astype(np.int64)
+    for ranks in (top, near53, tri):
+        before = ranks.copy()
+        vec = rank_u53_np(key, ranks)
+        assert np.array_equal(ranks, before) and ranks.dtype == before.dtype
+        assert vec.tolist() == [rank_u53(key, r) for r in ranks.tolist()]
 
 
 def test_probability_threshold_exact():
@@ -108,14 +130,65 @@ def test_fast_sampler_matches_reference_across_edge_chunks():
     assert materialize(sample) == sample_complex(123, 2, Fraction(3, 5), 4)
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("chunk", [7, 64, math.comb(40, 2), math.comb(40, 2) - 1])
+def test_fast_sampler_matches_reference_across_pair_chunks(monkeypatch, chunk, t):
+    # chunks of 7 and 64 split the pairs of one top vertex; C(40, 2) is one
+    # exact chunk, and one less leaves the last pair alone in a second
+    monkeypatch.setattr(randgen, "_PAIR_CHUNK", chunk)
+    fast = materialize(sample_levels(40, t, Fraction(3, 10), 5, collect=True))
+    assert fast == sample_complex(40, t, Fraction(3, 10), 5)
+
+
+def test_fast_sampler_matches_reference_across_default_pair_chunks():
+    assert math.comb(400, 2) > randgen._PAIR_CHUNK
+    fast = materialize(sample_levels(400, 1, Fraction(1, 20), 3))
+    assert fast == sample_complex(400, 1, Fraction(1, 20), 3)
+
+
+def test_sampled_edges_are_pinned():
+    # C(8192, 2) pairs span hundreds of pair chunks; the digest was recorded
+    # with 2^21-rank chunks and a hash that allocated a new array per step
+    sample = sample_levels(8192, 1, Fraction(1, 90), 11)
+    data = sample.edges_u.astype("<i4").tobytes() + sample.edges_v.astype("<i4").tobytes()
+    assert sample.edge_count == 372_739
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "1b8a057c13de869519a319da843d5924ec7b2588e64c3c35e2b91335677f1ed8"
+    )
+
+
+def test_edge_sampling_memory_is_bounded(monkeypatch):
+    # each hash call gets at most one chunk of ranks, so the hash's buffers
+    # stay small whatever n is; 2^21-rank chunks would peak near 51 MB
+    n = 8192
+    calls = []
+
+    def recorded(key, ranks):
+        calls.append(len(ranks))
+        return rank_u53_np(key, ranks)
+
+    monkeypatch.setattr(randgen, "rank_u53_np", recorded)
+    tracemalloc.start()
+    try:
+        _sample_edges_np(n, inverse_power_threshold(n, Fraction(1, 2)), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(calls) == math.comb(n, 2)
+    assert max(calls) <= randgen._PAIR_CHUNK
+    assert peak < 16 << 20
+
+
 def test_pair_decode_is_the_colex_order():
     for n in (2, 3, 9, 200):
-        u, v = _decode_pair_ranks(np.arange(math.comb(n, 2), dtype=np.uint64), n)
+        ranks = np.arange(math.comb(n, 2), dtype=np.uint64)
+        u, v = _decode_pair_ranks(ranks, _pair_offsets(n))
         assert list(zip(u.tolist(), v.tolist())) == [(a, b) for b in range(n) for a in range(b)]
     n = 8192
     ranks = np.random.default_rng(0).integers(0, math.comb(n, 2), 20_000).astype(np.uint64)
     ranks[:2] = (0, math.comb(n, 2) - 1)
-    u, v = _decode_pair_ranks(ranks, n)
+    u, v = _decode_pair_ranks(ranks, _pair_offsets(n))
     for r, a, b in zip(ranks.tolist(), u.tolist(), v.tolist()):
         assert 0 <= a < b < n and a + math.comb(b, 2) == r
 
