@@ -39,7 +39,8 @@ from shatterlab.scan import max_possible_dim_ge1_span
 # pair ranks hashed at once: the hash's two uint64 buffers of this many
 # entries stay in cache
 _PAIR_CHUNK = 1 << 16
-_EDGE_CHUNK = 1 << 12
+# bytes of each packed-row operand the triangle pass gathers at once
+_TRIANGLE_CHUNK_BYTES = 1 << 17
 # cells of induced adjacency, or of triangle candidates, that trace_count
 # holds at once
 TRACE_BLOCK_CELLS = 1 << 16
@@ -211,10 +212,6 @@ def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.
     return np.concatenate(us), np.concatenate(vs)
 
 
-# row b holds the 8 bits of byte value b, most significant first (packbits order)
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(bool)
-
-
 def _triangle_pass(
     sample: LevelSample, threshold: int, *, collect: bool
 ) -> tuple[int, np.ndarray | None]:
@@ -222,39 +219,51 @@ def _triangle_pass(
 
     For each edge u < v the candidates are the w > v adjacent to both, read
     from the AND of the bit-packed adjacency rows of u and v with the packed
-    mask of columns above v.  Common neighbors are sparse (density about
-    p^2), so only the non-zero bytes of a chunk's AND are expanded: their
-    flat positions give (edge, byte), and a 256x8 bit table gives the set
-    bits of each byte.  Flat positions ascend row by row and the table lists
-    bits most significant first, which packbits assigns to the lowest
-    column, so candidates come out in edge order and then w ascending: the
-    same order, hashed ranks and triangles array as a dense unpack.
+    mask of columns above v.  Edges go in chunks of _TRIANGLE_CHUNK_BYTES //
+    (bytes per packed row), so no gathered operand exceeds that budget.
+    Edges come in colex order, so v ascends within a chunk and no candidate
+    lies below its first v's byte: each chunk gathers only the bytes from
+    there on.  Common neighbors are sparse (density about p^2), so only the
+    non-zero bytes of a chunk's AND are unpacked.  Flat positions ascend row
+    by row and unpackbits lists bits most significant first, which packbits
+    assigns to the lowest column, so candidates come out in edge order and
+    then w ascending, the reference sampler's colex order.  Each rank is the
+    edge's _triangle_ranks(u, v, 0) plus _triangle_ranks(0, 0, w) = C(w, 3).
     """
     n = sample.n
     key = level_key(sample.seed, 3)
     packed = np.packbits(sample.adjacency(), axis=1)
-    cut = np.packbits(np.triu(np.ones((n, n), dtype=bool), k=1), axis=1)
     nbytes = packed.shape[1]
+    # cut[v]: the columns w > v, packed; built byte by byte, with no n x n bool array
+    v = np.arange(n)
+    cut = (np.arange(nbytes) > (v >> 3)[:, None]).view(np.uint8)
+    cut *= 0xFF
+    cut[v, v >> 3] = 0xFF >> ((v & 7) + 1)
+    ranks_w = _triangle_ranks(0, 0, v)  # C(w, 3)
+    step = max(1, _TRIANGLE_CHUNK_BYTES // nbytes)
     count = 0
     kept = []
     eu, ev = sample.edges_u, sample.edges_v
-    for lo in range(0, len(eu), _EDGE_CHUNK):
-        u_c = eu[lo : lo + _EDGE_CHUNK]
-        v_c = ev[lo : lo + _EDGE_CHUNK]
-        common = (packed[u_c] & packed[v_c] & cut[v_c]).ravel()
-        at = np.flatnonzero(common)
+    for lo in range(0, len(eu), step):
+        u_c = eu[lo : lo + step]
+        v_c = ev[lo : lo + step]
+        first = int(v_c[0]) >> 3
+        common = packed[u_c, first:]
+        common &= packed[v_c, first:]
+        common &= cut[v_c, first:]
+        common = common.ravel()
+        at = np.flatnonzero(common != 0)
         if not len(at):
             continue
-        hit = np.flatnonzero(_BYTE_BITS[common[at]])
-        at = at[hit >> 3]
-        ei = at // nbytes
-        w = (at % nbytes) * 8 + (hit & 7)
-        uu = u_c[ei].astype(np.int64)
-        vv = v_c[ei].astype(np.int64)
-        ok = rank_u53_np(key, _triangle_ranks(uu, vv, w)) < np.uint64(threshold)
-        count += int(ok.sum())
-        if collect and ok.any():
-            kept.append(np.stack([uu[ok], vv[ok], w[ok]], axis=1).astype(np.int32))
+        hit = np.flatnonzero(np.unpackbits(common[at]).view(bool))
+        ei, col = np.divmod(at[hit >> 3], nbytes - first)
+        w = (col + first) * 8 + (hit & 7)
+        base = _triangle_ranks(u_c.astype(np.int64), v_c.astype(np.int64), 0)
+        ok = rank_u53_np(key, base[ei] + ranks_w[w]) < np.uint64(threshold)
+        count += int(np.count_nonzero(ok))
+        if collect:
+            ei, w = ei[ok], w[ok]
+            kept.append(np.stack([u_c[ei], v_c[ei], w.astype(np.int32)], axis=1))
     tris = None
     if collect:
         tris = np.concatenate(kept) if kept else np.zeros((0, 3), dtype=np.int32)
@@ -430,7 +439,8 @@ def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit:
     """Run instance on each (n, trial) at p = n^(-1/(s-1)) and z = (s-1)(m+1),
     n-major, in a pool bounded by workers (instance must then be a
     module-level function), and fit the log-log slope of the total faces of
-    each result against n.  Returns (n_list as a tuple, results, slope)."""
+    each result against n.  A size listed twice runs once and its results
+    repeat.  Returns (n_list as a tuple, results, slope)."""
     if s < 2:
         raise InvalidArgumentError("s must be >= 2")
     if m < 1 or trials < 1:
@@ -451,7 +461,10 @@ def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit:
             _Trial(params, shortcut, limit, seed, trial, threshold, derive_seed(seed, n, trial))
             for trial in range(trials)
         ]
-    results = list(bounded_map(instance, jobs, workers))
+    # a repeated size repeats its jobs: run each distinct job once
+    distinct = list(dict.fromkeys(jobs))
+    done = dict(zip(distinct, list(bounded_map(instance, distinct, workers))))
+    results = [done[job] for job in jobs]
     totals = [(job.params.n, sum(res.faces_by_dim)) for job, res in zip(jobs, results)]
     return n_list, results, _loglog_slope(totals)
 

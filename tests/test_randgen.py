@@ -21,7 +21,6 @@ from shatterlab._keyed import (
 from shatterlab.complexes import SimplicialComplex, span_count
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 from shatterlab.randgen import (
-    _EDGE_CHUNK,
     REPORT_CSV_HEADER,
     bondy_hajnal_probe,
     growth_experiment,
@@ -123,11 +122,19 @@ def test_fast_sampler_matches_reference():
         assert ref == fast
 
 
-def test_fast_sampler_matches_reference_across_edge_chunks():
-    # two edge chunks, and n % 8 != 0 leaves a padding byte in each packed row
-    sample = sample_levels(123, 2, Fraction(3, 5), 4, collect=True)
-    assert sample.edge_count > _EDGE_CHUNK
-    assert materialize(sample) == sample_complex(123, 2, Fraction(3, 5), 4)
+def test_fast_sampler_matches_reference_across_edge_chunks(monkeypatch):
+    # n % 8 != 0 leaves a padding byte in each packed row.  Chunks of 1 and 3
+    # edges start at nearly every top vertex v, so the column trim starts in
+    # every byte; 40-edge chunks span top vertices in several bytes (a trim
+    # past the first v's byte loses candidates) and split a top vertex's edges
+    p, seed = Fraction(3, 5), 4
+    for n in (37, 41, 123):
+        ref = sample_complex(n, 2, p, seed)
+        ev = sample_levels(n, 1, p, seed).edges_v
+        assert any(ev[at - 1] == ev[at] for at in range(40, len(ev), 40))
+        for edges in (1, 3, 40):
+            monkeypatch.setattr(randgen, "_TRIANGLE_CHUNK_BYTES", edges * ((n + 7) // 8))
+            assert materialize(sample_levels(n, 2, p, seed, collect=True)) == ref, (n, edges)
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -193,14 +200,59 @@ def test_pair_decode_is_the_colex_order():
         assert 0 <= a < b < n and a + math.comb(b, 2) == r
 
 
-def test_triangle_candidates_match_trace_of_cube():
+def test_triangle_candidates_match_trace_of_cube(monkeypatch):
     # threshold 2^53 accepts every candidate, so the pass counts the graph's
-    # triangles: trace(A^3)/6, exact in float64 at this size
+    # triangles: trace(A^3)/6, exact in float64 at this size; with the
+    # default budget and with chunks of 7 edges (1000 // 126-byte rows)
     sample = sample_levels(1001, 1, Fraction(1, 5), 6)
-    count, tris = _triangle_pass(sample, 1 << 53, collect=False)
     adj = sample.adjacency().astype(np.float64)
-    assert tris is None
-    assert count == int(np.trace(adj @ adj @ adj)) // 6 > 0
+    cube = int(np.trace(adj @ adj @ adj)) // 6
+    assert cube > 0
+    for budget in (randgen._TRIANGLE_CHUNK_BYTES, 1000):
+        monkeypatch.setattr(randgen, "_TRIANGLE_CHUNK_BYTES", budget)
+        count, tris = _triangle_pass(sample, 1 << 53, collect=False)
+        assert tris is None
+        assert count == cube, budget
+
+
+def test_sampled_triangles_are_pinned(monkeypatch):
+    # 92,394 edges make 91 chunks; the digest, the count and the candidates
+    # hashed were recorded with 4096-edge chunks over whole packed rows
+    n = 1024
+    threshold = inverse_power_threshold(n, Fraction(1, 4))
+    sample = sample_levels(n, 1, Fraction(threshold, 1 << 53), 3)
+    hashed = []
+
+    def counted(key, ranks):
+        hashed.append(len(ranks))
+        return rank_u53_np(key, ranks)
+
+    monkeypatch.setattr(randgen, "rank_u53_np", counted)
+    count, tris = _triangle_pass(sample, threshold, collect=True)
+    assert sample.edge_count == 92_394
+    assert sum(hashed) == 980_366
+    assert count == len(tris) == 173_235
+    assert (
+        hashlib.sha256(tris.astype("<i4").tobytes()).hexdigest()
+        == "7998163143f41b35cc49640383f965d84c8da6016af3b2e6293ff1f66c11153a"
+    )
+
+
+def test_triangle_pass_memory_is_bounded():
+    # the packed adjacency and the packed columns-above mask take n^2/8 bytes
+    # each (2 MB here), and each chunk gathers 2^17-byte operands; unpacked
+    # n x n bool temporaries for the mask would peak near 50 MB
+    n = 4096
+    sample = sample_levels(n, 1, Fraction(1, 64), 5)
+    sample.adjacency()
+    tracemalloc.start()
+    try:
+        count, _ = _triangle_pass(sample, 1 << 53, collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 0
+    assert peak < 8 << 20
 
 
 def test_edge_count_mean_within_tolerance():
@@ -331,6 +383,23 @@ def test_growth_pool_is_bounded(recording_pool):
     growth_experiment(Fraction(3), 4, (32, 64), 2, 5, workers=2)
     growth_experiment(Fraction(3), 4, (32,), 1, 5, workers=8)  # one trial: no pool
     assert recording_pool == [3, 2, 2]
+
+
+def test_repeated_sizes_run_once(monkeypatch):
+    # n = 64 twice with 2 trials is 2 distinct (n, trial) points, not 4
+    calls = []
+    trial = randgen._growth_trial
+
+    def counted(job):
+        calls.append(job)
+        return trial(job)
+
+    once = growth_experiment(Fraction(3), 4, (64,), 2, 5).csv_lines()
+    monkeypatch.setattr(randgen, "_growth_trial", counted)
+    twice = growth_experiment(Fraction(3), 4, (64, 64), 2, 5)
+    assert len(calls) == 2
+    assert twice.csv_lines() == once + once[1:]
+    assert math.isnan(twice.slope)
 
 
 def test_growth_rejects_bad_s():
