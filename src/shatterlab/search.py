@@ -3,8 +3,10 @@
 The exact question behind the asymptotic thresholds, scaled down: over all
 downward-closed families on n labelled vertices (empty set included), find
 the largest one with f(m) <= b.  A branch-and-bound over facet additions
-with canonical-form pruning answers it; an exhaustive enumeration of all
-downward-closed families doubles as the oracle for small n.
+with canonical-form pruning answers it: each search node computes the forms of
+all its candidate families in one batch, through shared permutation gathers.
+An exhaustive enumeration of all downward-closed families, built by doubling
+the vertex count, is the oracle for small n.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
-from shatterlab._bits import facets_present, submasks
+from shatterlab._bits import submasks
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 
 # shatter_value stays importable from here: profiling tools wrap it by this name
@@ -27,7 +29,8 @@ BRANCH_MAX_N = 16
 CANONICAL_MAX_N = 8
 # branch-and-bound nodes before extremal_max_sets raises ResourceLimitError
 NODE_LIMIT = 2_000_000
-# uint64 entries per canonical-form gather (8 MB): permutations x members
+# uint64 entries per canonical-form gather (8 MB): permutations x the members
+# of every family in the batch
 CANONICAL_GATHER_CELLS = 1 << 20
 
 
@@ -53,76 +56,90 @@ _WORD_BITS = _word_bits()
 
 @lru_cache(maxsize=None)
 def _perm_tables(n: int) -> np.ndarray:
-    """Read-only uint8 array (n!, 2^n): row p maps each mask to its image under
-    the p-th permutation of {0..n-1}, in itertools order (10 MB at n = 8)."""
+    """Read-only uint8 array (2^n, n!): column p maps each mask to its image
+    under the p-th permutation of {0..n-1}, in itertools order (10 MB at
+    n = 8), so the images of a member are one contiguous row."""
     perms = np.array(list(permutations(range(n))), dtype=np.uint8).reshape(math.factorial(n), n)
-    masks = np.arange(1 << n)
-    table = np.zeros((len(perms), 1 << n), dtype=np.uint8)
+    masks = np.arange(1 << n)[:, None]
+    table = np.zeros((1 << n, len(perms)), dtype=np.uint8)
     for v in range(n):
-        table |= ((masks >> v) & 1).astype(np.uint8) << perms[:, v, None]
+        table |= ((masks >> v) & 1).astype(np.uint8) << perms[:, v]
     table.flags.writeable = False
     return table
 
 
-def canonical_form(n: int, family: frozenset[int]) -> int:
-    """Largest bitset code of the family over all vertex permutations (n <= 8).
+def canonical_form(n: int, families: list[frozenset[int]]) -> list[int]:
+    """Largest bitset code of each family over all vertex permutations (n <= 8),
+    in the order given.
 
     The code of a relabelled family has bit `mask` set for each member, so two
     families on n vertices get the same form exactly when they are isomorphic.
-    The code is compared 64-bit word by word from the top, keeping only the
-    permutations tied so far.  Each word gathers at most
-    CANONICAL_GATHER_CELLS permutation-member images at a time (or one
-    permutation's, if the family is larger).
+    The members of the whole batch go through each block of at most
+    CANONICAL_GATHER_CELLS permutation-member images at once (one permutation,
+    if the batch is larger), and a reduceat ORs them into each family's code
+    words.  Codes are compared word by word from the top, per family, among
+    the permutations still tied and the best code of the earlier blocks.
     """
     if not 0 <= n <= CANONICAL_MAX_N:
         raise InvalidArgumentError(f"canonical form needs n in 0..{CANONICAL_MAX_N}")
+    sizes = np.fromiter(map(len, families), dtype=np.intp, count=len(families))
+    members = np.fromiter(chain.from_iterable(families), dtype=np.intp, count=int(sizes.sum()))
+    forms = [0] * len(families)  # an empty family's code is 0
+    live = sizes.nonzero()[0]  # reduceat cannot give an empty segment
+    if not len(live):
+        return forms
+    starts = (sizes.cumsum() - sizes)[live]
     table = _perm_tables(n)
-    members = np.fromiter(family, dtype=np.intp, count=len(family))
-    block = max(1, CANONICAL_GATHER_CELLS // max(1, len(members)))
-    tied = None  # every permutation, until the top word has been compared
-    form = 0
-    for word in reversed(range(max(1, (1 << n) // 64))):
-        best, keep = -1, []
-        for start in range(0, len(table) if tied is None else len(tied), block):
-            perms = slice(start, start + block) if tied is None else tied[start : start + block]
-            codes = np.bitwise_or.reduce(_WORD_BITS[word][table[perms][:, members]], axis=1)
-            top = int(codes.max())
-            if top > best:
-                best, keep = top, []
-            if top == best and word:
-                at = np.flatnonzero(codes == top)
-                keep.append(at + start if tied is None else perms[at])
-        form = form << 64 | best
-        if word:
-            tied = np.concatenate(keep)
-    return form
+    words = _WORD_BITS[: max(1, (1 << n) // 64)][::-1]
+    best = np.zeros((len(words), len(live)), dtype=np.uint64)  # top word first
+    block = max(1, CANONICAL_GATHER_CELLS // len(members))
+    for start in range(0, table.shape[1], block):
+        images = table[members, start : start + block]
+        # column 0 carries the best code of the earlier blocks into the comparison
+        codes = np.empty((len(live), images.shape[1] + 1), dtype=np.uint64)
+        tied = None
+        for word, word_bits in enumerate(words):
+            codes[:, 0] = best[word]
+            np.bitwise_or.reduceat(word_bits.take(images), starts, out=codes[:, 1:])
+            if tied is not None:
+                codes[~tied] = 0
+            codes.max(axis=1, out=best[word])
+            if word + 1 < len(words):
+                same = codes == best[word][:, None]
+                tied = same if tied is None else tied & same
+    values = best[0].tolist()
+    for row in best[1:]:
+        values = [value << 64 | low for value, low in zip(values, row.tolist())]
+    for i, value in zip(live.tolist(), values):
+        forms[i] = value
+    return forms
+
+
+def _doubled(level: list[frozenset[int]], v: int):
+    """Every downward-closed family on {0..v} from those on {0..v-1}: a family
+    A with {S + v : S in B} added, for B = {} or a family of the level inside A."""
+    bit = 1 << v
+    lifted = [(family, frozenset(member | bit for member in family)) for family in level]
+    for below in level:
+        yield below
+        for family, above in lifted:
+            if family <= below:
+                yield below | above
 
 
 def enumerate_downward_closed(n: int):
     """Every downward-closed family on {0..n-1} containing the empty set.
 
-    Masks are considered in (popcount, value) order; a mask may join only
-    when all its one-smaller subsets already did, which enumerates each
-    family exactly once.
+    A family is its members without vertex n-1, itself closed, plus a closed
+    family inside those lifted by n-1, so each family comes once.  Only the
+    n-1 vertex level is held; the last level is yielded as it is built.
     """
     if n > ORACLE_MAX_N:
         raise ResourceLimitError(f"exhaustive family enumeration capped at n = {ORACLE_MAX_N}")
-    order = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
-    family = {0}
-
-    def rec(i: int):
-        if i == len(order):
-            yield frozenset(family)
-            return
-        mask = order[i]
-        yield from rec(i + 1)
-        if not facets_present(family, mask):
-            return
-        family.add(mask)
-        yield from rec(i + 1)
-        family.discard(mask)
-
-    yield from rec(0)
+    families = iter([frozenset({0})])
+    for v in range(n):
+        families = _doubled(list(families), v)
+    yield from families
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +206,16 @@ def extremal_max_sets(n: int, m: int, b: int) -> ExtremalResult:
             best_key, best_family = key, family
         if len(family) + len(addable) <= best_key[0]:
             return  # even absorbing every addable candidate cannot improve
-        for cand in addable:
-            sig = canonical_form(n, grown[cand]) if use_canonical else tuple(sorted(grown[cand]))
+        children = [grown[cand] for cand in addable]
+        if use_canonical:
+            sigs = canonical_form(n, children)
+        else:
+            sigs = [tuple(sorted(child)) for child in children]
+        for child, sig in zip(children, sigs):
             if sig in visited:
                 continue
             visited.add(sig)
-            rec(grown[cand], addable)
+            rec(child, addable)
 
     rec(frozenset({0}), all_masks)
     return ExtremalResult(best_key[0], SetSystem.from_masks(n, best_family), nodes, "branch")

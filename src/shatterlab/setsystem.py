@@ -3,9 +3,10 @@
 A system lives on a labelled ground set {0..n-1} with n <= 64 and stores its
 members as machine-word bitmasks, so traces and intersections are single-word
 operations.  All operations here are pure and exhaustive: shatter values are
-exact maxima over all candidate vertex subsets (with an early exit once the
-theoretical ceiling min(2^m, |S|) is reached), and a scan that would pass a
-subset limit raises instead of running on.  The profile of a downward-closed
+exact maxima over all candidate vertex subsets, scanned as uint64 arrays a
+block of subsets at a time (with an early exit, at the end of a block, once
+the theoretical ceiling min(2^m, |S|) is reached), and a scan that would pass
+a subset limit raises instead of running on.  The profile of a downward-closed
 family on a small ground set comes from one subset-sum transform instead,
 since there the trace on Y is exactly the set of members inside Y.
 """
@@ -16,7 +17,7 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +40,8 @@ from shatterlab.errors import (
 MAX_GROUND = 64
 # int32 entries per subset-sum chunk (256 KB): rows of 2^n, at least one row
 ZETA_CHUNK_CELLS = 1 << 16
+# uint64 traces per shatter-scan block (512 KB): rows of |S|, at least one row
+TRACE_BLOCK_CELLS = 1 << 16
 
 
 def _as_vertex_mask(n: int, subset) -> int:
@@ -93,28 +96,32 @@ class SetSystem:
 def shatter_value(system: SetSystem, m: int, *, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     """max |trace(S,Y)| over all Y of size m, exhaustively.
 
-    Subsets are visited in colexicographic order; the scan stops early once
-    the running maximum reaches min(2^m, |S|).  If the first `limit` subsets
-    do not reach it and more remain, ResourceLimitError is raised, so every
-    value returned is exact.
+    Subsets are visited in colexicographic order, in blocks of at most
+    TRACE_BLOCK_CELLS traces: each block ANDs its Y masks with the members,
+    sorts each row and counts its distinct values.  The scan stops at the end
+    of the first block whose maximum reaches min(2^m, |S|).  If the first
+    `limit` subsets do not reach it and more remain, ResourceLimitError is
+    raised, so every value returned is exact.
     """
     if not 0 <= m <= system.n:
         raise InvalidArgumentError(f"m must be in 0..{system.n}, got {m}")
-    members = system.members
-    if not members:
+    members = np.array(system.members, dtype=np.uint64)
+    if not len(members):
         return 0
     ceiling = min(1 << m, len(members))
     total = math.comb(system.n, m)
+    todo = min(total, max(limit, 0))
     subsets = iter_size_subsets(system.n, m)
-    if total > limit:
-        subsets = islice(subsets, max(limit, 0))
+    step = max(1, TRACE_BLOCK_CELLS // len(members))
     best = 0
-    for ymask in subsets:
-        count = len({e & ymask for e in members})
-        if count > best:
-            best = count
-            if best >= ceiling:
-                return best
+    for start in range(0, todo, step):
+        rows = min(step, todo - start)
+        traces = np.fromiter(subsets, dtype=np.uint64, count=rows)[:, None] & members
+        traces.sort(axis=1)
+        changes = (traces[:, 1:] != traces[:, :-1]).sum(axis=1)
+        best = max(best, 1 + int(changes.max()))
+        if best >= ceiling:
+            return best
     if total > limit:
         raise ResourceLimitError(
             f"shatter scan of {total} {m}-subsets exceeds the limit {limit}; "

@@ -1,14 +1,14 @@
 import hashlib
 import json
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from math import comb
 
 import numpy as np
 import pytest
 
-from shatterlab._bits import bits, mask_of
+from shatterlab._bits import bits, facets_present, mask_of
 from shatterlab.compression import is_downward_closed
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 import shatterlab.search as search_module
@@ -45,10 +45,49 @@ def test_enumerated_families_are_closed_and_distinct():
         seen.add(fam)
 
 
+def mask_order_closed_families(n: int):
+    """The recursion the doubling enumeration replaced: masks in (popcount,
+    value) order, each joining only when all its one-smaller subsets did."""
+    order = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    family = {0}
+
+    def rec(i: int):
+        if i == len(order):
+            yield frozenset(family)
+            return
+        mask = order[i]
+        yield from rec(i + 1)
+        if not facets_present(family, mask):
+            return
+        family.add(mask)
+        yield from rec(i + 1)
+        family.discard(mask)
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_doubling_enumeration_matches_mask_order_recursion(n):
+    got = list(enumerate_downward_closed(n))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(mask_order_closed_families(n))
+
+
+def test_enumeration_refuses_n6_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(search_module, "_doubled", no_work)
+    with pytest.raises(ResourceLimitError, match="capped at n = 5"):
+        next(enumerate_downward_closed(6))
+    with pytest.raises(AssertionError, match="a level was built"):
+        next(enumerate_downward_closed(1))  # n <= 5 does reach the patched function
+
+
 def test_canonical_form_invariant_under_relabeling():
     fam = frozenset({0, 1, 2, 3})  # {}, {0}, {1}, {0,1}
     relabeled = frozenset({0, 2, 4, 6})  # {}, {1}, {2}, {1,2}
-    assert canonical_form(3, fam) == canonical_form(3, relabeled)
+    assert canonical_form(3, [fam, relabeled]) == canonical_form(3, [relabeled]) * 2
 
 
 # -- reference: the sorted-tuple canonical form, one Python loop per permutation
@@ -74,10 +113,10 @@ def test_canonical_form_classes_match_reference():
     # downward-closed families up to isomorphism, empty set included
     classes = {1: 2, 2: 4, 3: 9, 4: 29, 5: 209}
     for n, want in classes.items():
-        pairs = {
-            (canonical_form(n, fam), reference_canonical_form(n, fam))
-            for fam in enumerate_downward_closed(n)
-        }
+        families = list(enumerate_downward_closed(n))
+        pairs = set(
+            zip(canonical_form(n, families), map(partial(reference_canonical_form, n), families))
+        )
         # a bijection between the two forms' classes: the same partition
         assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs) == want
 
@@ -99,24 +138,25 @@ def test_canonical_form_across_words(n):
     rng = random.Random(n)
     for _ in range(3):
         fam = frozenset(rng.sample(range(1 << n), rng.randrange(10, 60)))
-        form = canonical_form(n, fam)
+        [form] = canonical_form(n, [fam])
         assert form >= sum(1 << m for m in fam)  # the largest code
         # the form is itself the code of a relabelling of the family
         best = frozenset(i for i in range(1 << n) if form >> i & 1)
-        assert len(best) == len(fam) and canonical_form(n, best) == form
+        assert len(best) == len(fam) and canonical_form(n, [best]) == [form]
         for _ in range(2):
             perm = rng.sample(range(n), n)
-            assert canonical_form(n, frozenset(relabel(perm, m) for m in fam)) == form
+            assert canonical_form(n, [frozenset(relabel(perm, m) for m in fam)]) == [form]
     # 2-regular graphs with the same face counts, not isomorphic
     one_cycle = cycles_closure(n, [n])
     two_cycles = cycles_closure(n, [3, n - 3])
     assert len(one_cycle) == len(two_cycles)
-    assert canonical_form(n, one_cycle) != canonical_form(n, two_cycles)
+    one, two = canonical_form(n, [one_cycle, two_cycles])
+    assert one != two
 
 
 def unchunked_canonical_form(n: int, family) -> int:
     """The form with every permutation's images gathered at once."""
-    images = _perm_tables(n)[:, sorted(family)]
+    images = _perm_tables(n)[sorted(family)].T
     form = 0
     for word in reversed(range(max(1, (1 << n) // 64))):
         codes = np.bitwise_or.reduce(_WORD_BITS[word][images], axis=1)
@@ -140,7 +180,34 @@ def test_canonical_form_chunked_matches_unchunked(monkeypatch, cells):
     families += [frozenset(rng.sample(range(1 << 7), 40)) for _ in range(2)]
     for family in families:
         n = 8 if max(family) >= 1 << 7 else 7
-        assert canonical_form(n, family) == unchunked_canonical_form(n, family)
+        assert canonical_form(n, [family]) == [unchunked_canonical_form(n, family)]
+
+
+@pytest.mark.parametrize("cells", [None, 700])
+def test_batched_canonical_forms_match_unchunked(monkeypatch, cells):
+    # mixed-size batches; 700 cells make the permutation blocks split inside a
+    # batch: a block at n >= 4 holds a few permutations of all its families
+    if cells is not None:
+        monkeypatch.setattr(search_module, "CANONICAL_GATHER_CELLS", cells)
+    rng = random.Random(15)
+    batches = []
+    for n in range(1, 9):
+        for _ in range(3 if n < 7 else 1):
+            sizes = [rng.randrange(1, min(1 << n, 90) + 1) for _ in range(rng.randrange(1, 7))]
+            batches.append((n, [frozenset(rng.sample(range(1 << n), size)) for size in sizes]))
+    # over 700 members: one permutation per block
+    batches.append((6, [frozenset(rng.sample(range(64), rng.randrange(45, 65))) for _ in range(16)]))
+    for n, batch in batches:
+        batch.append(batch[0])  # a repeat in the same batch
+        assert canonical_form(n, batch) == [unchunked_canonical_form(n, f) for f in batch]
+    # every closed family on 4 vertices in one batch, and an empty family
+    closed = list(enumerate_downward_closed(4))
+    assert canonical_form(4, closed) == [unchunked_canonical_form(4, f) for f in closed]
+    assert canonical_form(3, [frozenset({0, 1}), frozenset()]) == [
+        unchunked_canonical_form(3, {0, 1}),
+        0,
+    ]
+    assert canonical_form(5, []) == []
 
 
 def test_max_members_inside_over_many_chunks(monkeypatch):

@@ -1,12 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shatterlab.errors import EmptyDomainError, InvalidArgumentError, ResourceLimitError
+import shatterlab.setsystem as setsystem_module
+from shatterlab._bits import iter_size_subsets
+from shatterlab.errors import (
+    DEFAULT_SUBSET_LIMIT,
+    EmptyDomainError,
+    InvalidArgumentError,
+    ResourceLimitError,
+)
 from shatterlab.setsystem import (
     SetSystem,
     format_json,
@@ -32,6 +39,32 @@ def oracle_shatter(sets, n, m):
     best = 0
     for ys in combinations(range(n), m):
         best = max(best, len(oracle_trace(sets, frozenset(ys))))
+    return best
+
+
+def loop_shatter_value(system, m, limit=DEFAULT_SUBSET_LIMIT):
+    """shatter_value as it was before the block scan: one Python set of traces
+    per colex Y, an early exit at the first Y that reaches the ceiling."""
+    members = system.members
+    if not members:
+        return 0
+    ceiling = min(1 << m, len(members))
+    total = comb(system.n, m)
+    subsets = iter_size_subsets(system.n, m)
+    if total > limit:
+        subsets = islice(subsets, max(limit, 0))
+    best = 0
+    for ymask in subsets:
+        count = len({e & ymask for e in members})
+        if count > best:
+            best = count
+            if best >= ceiling:
+                return best
+    if total > limit:
+        raise ResourceLimitError(
+            f"shatter scan of {total} {m}-subsets exceeds the limit {limit}; "
+            "raise --limit-subsets to force it"
+        )
     return best
 
 
@@ -89,6 +122,59 @@ def test_shatter_subset_limit():
         shatter_value(chain, 2, limit=2)
     with pytest.raises(ResourceLimitError):
         shatter_profile(far, limit=100)
+
+
+def block_rows(monkeypatch, system, rows):
+    """Patch the scan's blocks to `rows` Y masks for this system (None: default)."""
+    if rows is not None:
+        monkeypatch.setattr(setsystem_module, "TRACE_BLOCK_CELLS", rows * max(1, len(system)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_block_scan_matches_the_loop(monkeypatch, rows):
+    rng = random.Random(12)
+    systems = [SetSystem(5, ())]
+    for n in range(1, 13):
+        for count in (1, 2, 5, 3 * n, 1 << min(n - 1, 7)):
+            systems.append(SetSystem.from_masks(n, {rng.randrange(1 << n) for _ in range(count)}))
+    # members with bit 63 set, on the full 64-bit ground set
+    top = 1 << 63
+    wide = [
+        SetSystem.from_masks(64, [0, top, top | 1, top | 6, (1 << 64) - 1, 1 << 62]),
+        SetSystem.from_masks(64, [0, top, top | 1 << 62]),  # traces apart only above bit 61
+    ]
+    for system in systems + wide:
+        block_rows(monkeypatch, system, rows)
+        for m in range(3 if system.n == 64 else system.n + 1):
+            assert shatter_value(system, m) == loop_shatter_value(system, m), (system, m)
+    for system, want in zip(wide, ([1, 2, 4], [1, 2, 3])):
+        assert [oracle_shatter(to_frozensets(system), 64, m) for m in range(3)] == want
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_block_scan_limit_matches_the_loop(monkeypatch, rows):
+    # the ceiling min(2^3, 2) is first reached at colex rank C(59, 3)
+    far = SetSystem.from_sets(60, [[], [59]])
+    block_rows(monkeypatch, far, rows)
+    assert shatter_value(far, 3, limit=comb(59, 3) + 1) == 2
+    with pytest.raises(ResourceLimitError) as got:
+        shatter_value(far, 3, limit=comb(59, 3))
+    with pytest.raises(ResourceLimitError) as want:
+        loop_shatter_value(far, 3, limit=comb(59, 3))
+    assert str(got.value) == str(want.value)
+    rng = random.Random(5)
+    for _ in range(40):
+        system = random_system(rng, n_max=9, count_max=30)
+        block_rows(monkeypatch, system, rows)
+        m = rng.randint(0, system.n)
+        limit = rng.randint(-1, comb(system.n, m) + 1)
+        try:
+            want = loop_shatter_value(system, m, limit)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                shatter_value(system, m, limit=limit)
+        else:
+            assert shatter_value(system, m, limit=limit) == want
 
 
 def test_profile_examples():
@@ -206,8 +292,6 @@ def profile_by_scan(system):
 
 def count_scans(monkeypatch):
     """Count the shatter_value calls that shatter_profile makes."""
-    import shatterlab.setsystem as setsystem_module
-
     calls = []
 
     def counted(system, m, **kwargs):
