@@ -116,12 +116,24 @@ class SimplicialComplex:
         return SetSystem.from_masks(self.n, (0, *self._faces))
 
     def facets(self) -> list[int]:
-        """Inclusion-maximal faces, ascending."""
+        """Inclusion-maximal faces, ascending.
+
+        In a downward-closed complex a face is a facet when no face one
+        larger covers it, so each level, from the top down, marks the
+        one-smaller subfaces of its faces; the cost is the sum of face sizes.
+        """
         out = []
+        covered: set[int] = set()
         for d in sorted(self._by_dim, reverse=True):
-            for f in self._by_dim[d]:
-                if not any(f != g and f & g == f for g in out):
-                    out.append(f)
+            faces = self._by_dim[d]
+            out += [f for f in faces if f not in covered]
+            covered = set()
+            for f in faces:
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    covered.add(f ^ low)
+                    rest ^= low
         return sorted(out)
 
 

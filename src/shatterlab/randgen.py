@@ -11,10 +11,11 @@ faces of dimension >= 1, after which no surviving m-set can.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +48,7 @@ TRACE_BLOCK_CELLS = 1 << 16
 # uniform random m-subsets whose traces the Bondy-Hajnal probe counts per instance
 PROBE_SUBSET_SAMPLES = 600
 # largest n the vectorized sampler takes: it hashes all C(n, 2) pairs, and
-# t = 2 and probe samples hold an n x n adjacency
+# t = 2 and probe samples hold n^2/8 bytes of packed adjacency
 MAX_SAMPLE_VERTICES = 1 << 14
 
 
@@ -87,20 +88,19 @@ class LevelSample:
 
     Holds what the experiments need (edge endpoints, triangle count, keys to
     re-derive any face decision) without materializing bitmask faces;
-    trace_count answers batches of m-set queries from the adjacency and the
-    keys, and after remove_vertices it answers as the pruned complex.
+    trace_count answers batches of m-set queries from the upper rows and the
+    keys, and so does the pruned sample that remove_vertices returns.
     """
 
     n: int
     t: int
     seed: int
     threshold: int  # the keyed-hash threshold of every level 2..t+1
-    edges_u: np.ndarray
+    edges_u: np.ndarray  # edges_u < edges_v, in colex order
     edges_v: np.ndarray
     tri_count: int = 0
     triangles: np.ndarray | None = None  # (k, 3) when collected
     present: np.ndarray | None = None  # surviving vertices after pruning; None = all
-    _adj: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -116,54 +116,62 @@ class LevelSample:
             out.append(self.tri_count)
         return tuple(out)
 
-    def adjacency(self) -> np.ndarray:
-        if self._adj is None:
-            adj = np.zeros((self.n, self.n), dtype=bool)
-            adj[self.edges_u, self.edges_v] = True
-            adj[self.edges_v, self.edges_u] = True
-            self._adj = adj
-        return self._adj
+    @functools.cached_property
+    def upper(self) -> np.ndarray:
+        """The adjacency above the diagonal, packed: row u of ceil(n/8) bytes
+        holds each neighbour w > u as bit w & 7, from the most significant, of
+        byte w >> 3 (np.packbits order).  Built once, from the edges."""
+        rows = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
+        v = self.edges_v
+        np.bitwise_or.at(rows, (self.edges_u, v >> 3), (0x80 >> (v & 7)).astype(np.uint8))
+        return rows
 
-    def remove_vertices(self, removed) -> None:
-        """Drop the given vertices and every edge and triangle that touches them."""
+    def remove_vertices(self, removed) -> LevelSample:
+        """The sample without the given vertices and every edge and triangle
+        that touches them."""
+        if self.triangles is None and self.tri_count:
+            raise InvalidArgumentError("triangles were not collected for this sample")
         present = np.ones(self.n, dtype=bool)
         present[list(removed)] = False
         keep = present[self.edges_u] & present[self.edges_v]
-        self.edges_u, self.edges_v = self.edges_u[keep], self.edges_v[keep]
-        if self.triangles is not None:
-            self.triangles = self.triangles[present[self.triangles].all(axis=1)]
-            self.tri_count = len(self.triangles)
-        self.present = present
-        self._adj = None
+        tris = self.triangles
+        if tris is not None:
+            tris = tris[present[tris].all(axis=1)]
+        eu, ev = self.edges_u[keep], self.edges_v[keep]
+        tri_count = 0 if tris is None else len(tris)
+        return dataclasses.replace(
+            self, edges_u=eu, edges_v=ev, tri_count=tri_count, triangles=tris, present=present
+        )
 
     def trace_count(self, rows) -> np.ndarray:
         """Traces on each row of a (B, m) array of distinct vertices: 1 (the
         empty trace) + surviving vertices + faces of dimension >= 1.
 
         Rows go in blocks of at most TRACE_BLOCK_CELLS induced adjacency cells
-        (or one row).  A block's triangle candidates are its edges u < v with
-        each w > v of the row adjacent to both, gated in chunks of at most
-        TRACE_BLOCK_CELLS cells by re-deriving their decisions from the key.
+        (or one row), gathered from the upper rows: sorted rows make each
+        block strictly upper-triangular.  A block's triangle candidates are
+        its edges u < v with each w > v of the row adjacent to both, gated in
+        chunks of at most TRACE_BLOCK_CELLS cells by re-deriving their
+        decisions from the key.
         """
         rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)  # u < v < w by position
         m = rows.shape[1]
-        adj = self.adjacency()
         present = np.ones(self.n, dtype=bool) if self.present is None else self.present
         out = 1 + present[rows].sum(axis=1)
-        above = np.triu(np.ones((m, m), dtype=bool), k=1)  # above[j, k]: k > j
         key = level_key(self.seed, 3)
         step = max(1, TRACE_BLOCK_CELLS // (m * m))
         chunk = max(1, TRACE_BLOCK_CELLS // m)
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            sub = adj[block[:, :, None], block[:, None, :]]
-            r, i, j = np.nonzero(sub & above)
+            col = block[:, None, :]
+            sub = ((self.upper[block[:, :, None], col >> 3] << (col & 7)) & 0x80) != 0
+            r, i, j = np.nonzero(sub)
             out[lo : lo + step] += np.bincount(r, minlength=len(block))
             if self.t < 2:
                 continue
             for at in range(0, len(r), chunk):
                 rc, ic, jc = r[at : at + chunk], i[at : at + chunk], j[at : at + chunk]
-                e, k = np.nonzero(sub[rc, ic] & sub[rc, jc] & above[jc])
+                e, k = np.nonzero(sub[rc, ic] & sub[rc, jc])
                 rc, ic, jc = rc[e], ic[e], jc[e]
                 ranks = _triangle_ranks(block[rc, ic], block[rc, jc], block[rc, k])
                 # _keyed's hash: randgen.rank_u53_np is the sampling passes' own
@@ -217,29 +225,21 @@ def _triangle_pass(
 ) -> tuple[int, np.ndarray | None]:
     """Stream gated triangle candidates (common neighbors above each edge).
 
-    For each edge u < v the candidates are the w > v adjacent to both, read
-    from the AND of the bit-packed adjacency rows of u and v with the packed
-    mask of columns above v.  Edges go in chunks of _TRIANGLE_CHUNK_BYTES //
-    (bytes per packed row), so no gathered operand exceeds that budget.
-    Edges come in colex order, so v ascends within a chunk and no candidate
-    lies below its first v's byte: each chunk gathers only the bytes from
-    there on.  Common neighbors are sparse (density about p^2), so only the
-    non-zero bytes of a chunk's AND are unpacked.  Flat positions ascend row
-    by row and unpackbits lists bits most significant first, which packbits
-    assigns to the lowest column, so candidates come out in edge order and
-    then w ascending, the reference sampler's colex order.  Each rank is the
-    edge's _triangle_ranks(u, v, 0) plus _triangle_ranks(0, 0, w) = C(w, 3).
+    For each edge u < v the candidates are the w > v adjacent to both: the
+    AND of the upper rows of u and v.  Edges go in chunks of
+    _TRIANGLE_CHUNK_BYTES // (bytes per row), so no gathered operand exceeds
+    that budget.  Edges come in colex order, so v ascends within a chunk and
+    no candidate lies below its first v's byte: each chunk gathers only the
+    bytes from there on.  Common neighbors are sparse (density about p^2),
+    so only the non-zero bytes of a chunk's AND are unpacked, most
+    significant bit (lowest column) first: candidates come out in edge order
+    and then w ascending, the reference sampler's colex order.  Each rank is
+    the edge's _triangle_ranks(u, v, 0) plus _triangle_ranks(0, 0, w) = C(w, 3).
     """
-    n = sample.n
     key = level_key(sample.seed, 3)
-    packed = np.packbits(sample.adjacency(), axis=1)
-    nbytes = packed.shape[1]
-    # cut[v]: the columns w > v, packed; built byte by byte, with no n x n bool array
-    v = np.arange(n)
-    cut = (np.arange(nbytes) > (v >> 3)[:, None]).view(np.uint8)
-    cut *= 0xFF
-    cut[v, v >> 3] = 0xFF >> ((v & 7) + 1)
-    ranks_w = _triangle_ranks(0, 0, v)  # C(w, 3)
+    upper = sample.upper
+    nbytes = upper.shape[1]
+    ranks_w = _triangle_ranks(0, 0, np.arange(sample.n))  # C(w, 3)
     step = max(1, _TRIANGLE_CHUNK_BYTES // nbytes)
     count = 0
     kept = []
@@ -248,9 +248,8 @@ def _triangle_pass(
         u_c = eu[lo : lo + step]
         v_c = ev[lo : lo + step]
         first = int(v_c[0]) >> 3
-        common = packed[u_c, first:]
-        common &= packed[v_c, first:]
-        common &= cut[v_c, first:]
+        common = upper[u_c, first:]
+        common &= upper[v_c, first:]
         common = common.ravel()
         at = np.flatnonzero(common != 0)
         if not len(at):
@@ -424,15 +423,14 @@ class _Trial:
 
 def _sample_pruned(job: _Trial, prune: bool) -> tuple[LevelSample, PruneResult | None]:
     """Sample the job's level model; when prune is set, also prune the
-    materialized sample at (m, z) and drop the removed vertices from the
-    sample, which then answers queries as the pruned complex."""
+    materialized sample at (m, z) and return the sample without the removed
+    vertices, which answers queries as the pruned complex."""
     p = job.params
     sample = sample_levels(p.n, p.t, Fraction(job.threshold, 1 << 53), job.seed, collect=prune)
     if not prune:
         return sample, None
     res = prune_bad_msets(materialize(sample), p.m, p.z, limit=job.limit)
-    sample.remove_vertices(res.removed_vertices)
-    return sample, res
+    return sample.remove_vertices(res.removed_vertices), res
 
 
 def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit: int, workers: int):
@@ -602,11 +600,13 @@ class ProbeResult:
 
 def _probe_spot_sets(sample: LevelSample, m: int) -> dict[str, tuple[int, ...]]:
     """Deterministic adversarial-ish subsets for the premise spot checks."""
-    deg = sample.adjacency().sum(axis=1)
+    eu, ev = sample.edges_u, sample.edges_v
+    deg = np.bincount(eu, minlength=sample.n) + np.bincount(ev, minlength=sample.n)
     order = np.argsort(deg, kind="stable")
     top = tuple(int(v) for v in order[-m:])
     hub = int(order[-1])
-    nbrs = np.nonzero(sample.adjacency()[hub])[0]
+    # colex edge order: the hub's neighbours below it, then those above, ascend
+    nbrs = np.concatenate([eu[ev == hub], ev[eu == hub]])
     nbrs = sorted((int(v) for v in nbrs), key=lambda v: int(deg[v]), reverse=True)
     hood = tuple(sorted({hub, *nbrs[: m - 1]}))
     out = {"top_degree": top}

@@ -198,12 +198,15 @@ def extremal_max_sets(n: int, m: int, b: int) -> ExtremalResult:
         nodes += 1
         if nodes > NODE_LIMIT:
             raise ResourceLimitError(f"branch-and-bound exceeded {NODE_LIMIT} nodes")
-        grown = {cand: family.union(submasks(cand)) for cand in candidates if cand not in family}
-        values = f_of_each(list(grown.values()))
-        addable = [cand for cand, value in zip(grown, values) if value <= b]
         key = (len(family), tuple(sorted(family)))
         if key[0] > best_key[0] or (key[0] == best_key[0] and key[1] < best_key[1]):
             best_key, best_family = key, family
+        fresh = [cand for cand in candidates if cand not in family]
+        if len(family) + len(fresh) <= best_key[0]:
+            return  # even absorbing every candidate cannot improve
+        grown = {cand: family.union(submasks(cand)) for cand in fresh}
+        values = f_of_each(list(grown.values()))
+        addable = [cand for cand, value in zip(grown, values) if value <= b]
         if len(family) + len(addable) <= best_key[0]:
             return  # even absorbing every addable candidate cannot improve
         children = [grown[cand] for cand in addable]

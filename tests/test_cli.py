@@ -350,6 +350,26 @@ def test_dtree_honours_limit_subsets(capsys, argv, digest):
     assert code == 0 and _sha256(out) == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("dtree", "build", "--d", "2", "--Q", "300", "--r", "4"),
+            "e0c547dd4799c45cbf865874289995cf6ee234b0251b5d12f2728acd8c3f1fa6",
+        ),
+        (
+            ("sample", "--n", "60", "--t", "2", "--p", "1/4", "--seed", "7"),
+            "412c3e6eb29c2698e19f11125e4f2884042f6d7de8492534ecb3ec6fcb29b40f",
+        ),
+    ],
+    ids=["dtree-build", "sample"],
+)
+def test_facet_lists_are_pinned(capsys, argv, digest):
+    # recorded when facets() compared each face with every facet found so far
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and _sha256(out) == digest
+
+
 def test_bh_probe_large_m_bytes_are_pinned(capsys):
     # m = 60 rows span many trace_count blocks; the digest was recorded with
     # a per-set pair loop that shares no code with the batched counter

@@ -33,6 +33,31 @@ def test_from_facets_closure():
     assert all(facets_present(cx.faces | {0}, f) for f in cx.faces)  # closure holds
 
 
+def _facets_by_pairwise_scan(cx):
+    """Facets found by comparing each face, from the top dimension down, with
+    every facet found so far."""
+    out = []
+    for d in range(cx.dimension, -1, -1):
+        for f in cx.faces_of_dim(d):
+            if not any(f != g and f & g == f for g in out):
+                out.append(f)
+    return sorted(out)
+
+
+def test_facets_match_the_pairwise_scan():
+    rng = random.Random(11)
+    complexes = [SimplicialComplex(3, []), SimplicialComplex.from_facets(1, [[0]])]
+    complexes += [random_complex(rng, 12, 12) for _ in range(300)]
+    for _ in range(20):
+        n = rng.randint(8, 14)
+        tops = [rng.sample(range(n), rng.randint(1, 8)) for _ in range(rng.randint(1, 5))]
+        complexes.append(SimplicialComplex.from_facets(n, tops))
+    for d, q, r in [(1, 3, 2), (2, 5, 3), (3, 4, 0), (2, 40, 7)]:
+        complexes.append(build_Tr(d, q, r).complex)
+    for cx in complexes:
+        assert cx.facets() == _facets_by_pairwise_scan(cx)
+
+
 def test_degree_T0_example():
     t0 = build_Tr(2, 5, 0)
     # edge {0,1} lies in the single triangle {0,1,2}

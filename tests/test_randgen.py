@@ -200,12 +200,61 @@ def test_pair_decode_is_the_colex_order():
         assert 0 <= a < b < n and a + math.comb(b, 2) == r
 
 
+def _dense_adjacency(sample) -> np.ndarray:
+    """The sample's n x n symmetric bool adjacency, set from its edges."""
+    adj = np.zeros((sample.n, sample.n), dtype=bool)
+    adj[sample.edges_u, sample.edges_v] = True
+    adj[sample.edges_v, sample.edges_u] = True
+    return adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 1001])
+def test_upper_rows_are_the_strict_upper_triangle(n):
+    # n = 7 and 9 leave padding bits in each row's last byte; pruning drops
+    # every third vertex, and the unpruned sample keeps its rows
+    p = Fraction(1, 2) if n < 1000 else Fraction(1, 5)
+    sample = sample_levels(n, 2, p, n, collect=True)
+    pruned = sample.remove_vertices(range(0, n, 3))
+    for s in (sample, pruned, sample):
+        rows = s.upper
+        assert rows.shape == (n, (n + 7) // 8) and rows.dtype == np.uint8
+        bits_ = np.unpackbits(rows, axis=1)
+        assert not bits_[:, n:].any()
+        assert np.array_equal(bits_[:, :n], np.triu(_dense_adjacency(s), k=1))
+
+
+def test_sample_with_its_upper_rows_fits_in_4_mb():
+    # the upper rows take n^2/8 = 2 MB and the 131k edges 1 MB; an n x n bool
+    # adjacency would add 16 MB
+    tracemalloc.start()
+    try:
+        sample = sample_levels(4096, 2, Fraction(1, 64), 5)
+        sample.upper
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sample.tri_count > 0
+    assert current <= 4 << 20
+
+
+def test_pruning_uncollected_triangles_is_refused():
+    # without the triangles the pruned sample cannot know its triangle count
+    sample = sample_levels(24, 2, Fraction(1, 3), 0)
+    assert sample.counts_by_dim() == (24, 84, 24)
+    with pytest.raises(InvalidArgumentError):
+        sample.remove_vertices(range(12))
+    collected = sample_levels(24, 2, Fraction(1, 3), 0, collect=True)
+    assert collected.remove_vertices(range(12)).counts_by_dim() == (12, 15, 2)
+    edges_only = sample_levels(24, 1, Fraction(1, 3), 0)
+    assert edges_only.remove_vertices(range(12)).counts_by_dim() == (12, 15)
+
+
 def test_triangle_candidates_match_trace_of_cube(monkeypatch):
     # threshold 2^53 accepts every candidate, so the pass counts the graph's
     # triangles: trace(A^3)/6, exact in float64 at this size; with the
     # default budget and with chunks of 7 edges (1000 // 126-byte rows)
     sample = sample_levels(1001, 1, Fraction(1, 5), 6)
-    adj = sample.adjacency().astype(np.float64)
+    adj = _dense_adjacency(sample).astype(np.float64)
     cube = int(np.trace(adj @ adj @ adj)) // 6
     assert cube > 0
     for budget in (randgen._TRIANGLE_CHUNK_BYTES, 1000):
@@ -239,12 +288,12 @@ def test_sampled_triangles_are_pinned(monkeypatch):
 
 
 def test_triangle_pass_memory_is_bounded():
-    # the packed adjacency and the packed columns-above mask take n^2/8 bytes
-    # each (2 MB here), and each chunk gathers 2^17-byte operands; unpacked
-    # n x n bool temporaries for the mask would peak near 50 MB
+    # the upper rows take n^2/8 bytes (2 MB here), built before tracing, and
+    # each chunk gathers 2^17-byte operands; unpacked n x n bool temporaries
+    # would peak near 50 MB
     n = 4096
     sample = sample_levels(n, 1, Fraction(1, 64), 5)
-    sample.adjacency()
+    sample.upper
     tracemalloc.start()
     try:
         count, _ = _triangle_pass(sample, 1 << 53, collect=False)
@@ -448,14 +497,16 @@ def test_probe_scan_mode_samples_once(monkeypatch):
 
 
 def test_pruned_sample_answers_queries_like_the_pruned_complex():
-    # the probe's scan mode: prune the materialized sample, then drop the
-    # removed vertices from the sample it queries; here the prune removes
-    # 6 of 24 vertices and triangles survive
+    # the probe's scan mode: prune the materialized sample, then query the
+    # sample without the removed vertices; here the prune removes 6 of 24
+    # vertices and triangles survive, and the unpruned sample is unchanged
     n, m, z = 24, 6, 16
     sample = sample_levels(n, 2, Fraction(1, 3), 0, collect=True)
     res = prune_bad_msets(materialize(sample), m, z)
     assert 0 < len(res.removed_vertices) < n
-    sample.remove_vertices(res.removed_vertices)
+    before = sample.counts_by_dim()
+    sample, original = sample.remove_vertices(res.removed_vertices), sample
+    assert original.counts_by_dim() == before and original.present is None
     assert sample.tri_count > 0
     assert sample.counts_by_dim() == tuple(
         len(res.complex.faces_of_dim(d)) for d in range(3)
@@ -489,7 +540,7 @@ def test_trace_count_across_blocks_and_chunks(monkeypatch, t, z):
     if z is not None:
         res = prune_bad_msets(cx, m, z)
         assert 0 < len(res.removed_vertices) < n - m
-        sample.remove_vertices(res.removed_vertices)
+        sample = sample.remove_vertices(res.removed_vertices)
         cx = res.complex
     rng = random.Random(3)
     rows = [rng.sample(range(n), m) for _ in range(41)]
@@ -505,7 +556,7 @@ def test_trace_count_memory_is_bounded():
     sample = sample_levels(256, 2, Fraction(1, 3), 0)
     rng = random.Random(1)
     rows = np.array([rng.sample(range(256), 120) for _ in range(50)])
-    sample.adjacency()
+    sample.upper
     tracemalloc.start()
     try:
         traces = sample.trace_count(rows)

@@ -245,6 +245,22 @@ def test_extremal_nodes_and_witnesses_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_SEARCH_DIGEST
 
 
+def test_size_bound_is_tested_before_candidates_are_scored(monkeypatch):
+    # b = 2^9 admits every family on 9 vertices: the root scores its 511
+    # candidates, its first child is the whole power set, and every other
+    # node is cut by size alone (112,156 families were scored before the cut)
+    scored = []
+
+    def counted(n, families, ms):
+        scored.append(len(families))
+        return max_members_inside(n, families, ms)
+
+    monkeypatch.setattr(search_module, "max_members_inside", counted)
+    res = extremal_max_sets(9, 9, 512)
+    assert res.max_size == 512
+    assert sum(scored) == 511
+
+
 def test_node_limit_is_a_module_constant(monkeypatch, capsys):
     from shatterlab.cli import main
 
