@@ -30,7 +30,7 @@ MAX_FACET_LABELS = 24
 class SimplicialComplex:
     """Non-empty faces of a complex on ambient vertex set {0..n-1}."""
 
-    __slots__ = ("n", "_faces", "_by_dim")
+    __slots__ = ("n", "_faces", "_by_dim", "vertex_mask")
 
     def __init__(self, n: int, faces: Iterable[int]):
         """The complex with the given faces, which must be downward closed;
@@ -41,6 +41,7 @@ class SimplicialComplex:
         for f in self._faces:
             by_dim.setdefault(f.bit_count() - 1, []).append(f)
         self._by_dim = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
+        self.vertex_mask = sum(by_dim.get(0, ()))  # the 0-faces are distinct bits
 
     @classmethod
     def from_facets(cls, n: int, facets: Iterable, *, limit: int | None = None):
@@ -100,13 +101,6 @@ class SimplicialComplex:
 
     def face_counts(self) -> dict[int, int]:
         return {d: len(fs) for d, fs in self._by_dim.items()}
-
-    @property
-    def vertex_mask(self) -> int:
-        m = 0
-        for f in self.faces_of_dim(0):
-            m |= f
-        return m
 
     def vertices(self) -> list[int]:
         return bits(self.vertex_mask)

@@ -158,7 +158,8 @@ def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
     the faces' unrooted parts: int32 arrays of 2^k entries for k unrooted
     vertices, k <= BRUTE_FORCE_VERTEX_CAP.
     """
-    unrooted = bits(tree.unrooted_mask)
+    unrooted_mask = tree.unrooted_mask
+    unrooted = bits(unrooted_mask)
     k = len(unrooted)
     if k == 0:
         raise InvalidArgumentError("tree has no unrooted vertices")
@@ -169,7 +170,7 @@ def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
     position = {v: 1 << i for i, v in enumerate(unrooted)}
     avoid = np.zeros(1 << k, dtype=np.int32)
     for f in tree.complex.faces:
-        avoid[sum(position[v] for v in iter_bits(f & tree.unrooted_mask))] += 1
+        avoid[sum(position[v] for v in iter_bits(f & unrooted_mask))] += 1
     zeta_transform(avoid)
     complement = avoid[::-1]  # entry S is avoid[full - S]
     faces = len(tree.complex.faces)

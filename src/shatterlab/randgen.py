@@ -98,20 +98,16 @@ class LevelSample:
     threshold: int  # the keyed-hash threshold of every level 2..t+1
     edges_u: np.ndarray  # edges_u < edges_v, in colex order
     edges_v: np.ndarray
+    present: np.ndarray  # bool per vertex: False once pruning removed it
     tri_count: int = 0
     triangles: np.ndarray | None = None  # (k, 3) when collected
-    present: np.ndarray | None = None  # surviving vertices after pruning; None = all
 
     @property
     def edge_count(self) -> int:
         return len(self.edges_u)
 
-    @property
-    def vertex_count(self) -> int:
-        return self.n if self.present is None else int(self.present.sum())
-
     def counts_by_dim(self) -> tuple[int, ...]:
-        out = [self.vertex_count, self.edge_count]
+        out = [int(np.count_nonzero(self.present)), self.edge_count]
         if self.t >= 2:
             out.append(self.tri_count)
         return tuple(out)
@@ -126,21 +122,23 @@ class LevelSample:
         np.bitwise_or.at(rows, (self.edges_u, v >> 3), (0x80 >> (v & 7)).astype(np.uint8))
         return rows
 
-    def remove_vertices(self, removed) -> LevelSample:
-        """The sample without the given vertices and every edge and triangle
-        that touches them."""
+    def collected_triangles(self) -> np.ndarray:
+        """The (k, 3) triangles; raises when some were counted but not collected."""
         if self.triangles is None and self.tri_count:
             raise InvalidArgumentError("triangles were not collected for this sample")
-        present = np.ones(self.n, dtype=bool)
+        return np.zeros((0, 3), dtype=np.int32) if self.triangles is None else self.triangles
+
+    def remove_vertices(self, removed) -> LevelSample:
+        """The sample without the given vertices, besides those already
+        removed, and every edge and triangle that touches them."""
+        present = self.present.copy()
         present[list(removed)] = False
         keep = present[self.edges_u] & present[self.edges_v]
-        tris = self.triangles
-        if tris is not None:
-            tris = tris[present[tris].all(axis=1)]
+        tris = self.collected_triangles()
+        tris = tris[present[tris].all(axis=1)]
         eu, ev = self.edges_u[keep], self.edges_v[keep]
-        tri_count = 0 if tris is None else len(tris)
         return dataclasses.replace(
-            self, edges_u=eu, edges_v=ev, tri_count=tri_count, triangles=tris, present=present
+            self, edges_u=eu, edges_v=ev, present=present, tri_count=len(tris), triangles=tris
         )
 
     def trace_count(self, rows) -> np.ndarray:
@@ -156,8 +154,7 @@ class LevelSample:
         """
         rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)  # u < v < w by position
         m = rows.shape[1]
-        present = np.ones(self.n, dtype=bool) if self.present is None else self.present
-        out = 1 + present[rows].sum(axis=1)
+        out = 1 + self.present[rows].sum(axis=1)
         key = level_key(self.seed, 3)
         step = max(1, TRACE_BLOCK_CELLS // (m * m))
         chunk = max(1, TRACE_BLOCK_CELLS // m)
@@ -283,22 +280,19 @@ def sample_levels(
         )
     thr = probability_threshold(p)
     us, vs = _sample_edges_np(n, thr, seed)
-    sample = LevelSample(n, t, seed, thr, us, vs)
+    sample = LevelSample(n, t, seed, thr, us, vs, np.ones(n, dtype=bool))
     if t >= 2 and n >= 3:
         sample.tri_count, sample.triangles = _triangle_pass(sample, thr, collect=collect)
     return sample
 
 
 def materialize(sample: LevelSample) -> SimplicialComplex:
-    faces = {1 << v for v in range(sample.n)}
+    """The sample's complex: its present vertices, edges and triangles."""
+    faces = {1 << v for v in np.flatnonzero(sample.present).tolist()}
     for u, v in zip(sample.edges_u.tolist(), sample.edges_v.tolist()):
-        faces.add((1 << int(u)) | (1 << int(v)))
-    if sample.t >= 2:
-        if sample.triangles is None and sample.tri_count:
-            raise InvalidArgumentError("triangles were not collected for this sample")
-        if sample.triangles is not None:
-            for a, b, c in sample.triangles.tolist():
-                faces.add((1 << int(a)) | (1 << int(b)) | (1 << int(c)))
+        faces.add((1 << u) | (1 << v))
+    for a, b, c in sample.collected_triangles().tolist():
+        faces.add((1 << a) | (1 << b) | (1 << c))
     return SimplicialComplex(sample.n, faces)
 
 
@@ -629,13 +623,14 @@ def _probe_instance(job: _Trial, gk_m: int) -> ProbeInstance:
     rows = [rng.sample(range(n), m) for _ in range(PROBE_SUBSET_SAMPLES)]
     spots = _probe_spot_sets(sample, m)
     traces = sample.trace_count(rows + list(spots.values())).tolist()
-    # any m isolated-ish vertices give m+1 traces
-    max_trace = max(m + 1, *traces)
+    counts = sample.counts_by_dim()
+    # an m-set holding min(m, vertices left) present vertices traces each and the empty set
+    max_trace = max(1 + min(m, counts[0]), *traces)
     spot_traces = dict(zip(spots, traces[PROBE_SUBSET_SAMPLES:]))
     return ProbeInstance(
         job.seed,
         n,
-        sample.counts_by_dim(),
+        counts,
         max_trace,
         max_trace <= gk_m,
         pruning,

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import shlex
 import time
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +20,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The arguments of each shatterlab line of the README's CLI block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("shatterlab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # in order, in one directory, so a file one example writes feeds a later
+    # one: each exits 0, and with --limit-subsets 10 exits 3 or prints the
+    # same bytes; verify-paper is left to the acceptance tests
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.txt").write_text("n=4\n1 2\n2 3\n0\n\n")
+    (tmp_path / "system.json").write_text('{"n": 4, "sets": [[1, 2], [2, 3], [0], []]}\n')
+    lines = [argv for argv in _readme_cli_lines() if argv[0] != "verify-paper"]
+    assert len(lines) == 13
+    limited = []
+    for argv in lines:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        code, small, err = run_cli(capsys, *argv, "--limit-subsets", "10")
+        assert code == 3 and err.startswith("resource limit:") or (code, small) == (0, out), argv
+        if code == 3:
+            limited.append(" ".join(argv[:2]))
+    assert limited == ["dtree build", "dtree verify", "sample --n", "complex stats"]
 
 
 def test_shatter_profile_csv(tmp_path, capsys):
@@ -399,7 +428,7 @@ _SCAN_JSON = "f10b6d2ddf2c6fd7d6244574280f1d62ea42af012db00513034d99af131233be"
         (
             ("bh-probe", "--k", "2", "--m", "13", "--n", "16,256", "--trials", "2",
              "--format", "json"),
-            "e41bcb22255e63fc49983e6d00ee03e28e6c73bebb711c41f7110e6f48548383",
+            "6620b4e0e85de2276551c06e90a965d6dcaadd33ef5fae2f12b96d6a9d32ccbb",
         ),
     ],
     ids=["scan-csv-1", "scan-csv-2", "scan-json-1", "scan-json-2", "shortcut", "probe"],
@@ -408,7 +437,8 @@ def test_sweep_bytes_are_pinned(capsys, argv, digest):
     # growth at s = 5 scans (t = 2), and at s = 3 takes the shortcut (t = 1);
     # the probe scans at n = 16 and skips at n = 256.  --threads 2 runs the
     # real pool of two processes.  The digests were recorded when growth and
-    # the probe still had a sweep loop each.
+    # the probe still had a sweep loop each, apart from the probe's: pruning
+    # empties its n = 16 instances, whose max_trace now reads 1, not m + 1.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and _sha256(out) == digest
 

@@ -1,4 +1,7 @@
+import functools
+import operator
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -15,6 +18,7 @@ from shatterlab.complexes import (
 )
 from shatterlab.dtree import build_Tr, sigma_mask
 from shatterlab.errors import EmptyDomainError, InvalidArgumentError, ResourceLimitError
+from shatterlab.randgen import materialize, prune_bad_msets, sample_levels
 
 
 def random_complex(rng, n_max=9, facet_tries=8):
@@ -56,6 +60,21 @@ def test_facets_match_the_pairwise_scan():
         complexes.append(build_Tr(d, q, r).complex)
     for cx in complexes:
         assert cx.facets() == _facets_by_pairwise_scan(cx)
+
+
+def test_vertex_mask_is_the_union_of_the_vertices():
+    # on random complexes, on sampled ones and on those pruning left, where
+    # the ambient range keeps vertices that are no longer faces
+    rng = random.Random(5)
+    complexes = [SimplicialComplex(3, []), SimplicialComplex(6, [0b100, 0b10000, 0b10100])]
+    complexes += [random_complex(rng, 12, 12) for _ in range(200)]
+    for seed in range(6):
+        cx = materialize(sample_levels(24, 2, Fraction(1, 3), seed, collect=True))
+        complexes += [cx, prune_bad_msets(cx, 6, 16).complex]
+    assert any(cx.vertex_mask != (1 << cx.n) - 1 for cx in complexes[-12:])
+    for cx in complexes:
+        assert cx.vertex_mask == functools.reduce(operator.or_, cx.faces_of_dim(0), 0)
+        assert cx.vertices() == [bits(f)[0] for f in cx.faces_of_dim(0)]
 
 
 def test_degree_T0_example():

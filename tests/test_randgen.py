@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from shatterlab import _keyed, randgen, scan
-from shatterlab._bits import bits, facets_present
+from shatterlab._bits import bits, facets_present, mask_of
 from shatterlab._keyed import (
     inverse_power_threshold,
     level_key,
@@ -35,6 +35,7 @@ from shatterlab.randgen import (
     _triangle_pass,
     _triangle_ranks,
 )
+from shatterlab.verify import DEFAULT_SEED
 
 
 def test_keyed_hash_scalar_vector_agree():
@@ -480,11 +481,12 @@ def test_probe_scan_mode_samples_once(monkeypatch):
     monkeypatch.setattr(randgen, "PROBE_SUBSET_SAMPLES", 50)
     probe = bondy_hajnal_probe(2, 12, (16,), 3, 7, epsilon=Fraction(1, 100))
     assert len(calls) == len(probe.instances) == 3
+    # max_trace counts the vertices pruning left: none, 5 and none
     assert probe.csv_lines() == [
         "seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked",
-        "10376855888541733689,16,0,13,79,1,scan,51",
-        "15656339630444168560,16,5,13,79,1,scan,51",
-        "12886109454472513690,16,0,13,79,1,scan,51",
+        "10376855888541733689,16,0,1,79,1,scan,51",
+        "15656339630444168560,16,5,6,79,1,scan,51",
+        "12886109454472513690,16,0,1,79,1,scan,51",
     ]
     assert [i.spot_traces for i in probe.instances] == [
         {"top_degree": 1}, {"top_degree": 6}, {"top_degree": 1}
@@ -496,6 +498,53 @@ def test_probe_scan_mode_samples_once(monkeypatch):
         assert inst.faces_by_dim == tuple(len(pruned.faces_of_dim(d)) for d in range(3))
 
 
+def test_removals_compose():
+    # removing R1 and then R2 leaves what removing R1 | R2 leaves: the same
+    # counts, traces and complex, that of the full sample without the faces
+    # touching R1 | R2; a second removal once forgot the first, so
+    # R1 = {0}, R2 = {1} counted (29, 195, 235) and traced 3 on {0, 1, 2}
+    n = 30
+    sample = sample_levels(n, 2, Fraction(1, 2), 3, collect=True)
+    full = materialize(sample)
+    rng = random.Random(4)
+    batches = [[[0, 1, 2]], [rng.sample(range(n), 6) for _ in range(100)]]
+    for r1, r2 in [([0], [1]), (range(0, n, 4), [1, 4, 9, 29]), (range(12), range(8, n))]:
+        chained = sample.remove_vertices(r1).remove_vertices(r2)
+        once = sample.remove_vertices({*r1, *r2})
+        gone = mask_of({*r1, *r2})
+        cx = SimplicialComplex(n, [f for f in full.faces if not f & gone])
+        assert materialize(chained) == materialize(once) == cx
+        assert chained.counts_by_dim() == once.counts_by_dim()
+        for rows in batches:
+            traces = chained.trace_count(rows).tolist()
+            assert traces == once.trace_count(rows).tolist()
+            assert traces == [1 + span_count(cx, ys) for ys in rows]
+    assert sample.remove_vertices([0]).remove_vertices([1]).counts_by_dim() == (28, 195, 235)
+    assert cx == SimplicialComplex(n, [])  # the last pair removes every vertex
+
+
+def test_pruned_sample_materializes_to_the_pruned_complex(monkeypatch):
+    # every scan-mode trial of growth --s 5 --m 6 --n 20,24 and of the probe
+    # at n = 16, with the CLI's defaults: growth's scans remove nothing, the
+    # probe's remove every vertex, and an emptied instance reports the one
+    # empty trace
+    sample_pruned = randgen._sample_pruned
+    removed = []
+
+    def checked(job, prune):
+        sample, res = sample_pruned(job, prune)
+        if res is not None:
+            assert materialize(sample) == res.complex
+            removed.append(len(res.removed_vertices))
+        return sample, res
+
+    monkeypatch.setattr(randgen, "_sample_pruned", checked)
+    growth_experiment(5, 6, (20, 24), 5, DEFAULT_SEED)
+    probe = bondy_hajnal_probe(2, 13, (16,), 3, DEFAULT_SEED)
+    assert removed == [0] * 10 + [16] * 3
+    assert [(i.faces_by_dim, i.max_trace_seen) for i in probe.instances] == [((0, 0, 0), 1)] * 3
+
+
 def test_pruned_sample_answers_queries_like_the_pruned_complex():
     # the probe's scan mode: prune the materialized sample, then query the
     # sample without the removed vertices; here the prune removes 6 of 24
@@ -504,9 +553,10 @@ def test_pruned_sample_answers_queries_like_the_pruned_complex():
     sample = sample_levels(n, 2, Fraction(1, 3), 0, collect=True)
     res = prune_bad_msets(materialize(sample), m, z)
     assert 0 < len(res.removed_vertices) < n
-    before = sample.counts_by_dim()
+    before = sample.counts_by_dim(), materialize(sample)
     sample, original = sample.remove_vertices(res.removed_vertices), sample
-    assert original.counts_by_dim() == before and original.present is None
+    assert (original.counts_by_dim(), materialize(original)) == before
+    assert original.present.all()
     assert sample.tri_count > 0
     assert sample.counts_by_dim() == tuple(
         len(res.complex.faces_of_dim(d)) for d in range(3)
