@@ -330,8 +330,10 @@ def _cmd_bounds_eval(args) -> int:
 
 
 def _cmd_search_extremal(args) -> int:
-    query = search.extremal_oracle if args.oracle else search.extremal_max_sets
-    result = query(args.n, args.m, args.b)
+    if args.oracle:
+        result = search.extremal_oracle(args.n, args.m, args.b)
+    else:
+        result = search.extremal_max_sets(args.n, args.m, args.b, limit=args.limit_subsets)
     obj = {
         "max_size": result.max_size,
         "method": result.method,

@@ -2,11 +2,21 @@
 
 The exact question behind the asymptotic thresholds, scaled down: over all
 downward-closed families on n labelled vertices (empty set included), find
-the largest one with f(m) <= b.  A branch-and-bound over facet additions
-with canonical-form pruning answers it: each search node computes the forms of
-all its candidate families in one batch, through shared permutation gathers.
-An exhaustive enumeration of all downward-closed families, built by doubling
-the vertex count, is the oracle for small n.
+the largest one with f(m) <= b.
+
+A search node holds its family as one int32 row over the 2^n masks: entry X
+counts the subsets of X that are not members.  A closed family's members are
+the zeros of its row, and 2^|X| minus entry X is the number of members inside
+X, the subset sum (zeta transform) of the member indicator.  Adding the
+down-set of a candidate c fills exactly the missing subsets of X & c, so the
+child's row is row[X] - row[X & c] for every X at once, and the child's f(m)
+is 2^m minus the least entry of that row over the m-sets X.  So a node
+scores all its candidates with one gather and builds its children with
+another, both in blocks of at most ZETA_CHUNK_CELLS entries.  Isomorphic
+children are pruned by canonical form, computed for all of a node's children
+in one call from their member indicators.  An exhaustive enumeration of all
+downward-closed families, built by doubling the vertex count, is the oracle
+for small n.
 """
 
 from __future__ import annotations
@@ -14,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
-from shatterlab._bits import submasks
-from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+from shatterlab import setsystem
+from shatterlab._bits import popcount_groups
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 # shatter_value stays importable from here: profiling tools wrap it by this name
 from shatterlab.setsystem import SetSystem, max_members_inside, shatter_value  # noqa: F401
@@ -56,47 +67,70 @@ _WORD_BITS = _word_bits()
 
 @lru_cache(maxsize=None)
 def _perm_tables(n: int) -> np.ndarray:
-    """Read-only uint8 array (2^n, n!): column p maps each mask to its image
-    under the p-th permutation of {0..n-1}, in itertools order (10 MB at
-    n = 8), so the images of a member are one contiguous row."""
+    """Read-only array (2^n, n!): column p maps each mask to its image under
+    the p-th permutation of {0..n-1}, in itertools order, so the images of a
+    member are one contiguous row.  For 2^n > 64 the images are uint8 (10 MB
+    at n = 8); otherwise a code is one word, and the entry is the image's bit
+    in it, 1 << image, as uint64."""
     perms = np.array(list(permutations(range(n))), dtype=np.uint8).reshape(math.factorial(n), n)
     masks = np.arange(1 << n)[:, None]
     table = np.zeros((1 << n, len(perms)), dtype=np.uint8)
     for v in range(n):
         table |= ((masks >> v) & 1).astype(np.uint8) << perms[:, v]
+    if 1 << n <= 64:
+        table = _WORD_BITS[0].take(table)
     table.flags.writeable = False
     return table
 
 
-def canonical_form(n: int, families: list[frozenset[int]]) -> list[int]:
+def canonical_form(n: int, rows: np.ndarray) -> list[int]:
     """Largest bitset code of each family over all vertex permutations (n <= 8),
     in the order given.
 
-    The code of a relabelled family has bit `mask` set for each member, so two
-    families on n vertices get the same form exactly when they are isomorphic.
-    The members of the whole batch go through each block of at most
+    rows is a (families, 2^n) bool array of member indicators.  The code of a
+    relabelled family has bit `mask` set for each member, so two families on
+    n vertices get the same form exactly when they are isomorphic.  The
+    members of the whole batch go through each block of at most
     CANONICAL_GATHER_CELLS permutation-member images at once (one permutation,
     if the batch is larger), and a reduceat ORs them into each family's code
-    words.  Codes are compared word by word from the top, per family, among
-    the permutations still tied and the best code of the earlier blocks.
+    words.  Past one word, codes are compared word by word from the top, per
+    family, among the permutations still tied and the best code of the
+    earlier blocks.
     """
     if not 0 <= n <= CANONICAL_MAX_N:
         raise InvalidArgumentError(f"canonical form needs n in 0..{CANONICAL_MAX_N}")
-    sizes = np.fromiter(map(len, families), dtype=np.intp, count=len(families))
-    members = np.fromiter(chain.from_iterable(families), dtype=np.intp, count=int(sizes.sum()))
-    forms = [0] * len(families)  # an empty family's code is 0
-    live = sizes.nonzero()[0]  # reduceat cannot give an empty segment
-    if not len(live):
+    family, members = np.nonzero(rows)
+    if not len(members):
+        return [0] * len(rows)  # an empty family's code is 0
+    sizes = np.bincount(family, minlength=len(rows))
+    if not sizes.all():  # reduceat cannot give an empty segment
+        live = sizes.nonzero()[0]
+        forms = [0] * len(rows)
+        for i, form in zip(live.tolist(), canonical_form(n, rows[live])):
+            forms[i] = form
         return forms
-    starts = (sizes.cumsum() - sizes)[live]
+    starts = sizes.cumsum() - sizes
     table = _perm_tables(n)
-    words = _WORD_BITS[: max(1, (1 << n) // 64)][::-1]
-    best = np.zeros((len(words), len(live)), dtype=np.uint64)  # top word first
     block = max(1, CANONICAL_GATHER_CELLS // len(members))
+    if table.dtype != np.uint64:
+        return _multiword_forms(table, members, starts, block)
+    # one word: the table holds each image's bit
+    for start in range(0, table.shape[1], block):
+        codes = np.bitwise_or.reduceat(table[members, start : start + block], starts).max(axis=1)
+        best = codes if start == 0 else np.maximum(best, codes)
+    return best.tolist()
+
+
+def _multiword_forms(table: np.ndarray, members: np.ndarray, starts: np.ndarray, block: int):
+    """canonical_form for codes of several words, with the images in table and
+    each family's members starting at starts: top word first, among the
+    permutations still tied."""
+    words = _WORD_BITS[: len(table) // 64][::-1]
+    best = np.zeros((len(words), len(starts)), dtype=np.uint64)  # top word first
     for start in range(0, table.shape[1], block):
         images = table[members, start : start + block]
         # column 0 carries the best code of the earlier blocks into the comparison
-        codes = np.empty((len(live), images.shape[1] + 1), dtype=np.uint64)
+        codes = np.empty((len(starts), images.shape[1] + 1), dtype=np.uint64)
         tied = None
         for word, word_bits in enumerate(words):
             codes[:, 0] = best[word]
@@ -110,25 +144,24 @@ def canonical_form(n: int, families: list[frozenset[int]]) -> list[int]:
     values = best[0].tolist()
     for row in best[1:]:
         values = [value << 64 | low for value, low in zip(values, row.tolist())]
-    for i, value in zip(live.tolist(), values):
-        forms[i] = value
-    return forms
+    return values
 
 
-def _doubled(level: list[frozenset[int]], v: int):
-    """Every downward-closed family on {0..v} from those on {0..v-1}: a family
-    A with {S + v : S in B} added, for B = {} or a family of the level inside A."""
-    bit = 1 << v
-    lifted = [(family, frozenset(member | bit for member in family)) for family in level]
+def _doubled(level: list[int], v: int):
+    """Every downward-closed family on {0..v} from those on {0..v-1}, as codes
+    with bit `mask` set for each member: a family A with B << 2^v added (its
+    members lifted by v), for B = 0 or a family of the level inside A."""
+    lift = 1 << v
     for below in level:
         yield below
-        for family, above in lifted:
-            if family <= below:
-                yield below | above
+        for family in level:
+            if family & ~below == 0:
+                yield below | family << lift
 
 
 def enumerate_downward_closed(n: int):
-    """Every downward-closed family on {0..n-1} containing the empty set.
+    """The code of every downward-closed family on {0..n-1} containing the
+    empty set: bit `mask` is set for each member (n <= ORACLE_MAX_N).
 
     A family is its members without vertex n-1, itself closed, plus a closed
     family inside those lifted by n-1, so each family comes once.  Only the
@@ -136,24 +169,25 @@ def enumerate_downward_closed(n: int):
     """
     if n > ORACLE_MAX_N:
         raise ResourceLimitError(f"exhaustive family enumeration capped at n = {ORACLE_MAX_N}")
-    families = iter([frozenset({0})])
+    codes = iter([1])  # {empty set}
     for v in range(n):
-        families = _doubled(list(families), v)
-    yield from families
+        codes = _doubled(list(codes), v)
+    yield from codes
 
 
 @lru_cache(maxsize=None)
-def _oracle_table(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Members of every downward-closed family on n vertices, largest first and
-    then ascending, with the read-only (families, n + 1) array of their shatter
-    profiles."""
-    members = sorted(
-        (tuple(sorted(family)) for family in enumerate_downward_closed(n)),
-        key=lambda fam: (-len(fam), fam),
-    )
-    profiles = max_members_inside(n, members, range(n + 1))
-    profiles.flags.writeable = False
-    return tuple(members), profiles
+def _oracle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member indicators (families, 2^n) of every downward-closed family on n
+    vertices, largest first and then ascending by sorted members (the lowest
+    differing mask held first), with the (families, n + 1) array of their
+    shatter profiles; both read-only."""
+    codes = np.fromiter(enumerate_downward_closed(n), dtype=np.uint64)
+    rows = (codes[:, None] >> np.arange(1 << n, dtype=np.uint64) & np.uint64(1)).astype(bool)
+    # lexsort's last key is the primary one
+    rows = rows[np.lexsort([*~rows.T[::-1], -rows.sum(axis=1)])]
+    profiles = max_members_inside(rows, range(n + 1))
+    rows.flags.writeable = profiles.flags.writeable = False
+    return rows, profiles
 
 
 def _check_query(n: int, m: int, b: int) -> None:
@@ -168,60 +202,93 @@ def _check_query(n: int, m: int, b: int) -> None:
 def extremal_oracle(n: int, m: int, b: int) -> ExtremalResult:
     """The same query as extremal_max_sets, by exhaustive enumeration (n <= 5)."""
     _check_query(n, m, b)
-    members, profiles = _oracle_table(n)
+    rows, profiles = _oracle_table(n)
     # the table runs largest first, so the first family under the cap is the
     # answer; {empty set} always qualifies for b >= 1
-    best = members[int(np.argmax(profiles[:, m] <= b))]
-    return ExtremalResult(len(best), SetSystem(n, best), len(members), "oracle")
+    best = np.flatnonzero(rows[int(np.argmax(profiles[:, m] <= b))]).tolist()
+    return ExtremalResult(len(best), SetSystem(n, tuple(best)), len(rows), "oracle")
 
 
-def extremal_max_sets(n: int, m: int, b: int) -> ExtremalResult:
-    """Largest downward-closed family (with empty set) whose f(m) is at most b."""
+def _blocks(items: np.ndarray, step: int):
+    return (items[start : start + step] for start in range(0, len(items), step))
+
+
+def _child_rows(row: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Rows of the families row's family grows into by adding the down-set of
+    each candidate: the missing subsets of X & c are filled, for every X."""
+    return row - row[candidates[:, None] & np.arange(len(row))]
+
+
+def _addable(row: np.ndarray, fresh: np.ndarray, msets, need: int, step: int) -> np.ndarray:
+    """The candidates in fresh whose child row is at least need on every
+    m-set, scored step candidates at a time."""
+    inside = row[msets]
+    return np.concatenate([
+        part[(inside - row[part[:, None] & msets]).min(axis=1) >= need]
+        for part in _blocks(fresh, step)
+    ])
+
+
+def extremal_max_sets(
+    n: int, m: int, b: int, *, limit: int = DEFAULT_SUBSET_LIMIT
+) -> ExtremalResult:
+    """Largest downward-closed family (with empty set) whose f(m) is at most b.
+
+    A node whose fresh candidates times the C(n, m) m-sets they are scored on
+    pass limit raises ResourceLimitError before it scores any of them.
+    """
     _check_query(n, m, b)
-
-    shatter_memo: dict[frozenset[int], int] = {}
-
-    def f_of_each(families: list[frozenset[int]]) -> list[int]:
-        todo = [family for family in families if family not in shatter_memo]
-        shatter_memo.update(zip(todo, max_members_inside(n, todo, (m,))[:, 0].tolist()))
-        return [shatter_memo[family] for family in families]
-
+    groups = popcount_groups(n)
+    msets = groups[m]
+    # a node's candidates: every non-empty mask, largest first, then ascending
+    order = np.concatenate(groups[:0:-1]).astype(np.intp)
+    root = np.empty(1 << n, dtype=np.int32)  # {empty set} misses all subsets but one
+    for size, group in enumerate(groups):
+        root[group] = (1 << size) - 1
+    # f(m) <= b: every m-set still misses at least 2^m - b of its subsets
+    need = (1 << m) - b
+    step = max(1, setsystem.ZETA_CHUNK_CELLS >> n)
     use_canonical = n <= CANONICAL_MAX_N
     visited: set = set()
-    all_masks = sorted(range(1, 1 << n), key=lambda x: (-x.bit_count(), x))
-    best_family: frozenset[int] = frozenset({0})
-    best_key = (1, tuple(sorted(best_family)))
+    best_size, best_members = 1, [0]
     nodes = 0
 
-    def rec(family: frozenset[int], candidates: list[int]):
-        nonlocal best_key, best_family, nodes
+    def rec(row: np.ndarray, candidates: np.ndarray):
+        nonlocal best_size, best_members, nodes
         nodes += 1
         if nodes > NODE_LIMIT:
             raise ResourceLimitError(f"branch-and-bound exceeded {NODE_LIMIT} nodes")
-        key = (len(family), tuple(sorted(family)))
-        if key[0] > best_key[0] or (key[0] == best_key[0] and key[1] < best_key[1]):
-            best_key, best_family = key, family
-        fresh = [cand for cand in candidates if cand not in family]
-        if len(family) + len(fresh) <= best_key[0]:
+        size = (1 << n) - int(row[-1])
+        if size >= best_size:  # ties go to the smaller sorted member list
+            members = np.flatnonzero(row == 0).tolist()
+            if size > best_size or members < best_members:
+                best_size, best_members = size, members
+        fresh = candidates[row[candidates] > 0]
+        if size + len(fresh) <= best_size:
             return  # even absorbing every candidate cannot improve
-        grown = {cand: family.union(submasks(cand)) for cand in fresh}
-        values = f_of_each(list(grown.values()))
-        addable = [cand for cand, value in zip(grown, values) if value <= b]
-        if len(family) + len(addable) <= best_key[0]:
+        if len(fresh) * len(msets) > limit:
+            raise ResourceLimitError(
+                f"a search node scores {len(fresh)} candidates on {len(msets)} m-sets each, "
+                f"over the limit {limit}; raise --limit-subsets to force it"
+            )
+        addable = _addable(row, fresh, msets, need, step)
+        if size + len(addable) <= best_size:
             return  # even absorbing every addable candidate cannot improve
-        children = [grown[cand] for cand in addable]
-        if use_canonical:
-            sigs = canonical_form(n, children)
-        else:
-            sigs = [tuple(sorted(child)) for child in children]
-        for child, sig in zip(children, sigs):
-            if sig in visited:
-                continue
-            visited.add(sig)
-            rec(child, addable)
+        for part in _blocks(addable, step):
+            children = _child_rows(row, part)
+            held = children == 0
+            if use_canonical:
+                sigs = canonical_form(n, held)
+            else:
+                sigs = map(bytes, np.packbits(held, axis=1))
+            for child, sig in zip(children, sigs):
+                if sig in visited:
+                    continue
+                visited.add(sig)
+                rec(child, addable)
 
-    rec(frozenset({0}), all_masks)
-    return ExtremalResult(best_key[0], SetSystem.from_masks(n, best_family), nodes, "branch")
+    rec(root, order)
+    return ExtremalResult(best_size, SetSystem(n, tuple(best_members)), nodes, "branch")
 
 
 def kpartite_instance(n: int, k: int) -> SetSystem:

@@ -17,7 +17,6 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -155,26 +154,23 @@ def is_downward_closed(system: SetSystem) -> bool:
     return all(facets_present(family, e) for e in system.members)
 
 
-def max_members_inside(n: int, families: list, sizes) -> np.ndarray:
-    """Entry [i, j]: most members of families[i] (masks) inside one
-    sizes[j]-subset of {0..n-1}, n <= ZETA_MAX_N.
+def max_members_inside(rows: np.ndarray, sizes) -> np.ndarray:
+    """Entry [i, j]: most members of family i inside one sizes[j]-subset of
+    {0..n-1}, for rows a (families, 2^n) bool array of member indicators,
+    n <= ZETA_MAX_N.
 
     For a downward-closed family that is its shatter value f(sizes[j]).  The
-    families go through the subset-sum transform ZETA_CHUNK_CELLS int32
-    entries at a time (one family per chunk if 2^n is larger).
+    rows go through the subset-sum transform ZETA_CHUNK_CELLS int32 entries
+    at a time (one row per chunk if 2^n is larger).
     """
+    n = rows.shape[1].bit_length() - 1
     groups = popcount_groups(n)
-    out = np.empty((len(families), len(sizes)), dtype=np.int32)
+    out = np.empty((len(rows), len(sizes)), dtype=np.int32)
     step = max(1, ZETA_CHUNK_CELLS >> n)
-    for start in range(0, len(families), step):
-        chunk = families[start : start + step]
-        rows = np.repeat(np.arange(len(chunk)), [len(family) for family in chunk])
-        cols = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(rows))
-        inside = np.zeros((len(chunk), 1 << n), dtype=np.int32)
-        inside[rows, cols] = 1
-        zeta_transform(inside)
+    for start in range(0, len(rows), step):
+        inside = zeta_transform(rows[start : start + step].astype(np.int32))
         for j, size in enumerate(sizes):
-            out[start : start + len(chunk), j] = inside[:, groups[size]].max(axis=1)
+            out[start : start + len(inside), j] = inside[:, groups[size]].max(axis=1)
     return out
 
 
@@ -187,7 +183,9 @@ def shatter_profile(system: SetSystem, *, limit: int = DEFAULT_SUBSET_LIMIT) -> 
     """
     n = system.n
     if n <= ZETA_MAX_N and 1 << n <= limit and is_downward_closed(system):
-        values = max_members_inside(n, [system.members], range(n + 1))[0]
+        held = np.zeros((1, 1 << n), dtype=bool)
+        held[0, list(system.members)] = True
+        values = max_members_inside(held, range(n + 1))[0]
         return ShatterProfile(tuple(values.tolist()))
     return ShatterProfile(
         tuple(shatter_value(system, m, limit=limit) for m in range(n + 1))

@@ -216,7 +216,8 @@ def assert_glued_in_order(cx, d, root, order):
 def test_is_d_tree_matches_leaf_stripping_on_every_small_complex():
     pairs = 0
     for n in range(6):
-        for family in enumerate_downward_closed(n):
+        for code in enumerate_downward_closed(n):
+            family = frozenset(bits(code))
             cx = SimplicialComplex(n, family - {0})
             for d in range(5):
                 assert is_d_tree(cx, d) == reference_is_d_tree(cx, d), (n, sorted(family), d)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+import tracemalloc
 from functools import lru_cache, partial
 from itertools import permutations
 from math import comb
@@ -8,12 +10,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from shatterlab._bits import bits, facets_present, mask_of
+from shatterlab._bits import bits, facets_present, mask_of, popcount_groups, zeta_transform
 from shatterlab.compression import is_downward_closed
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
 import shatterlab.search as search_module
 from shatterlab.search import (
     _WORD_BITS,
+    _child_rows,
     _perm_tables,
     canonical_form,
     enumerate_downward_closed,
@@ -36,9 +39,13 @@ def test_family_enumeration_counts():
         assert got == want
 
 
+def closed_families(n: int) -> list[frozenset[int]]:
+    return [frozenset(bits(code)) for code in enumerate_downward_closed(n)]
+
+
 def test_enumerated_families_are_closed_and_distinct():
     seen = set()
-    for fam in enumerate_downward_closed(3):
+    for fam in closed_families(3):
         assert 0 in fam
         assert is_downward_closed(SetSystem.from_masks(3, fam))
         assert fam not in seen
@@ -68,7 +75,7 @@ def mask_order_closed_families(n: int):
 
 @pytest.mark.parametrize("n", range(6))
 def test_doubling_enumeration_matches_mask_order_recursion(n):
-    got = list(enumerate_downward_closed(n))
+    got = closed_families(n)
     assert len(set(got)) == len(got)
     assert set(got) == set(mask_order_closed_families(n))
 
@@ -84,10 +91,22 @@ def test_enumeration_refuses_n6_before_any_work(monkeypatch):
         next(enumerate_downward_closed(1))  # n <= 5 does reach the patched function
 
 
+def indicators(n: int, families) -> np.ndarray:
+    """Member indicator rows over the 2^n masks, one per family."""
+    rows = np.zeros((len(families), 1 << n), dtype=bool)
+    for row, family in zip(rows, families):
+        row[list(family)] = True
+    return rows
+
+
+def forms(n: int, families) -> list[int]:
+    return canonical_form(n, indicators(n, families))
+
+
 def test_canonical_form_invariant_under_relabeling():
     fam = frozenset({0, 1, 2, 3})  # {}, {0}, {1}, {0,1}
     relabeled = frozenset({0, 2, 4, 6})  # {}, {1}, {2}, {1,2}
-    assert canonical_form(3, [fam, relabeled]) == canonical_form(3, [relabeled]) * 2
+    assert forms(3, [fam, relabeled]) == forms(3, [relabeled]) * 2
 
 
 # -- reference: the sorted-tuple canonical form, one Python loop per permutation
@@ -113,12 +132,19 @@ def test_canonical_form_classes_match_reference():
     # downward-closed families up to isomorphism, empty set included
     classes = {1: 2, 2: 4, 3: 9, 4: 29, 5: 209}
     for n, want in classes.items():
-        families = list(enumerate_downward_closed(n))
+        families = closed_families(n)
         pairs = set(
-            zip(canonical_form(n, families), map(partial(reference_canonical_form, n), families))
+            zip(forms(n, families), map(partial(reference_canonical_form, n), families))
         )
         # a bijection between the two forms' classes: the same partition
         assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs) == want
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_one_word_tables_hold_each_image_bit(n):
+    # up to 2^6 masks a code is one word: entry [mask, p] is 1 << (image of mask)
+    want = [[1 << image for image in images] for images in reference_tables(n)]
+    assert _perm_tables(n).T.tolist() == want
 
 
 def cycles_closure(n: int, lengths) -> frozenset[int]:
@@ -138,25 +164,27 @@ def test_canonical_form_across_words(n):
     rng = random.Random(n)
     for _ in range(3):
         fam = frozenset(rng.sample(range(1 << n), rng.randrange(10, 60)))
-        [form] = canonical_form(n, [fam])
+        [form] = forms(n, [fam])
         assert form >= sum(1 << m for m in fam)  # the largest code
         # the form is itself the code of a relabelling of the family
         best = frozenset(i for i in range(1 << n) if form >> i & 1)
-        assert len(best) == len(fam) and canonical_form(n, [best]) == [form]
+        assert len(best) == len(fam) and forms(n, [best]) == [form]
         for _ in range(2):
             perm = rng.sample(range(n), n)
-            assert canonical_form(n, [frozenset(relabel(perm, m) for m in fam)]) == [form]
+            assert forms(n, [frozenset(relabel(perm, m) for m in fam)]) == [form]
     # 2-regular graphs with the same face counts, not isomorphic
     one_cycle = cycles_closure(n, [n])
     two_cycles = cycles_closure(n, [3, n - 3])
     assert len(one_cycle) == len(two_cycles)
-    one, two = canonical_form(n, [one_cycle, two_cycles])
+    one, two = forms(n, [one_cycle, two_cycles])
     assert one != two
 
 
 def unchunked_canonical_form(n: int, family) -> int:
     """The form with every permutation's images gathered at once."""
     images = _perm_tables(n)[sorted(family)].T
+    if images.dtype == np.uint64:  # one word: the table holds each image's bit
+        return int(np.bitwise_or.reduce(images, axis=1).max())
     form = 0
     for word in reversed(range(max(1, (1 << n) // 64))):
         codes = np.bitwise_or.reduce(_WORD_BITS[word][images], axis=1)
@@ -180,7 +208,7 @@ def test_canonical_form_chunked_matches_unchunked(monkeypatch, cells):
     families += [frozenset(rng.sample(range(1 << 7), 40)) for _ in range(2)]
     for family in families:
         n = 8 if max(family) >= 1 << 7 else 7
-        assert canonical_form(n, [family]) == [unchunked_canonical_form(n, family)]
+        assert forms(n, [family]) == [unchunked_canonical_form(n, family)]
 
 
 @pytest.mark.parametrize("cells", [None, 700])
@@ -199,15 +227,12 @@ def test_batched_canonical_forms_match_unchunked(monkeypatch, cells):
     batches.append((6, [frozenset(rng.sample(range(64), rng.randrange(45, 65))) for _ in range(16)]))
     for n, batch in batches:
         batch.append(batch[0])  # a repeat in the same batch
-        assert canonical_form(n, batch) == [unchunked_canonical_form(n, f) for f in batch]
+        assert forms(n, batch) == [unchunked_canonical_form(n, f) for f in batch]
     # every closed family on 4 vertices in one batch, and an empty family
-    closed = list(enumerate_downward_closed(4))
-    assert canonical_form(4, closed) == [unchunked_canonical_form(4, f) for f in closed]
-    assert canonical_form(3, [frozenset({0, 1}), frozenset()]) == [
-        unchunked_canonical_form(3, {0, 1}),
-        0,
-    ]
-    assert canonical_form(5, []) == []
+    closed = closed_families(4)
+    assert forms(4, closed) == [unchunked_canonical_form(4, f) for f in closed]
+    assert forms(3, [frozenset({0, 1}), frozenset()]) == [unchunked_canonical_form(3, {0, 1}), 0]
+    assert forms(5, []) == []
 
 
 def test_max_members_inside_over_many_chunks(monkeypatch):
@@ -219,14 +244,14 @@ def test_max_members_inside_over_many_chunks(monkeypatch):
         for _ in range(20):
             facets = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 10))]
             families.append(sorted({sub for f in facets for sub in range(1 << n) if sub & ~f == 0}))
-        got = max_members_inside(n, families, range(n + 1))
+        got = max_members_inside(indicators(n, families), range(n + 1))
         assert got.shape == (20, n + 1)
         for family, row in zip(families, got.tolist()):
             system = SetSystem.from_masks(n, family)
             assert row == [shatter_value(system, m) for m in range(n + 1)]
 
 
-def test_extremal_nodes_and_witnesses_unchanged():
+def check_search_digest():
     # recorded before the subset-sum transform replaced the per-candidate scan:
     # every n <= 5 query by branch and by oracle, and the six Sauer-tight n = 6 ones
     def result(res):
@@ -245,20 +270,111 @@ def test_extremal_nodes_and_witnesses_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_SEARCH_DIGEST
 
 
+def test_extremal_nodes_and_witnesses_unchanged():
+    check_search_digest()
+
+
+def test_extremal_digest_with_one_row_blocks(monkeypatch):
+    # one cell per block: the search scores and builds one candidate at a
+    # time, and the oracle table, built again, transforms one family at a time
+    monkeypatch.setattr(setsystem_module, "ZETA_CHUNK_CELLS", 1)
+    search_module._oracle_table.cache_clear()
+    try:
+        check_search_digest()
+    finally:
+        search_module._oracle_table.cache_clear()
+
+
+# recorded before the search held families as rows over the masks; these reach
+# the two- and four-word canonical forms, which the digest above does not
+PINNED_N7_N8 = {
+    (7, 2, 3): (8, [0, 1, 2, 4, 8, 16, 32, 64], 8),
+    (7, 2, 4): (128, list(range(128)), 8),
+    (7, 3, 7): (
+        29,
+        [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 17, 18, 20, 24, 32, 33, 34, 36, 40, 48, 64]
+        + [65, 66, 68, 72, 80, 96],
+        74,
+    ),
+    (8, 2, 3): (9, [0, 1, 2, 4, 8, 16, 32, 64, 128], 9),
+}
+
+
+@pytest.mark.parametrize("query", sorted(PINNED_N7_N8))
+def test_extremal_pinned_at_n7_and_n8(query):
+    res = extremal_max_sets(*query)
+    assert (res.max_size, list(res.witness.members), res.nodes_explored) == PINNED_N7_N8[query]
+
+
+def random_closed_family(rng: random.Random, n: int) -> np.ndarray:
+    """Member indicator of the down-closure of a few random masks."""
+    row = np.zeros(1 << n, dtype=bool)
+    for top in rng.sample(range(1 << n), rng.randrange(1, min(5, 1 << n))):
+        row[[sub for sub in range(1 << n) if sub & ~top == 0]] = True
+    return row
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_child_rows_match_subset_sums_of_the_child(n):
+    # a row counts the subsets of each X outside the family: 2^|X| minus the
+    # subset sum of the member indicator
+    full = np.empty(1 << n, dtype=np.int32)
+    for size, group in enumerate(popcount_groups(n)):
+        full[group] = 1 << size
+    rng = random.Random(n)
+    for _ in range(20):
+        members = random_closed_family(rng, n)
+        row = full - zeta_transform(members.astype(np.int32))
+        candidates = np.array(rng.sample(range(1, 1 << n), min(5, (1 << n) - 1)))
+        for child, cand in zip(_child_rows(row, candidates), candidates.tolist()):
+            grown = members | (np.arange(1 << n) & ~cand == 0)
+            assert (full - child).tolist() == zeta_transform(grown.astype(np.int32)).tolist()
+            assert ((child == 0) == grown).all()
+
+
 def test_size_bound_is_tested_before_candidates_are_scored(monkeypatch):
     # b = 2^9 admits every family on 9 vertices: the root scores its 511
     # candidates, its first child is the whole power set, and every other
     # node is cut by size alone (112,156 families were scored before the cut)
     scored = []
+    score = search_module._addable
 
-    def counted(n, families, ms):
-        scored.append(len(families))
-        return max_members_inside(n, families, ms)
+    def counted(row, fresh, *args):
+        scored.append(len(fresh))
+        return score(row, fresh, *args)
 
-    monkeypatch.setattr(search_module, "max_members_inside", counted)
+    monkeypatch.setattr(search_module, "_addable", counted)
     res = extremal_max_sets(9, 9, 512)
     assert res.max_size == 512
     assert sum(scored) == 511
+
+
+def test_search_memory_is_bounded_by_blocks():
+    # every one of the 4,095 non-empty masks is addable at the root, and each
+    # child is a 4,096-entry row: built a block at a time, not all at once
+    tracemalloc.start()
+    try:
+        res = extremal_max_sets(12, 12, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.max_size, res.nodes_explored) == (4096, 4096)
+    assert peak <= 43 * 10**6
+
+
+def test_work_inside_one_node_is_limited(capsys):
+    from shatterlab.cli import main
+
+    # the root would score 16,383 candidates on C(14, 7) = 3,432 m-sets each
+    start = time.perf_counter()
+    assert main(["search", "extremal", "--n", "14", "--m", "7", "--b", "100"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "16383 candidates on 3432 m-sets" in capsys.readouterr().err
+    with pytest.raises(ResourceLimitError, match="15 candidates on 6 m-sets"):
+        extremal_max_sets(4, 2, 3, limit=89)
+    assert extremal_max_sets(4, 2, 3, limit=90).max_size == 5
+    args = ["search", "extremal", "--n", "4", "--m", "2", "--b", "3", "--limit-subsets", "89"]
+    assert main(args) == 3
 
 
 def test_node_limit_is_a_module_constant(monkeypatch, capsys):

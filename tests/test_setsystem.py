@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shatterlab.setsystem as setsystem_module
-from shatterlab._bits import iter_size_subsets
+from shatterlab._bits import bits, iter_size_subsets
 from shatterlab.errors import (
     DEFAULT_SUBSET_LIMIT,
     EmptyDomainError,
@@ -306,7 +306,9 @@ def test_transform_profile_on_every_closed_family_up_to_n5(monkeypatch):
     from shatterlab.search import enumerate_downward_closed
 
     families = [
-        SetSystem.from_masks(n, fam) for n in range(6) for fam in enumerate_downward_closed(n)
+        SetSystem.from_masks(n, bits(code))
+        for n in range(6)
+        for code in enumerate_downward_closed(n)
     ]
     assert len(families) == 1 + 2 + 5 + 19 + 167 + 7580
     want = [profile_by_scan(s) for s in families]
