@@ -8,7 +8,8 @@ For small ground sets a whole family fits in a numpy array indexed by mask:
 zeta_transform turns an indicator row into subset sums (entry Y counts the
 members inside Y), and popcount_groups lists the masks of each size, so a
 maximum over all m-subsets is one gather.  Both cover n <= ZETA_MAX_N, so a
-row holds at most 2^20 entries.
+row holds at most 2^20 entries.  blocks is the one block policy of every
+chunked numpy layer.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 
 # largest ground set for the subset-sum transform: rows of 2^20 entries
 ZETA_MAX_N = 20
+# cells per block of a chunked layer (512 KB of uint64, 256 KB of int32)
+BLOCK_CELLS = 1 << 16
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -87,6 +90,15 @@ def iter_size_subsets(n: int, m: int):
         c = mask & -mask
         r = mask + c
         mask = (((r ^ mask) >> 2) // c) | r
+
+
+def blocks(total: int, item_cells: int, budget: int | None = None):
+    """(start, stop) of consecutive runs over range(total) of at most
+    max(1, budget // item_cells) items each; budget defaults to BLOCK_CELLS,
+    read at each call."""
+    step = max(1, (BLOCK_CELLS if budget is None else budget) // item_cells)
+    for start in range(0, total, step):
+        yield start, min(start + step, total)
 
 
 def zeta_transform(table: np.ndarray) -> np.ndarray:

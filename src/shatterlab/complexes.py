@@ -131,26 +131,18 @@ class SimplicialComplex:
         return sorted(out)
 
 
-def degree(cx: SimplicialComplex, sigma, d: int) -> int:
-    """Number of d-simplices of the complex containing the (d-1)-simplex sigma."""
-    smask = _as_vertex_mask(cx.n, sigma)
-    if smask.bit_count() != d:
-        raise InvalidArgumentError(f"sigma must have {d} vertices for degree at dimension {d}")
-    if smask not in cx:
-        raise InvalidArgumentError("sigma is not a face of the complex")
-    count = 0
-    for v in iter_bits(cx.vertex_mask & ~smask):
-        if smask | (1 << v) in cx:
-            count += 1
-    return count
-
-
 def delta_d(cx: SimplicialComplex, d: int) -> int:
-    """Minimum degree over all (d-1)-simplices."""
+    """Minimum degree over all (d-1)-simplices, the degree of one being the
+    number of d-simplices containing it: one pass over the d-simplices adds
+    one to each of their d + 1 facets."""
     lower = cx.faces_of_dim(d - 1)
     if not lower:
         raise EmptyDomainError(f"complex has no faces of dimension {d - 1}")
-    return min(degree(cx, s, d) for s in lower)
+    degree = dict.fromkeys(lower, 0)
+    for f in cx.faces_of_dim(d):
+        for v in iter_bits(f):
+            degree[f ^ (1 << v)] += 1
+    return min(degree.values())
 
 
 def span_count(cx: SimplicialComplex, subset) -> int:

@@ -15,12 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab._bits import bits, iter_bits, popcount_groups, zeta_transform
+from shatterlab._bits import ZETA_MAX_N, bits, iter_bits, popcount_groups, zeta_transform
 from shatterlab.complexes import MAX_FACET_LABELS, SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.setsystem import _as_vertex_mask
 
-BRUTE_FORCE_VERTEX_CAP = 20
+# the brute force's subset sums and size groups cover at most ZETA_MAX_N vertices
+BRUTE_FORCE_VERTEX_CAP = ZETA_MAX_N
 # embeddings count_embeddings enumerates before it reports saturation
 EMBEDDING_CAP = 10_000_000
 

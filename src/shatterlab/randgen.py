@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from shatterlab import _keyed, scan
-from shatterlab._bits import bits, facets_present, iter_size_subsets, mask_of
+from shatterlab._bits import bits, blocks, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
     derive_seed,
@@ -37,14 +37,8 @@ from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.scan import max_possible_dim_ge1_span
 
-# pair ranks hashed at once: the hash's two uint64 buffers of this many
-# entries stay in cache
-_PAIR_CHUNK = 1 << 16
 # bytes of each packed-row operand the triangle pass gathers at once
 _TRIANGLE_CHUNK_BYTES = 1 << 17
-# cells of induced adjacency, or of triangle candidates, that trace_count
-# holds at once
-TRACE_BLOCK_CELLS = 1 << 16
 # uniform random m-subsets whose traces the Bondy-Hajnal probe counts per instance
 PROBE_SUBSET_SAMPLES = 600
 # largest n the vectorized sampler takes: it hashes all C(n, 2) pairs, and
@@ -145,35 +139,33 @@ class LevelSample:
         """Traces on each row of a (B, m) array of distinct vertices: 1 (the
         empty trace) + surviving vertices + faces of dimension >= 1.
 
-        Rows go in blocks of at most TRACE_BLOCK_CELLS induced adjacency cells
+        Rows go in blocks of at most _bits.BLOCK_CELLS induced adjacency cells
         (or one row), gathered from the upper rows: sorted rows make each
         block strictly upper-triangular.  A block's triangle candidates are
         its edges u < v with each w > v of the row adjacent to both, gated in
-        chunks of at most TRACE_BLOCK_CELLS cells by re-deriving their
+        chunks of at most _bits.BLOCK_CELLS cells by re-deriving their
         decisions from the key.
         """
         rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)  # u < v < w by position
         m = rows.shape[1]
         out = 1 + self.present[rows].sum(axis=1)
         key = level_key(self.seed, 3)
-        step = max(1, TRACE_BLOCK_CELLS // (m * m))
-        chunk = max(1, TRACE_BLOCK_CELLS // m)
-        for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
+        for lo, hi in blocks(len(rows), m * m):
+            block = rows[lo:hi]
             col = block[:, None, :]
             sub = ((self.upper[block[:, :, None], col >> 3] << (col & 7)) & 0x80) != 0
             r, i, j = np.nonzero(sub)
-            out[lo : lo + step] += np.bincount(r, minlength=len(block))
+            out[lo:hi] += np.bincount(r, minlength=len(block))
             if self.t < 2:
                 continue
-            for at in range(0, len(r), chunk):
-                rc, ic, jc = r[at : at + chunk], i[at : at + chunk], j[at : at + chunk]
+            for at, to in blocks(len(r), m):
+                rc, ic, jc = r[at:to], i[at:to], j[at:to]
                 e, k = np.nonzero(sub[rc, ic] & sub[rc, jc])
                 rc, ic, jc = rc[e], ic[e], jc[e]
                 ranks = _triangle_ranks(block[rc, ic], block[rc, jc], block[rc, k])
                 # _keyed's hash: randgen.rank_u53_np is the sampling passes' own
                 ok = _keyed.rank_u53_np(key, ranks) < np.uint64(self.threshold)
-                out[lo : lo + step] += np.bincount(rc[ok], minlength=len(block))
+                out[lo:hi] += np.bincount(rc[ok], minlength=len(block))
         return out
 
 
@@ -197,15 +189,16 @@ def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarra
 
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash all C(n, 2) pair ranks, _PAIR_CHUNK at a time, and decode the
-    accepted ones in colex order."""
+    """Hash all C(n, 2) pair ranks, _bits.BLOCK_CELLS at a time (the hash's
+    two uint64 buffers of a block stay in cache), and decode the accepted
+    ones in colex order."""
     key = level_key(seed, 2)
     total = math.comb(n, 2)
     starts = _pair_offsets(n)
     us, vs = [], []
     if threshold > 0:
-        for lo in range(0, total, _PAIR_CHUNK):
-            ranks = np.arange(lo, min(lo + _PAIR_CHUNK, total), dtype=np.uint64)
+        for lo, hi in blocks(total, 1):
+            ranks = np.arange(lo, hi, dtype=np.uint64)
             hit = ranks[rank_u53_np(key, ranks) < np.uint64(threshold)]
             if len(hit):
                 u, v = _decode_pair_ranks(hit, starts)
@@ -237,13 +230,12 @@ def _triangle_pass(
     upper = sample.upper
     nbytes = upper.shape[1]
     ranks_w = _triangle_ranks(0, 0, np.arange(sample.n))  # C(w, 3)
-    step = max(1, _TRIANGLE_CHUNK_BYTES // nbytes)
     count = 0
     kept = []
     eu, ev = sample.edges_u, sample.edges_v
-    for lo in range(0, len(eu), step):
-        u_c = eu[lo : lo + step]
-        v_c = ev[lo : lo + step]
+    for lo, hi in blocks(len(eu), nbytes, _TRIANGLE_CHUNK_BYTES):
+        u_c = eu[lo:hi]
+        v_c = ev[lo:hi]
         first = int(v_c[0]) >> 3
         common = upper[u_c, first:]
         common &= upper[v_c, first:]

@@ -12,7 +12,7 @@ down-set of a candidate c fills exactly the missing subsets of X & c, so the
 child's row is row[X] - row[X & c] for every X at once, and the child's f(m)
 is 2^m minus the least entry of that row over the m-sets X.  So a node
 scores all its candidates with one gather and builds its children with
-another, both in blocks of at most ZETA_CHUNK_CELLS entries.  Isomorphic
+another, both in blocks of at most _bits.BLOCK_CELLS entries.  Isomorphic
 children are pruned by canonical form, computed for all of a node's children
 in one call from their member indicators.  An exhaustive enumeration of all
 downward-closed families, built by doubling the vertex count, is the oracle
@@ -28,8 +28,7 @@ from itertools import permutations
 
 import numpy as np
 
-from shatterlab import setsystem
-from shatterlab._bits import popcount_groups
+from shatterlab._bits import blocks, popcount_groups
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 # shatter_value stays importable from here: profiling tools wrap it by this name
@@ -111,24 +110,24 @@ def canonical_form(n: int, rows: np.ndarray) -> list[int]:
         return forms
     starts = sizes.cumsum() - sizes
     table = _perm_tables(n)
-    block = max(1, CANONICAL_GATHER_CELLS // len(members))
+    spans = blocks(table.shape[1], len(members), CANONICAL_GATHER_CELLS)
     if table.dtype != np.uint64:
-        return _multiword_forms(table, members, starts, block)
+        return _multiword_forms(table, members, starts, spans)
     # one word: the table holds each image's bit
-    for start in range(0, table.shape[1], block):
-        codes = np.bitwise_or.reduceat(table[members, start : start + block], starts).max(axis=1)
+    for start, stop in spans:
+        codes = np.bitwise_or.reduceat(table[members, start:stop], starts).max(axis=1)
         best = codes if start == 0 else np.maximum(best, codes)
     return best.tolist()
 
 
-def _multiword_forms(table: np.ndarray, members: np.ndarray, starts: np.ndarray, block: int):
-    """canonical_form for codes of several words, with the images in table and
-    each family's members starting at starts: top word first, among the
-    permutations still tied."""
+def _multiword_forms(table: np.ndarray, members: np.ndarray, starts: np.ndarray, spans):
+    """canonical_form for codes of several words, with the images in table,
+    each family's members starting at starts and the permutations in
+    (start, stop) spans: top word first, among the permutations still tied."""
     words = _WORD_BITS[: len(table) // 64][::-1]
     best = np.zeros((len(words), len(starts)), dtype=np.uint64)  # top word first
-    for start in range(0, table.shape[1], block):
-        images = table[members, start : start + block]
+    for start, stop in spans:
+        images = table[members, start:stop]
         # column 0 carries the best code of the earlier blocks into the comparison
         codes = np.empty((len(starts), images.shape[1] + 1), dtype=np.uint64)
         tied = None
@@ -209,23 +208,19 @@ def extremal_oracle(n: int, m: int, b: int) -> ExtremalResult:
     return ExtremalResult(len(best), SetSystem(n, tuple(best)), len(rows), "oracle")
 
 
-def _blocks(items: np.ndarray, step: int):
-    return (items[start : start + step] for start in range(0, len(items), step))
-
-
 def _child_rows(row: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Rows of the families row's family grows into by adding the down-set of
     each candidate: the missing subsets of X & c are filled, for every X."""
     return row - row[candidates[:, None] & np.arange(len(row))]
 
 
-def _addable(row: np.ndarray, fresh: np.ndarray, msets, need: int, step: int) -> np.ndarray:
+def _addable(row: np.ndarray, fresh: np.ndarray, msets, need: int) -> np.ndarray:
     """The candidates in fresh whose child row is at least need on every
-    m-set, scored step candidates at a time."""
+    m-set, scored a block of candidates (2^n cells each) at a time."""
     inside = row[msets]
     return np.concatenate([
-        part[(inside - row[part[:, None] & msets]).min(axis=1) >= need]
-        for part in _blocks(fresh, step)
+        fresh[lo:hi][(inside - row[fresh[lo:hi, None] & msets]).min(axis=1) >= need]
+        for lo, hi in blocks(len(fresh), len(row))
     ])
 
 
@@ -247,7 +242,6 @@ def extremal_max_sets(
         root[group] = (1 << size) - 1
     # f(m) <= b: every m-set still misses at least 2^m - b of its subsets
     need = (1 << m) - b
-    step = max(1, setsystem.ZETA_CHUNK_CELLS >> n)
     use_canonical = n <= CANONICAL_MAX_N
     visited: set = set()
     best_size, best_members = 1, [0]
@@ -271,11 +265,11 @@ def extremal_max_sets(
                 f"a search node scores {len(fresh)} candidates on {len(msets)} m-sets each, "
                 f"over the limit {limit}; raise --limit-subsets to force it"
             )
-        addable = _addable(row, fresh, msets, need, step)
+        addable = _addable(row, fresh, msets, need)
         if size + len(addable) <= best_size:
             return  # even absorbing every addable candidate cannot improve
-        for part in _blocks(addable, step):
-            children = _child_rows(row, part)
+        for lo, hi in blocks(len(addable), 1 << n):
+            children = _child_rows(row, addable[lo:hi])
             held = children == 0
             if use_canonical:
                 sigs = canonical_form(n, held)

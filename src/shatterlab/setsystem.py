@@ -23,6 +23,7 @@ import numpy as np
 from shatterlab._bits import (
     ZETA_MAX_N,
     bits,
+    blocks,
     facets_present,
     iter_size_subsets,
     mask_of,
@@ -37,10 +38,6 @@ from shatterlab.errors import (
 )
 
 MAX_GROUND = 64
-# int32 entries per subset-sum chunk (256 KB): rows of 2^n, at least one row
-ZETA_CHUNK_CELLS = 1 << 16
-# uint64 traces per shatter-scan block (512 KB): rows of |S|, at least one row
-TRACE_BLOCK_CELLS = 1 << 16
 
 
 def _as_vertex_mask(n: int, subset) -> int:
@@ -96,7 +93,7 @@ def shatter_value(system: SetSystem, m: int, *, limit: int = DEFAULT_SUBSET_LIMI
     """max |trace(S,Y)| over all Y of size m, exhaustively.
 
     Subsets are visited in colexicographic order, in blocks of at most
-    TRACE_BLOCK_CELLS traces: each block ANDs its Y masks with the members,
+    _bits.BLOCK_CELLS traces: each block ANDs its Y masks with the members,
     sorts each row and counts its distinct values.  The scan stops at the end
     of the first block whose maximum reaches min(2^m, |S|).  If the first
     `limit` subsets do not reach it and more remain, ResourceLimitError is
@@ -111,11 +108,9 @@ def shatter_value(system: SetSystem, m: int, *, limit: int = DEFAULT_SUBSET_LIMI
     total = math.comb(system.n, m)
     todo = min(total, max(limit, 0))
     subsets = iter_size_subsets(system.n, m)
-    step = max(1, TRACE_BLOCK_CELLS // len(members))
     best = 0
-    for start in range(0, todo, step):
-        rows = min(step, todo - start)
-        traces = np.fromiter(subsets, dtype=np.uint64, count=rows)[:, None] & members
+    for start, stop in blocks(todo, len(members)):
+        traces = np.fromiter(subsets, dtype=np.uint64, count=stop - start)[:, None] & members
         traces.sort(axis=1)
         changes = (traces[:, 1:] != traces[:, :-1]).sum(axis=1)
         best = max(best, 1 + int(changes.max()))
@@ -160,17 +155,16 @@ def max_members_inside(rows: np.ndarray, sizes) -> np.ndarray:
     n <= ZETA_MAX_N.
 
     For a downward-closed family that is its shatter value f(sizes[j]).  The
-    rows go through the subset-sum transform ZETA_CHUNK_CELLS int32 entries
-    at a time (one row per chunk if 2^n is larger).
+    rows go through the subset-sum transform _bits.BLOCK_CELLS int32 entries
+    at a time (one row per block if 2^n is larger).
     """
     n = rows.shape[1].bit_length() - 1
     groups = popcount_groups(n)
     out = np.empty((len(rows), len(sizes)), dtype=np.int32)
-    step = max(1, ZETA_CHUNK_CELLS >> n)
-    for start in range(0, len(rows), step):
-        inside = zeta_transform(rows[start : start + step].astype(np.int32))
+    for start, stop in blocks(len(rows), 1 << n):
+        inside = zeta_transform(rows[start:stop].astype(np.int32))
         for j, size in enumerate(sizes):
-            out[start : start + len(inside), j] = inside[:, groups[size]].max(axis=1)
+            out[start:stop, j] = inside[:, groups[size]].max(axis=1)
     return out
 
 

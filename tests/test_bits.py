@@ -3,7 +3,18 @@ import random
 import numpy as np
 import pytest
 
-from shatterlab._bits import ZETA_MAX_N, facets_present, popcount_groups, zeta_transform
+from shatterlab import _bits
+from shatterlab._bits import ZETA_MAX_N, blocks, facets_present, popcount_groups, zeta_transform
+
+
+def test_blocks_cover_the_items_within_the_budget(monkeypatch):
+    assert list(blocks(10, 4, 13)) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert list(blocks(3, 20, 13)) == [(0, 1), (1, 2), (2, 3)]  # at least one item
+    assert list(blocks(0, 1)) == []
+    assert list(blocks(5, 1 << 14)) == [(0, 4), (4, 5)]
+    # the default budget is read at each call
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 2)
+    assert list(blocks(5, 1)) == [(0, 2), (2, 4), (4, 5)]
 
 
 def test_zeta_transform_matches_direct_subset_sums():

@@ -443,6 +443,21 @@ def test_sweep_bytes_are_pinned(capsys, argv, digest):
     assert code == 0 and _sha256(out) == digest
 
 
+def test_growth_prunes_past_the_limit_and_the_probe_skips(capsys):
+    # s = 5, m = 6 has no shortcut (a 6-set spans at most 35 edges and
+    # triangles, and z = 28), so growth must scan the C(200, 6) m-sets; the
+    # probe, past the same limit, records the skip and exits 0
+    code, _, err = run_cli(capsys, "growth", "--s", "5", "--m", "6", "--n", "200",
+                           "--trials", "1")
+    assert code == 3
+    assert "scan of 82408626300 subsets exceeds the limit 10000000" in err
+    code, out, _ = run_cli(capsys, "bh-probe", "--k", "2", "--m", "13", "--n", "40",
+                           "--trials", "1")
+    assert code == 0
+    header, row = out.splitlines()[:2]
+    assert dict(zip(header.split(","), row.split(",")))["pruning"] == "skipped"
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "4000", "--t", "1", "--p", "1/2",
                            "--limit-subsets", "1000")

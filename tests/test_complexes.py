@@ -6,10 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from shatterlab._bits import bits, facets_present, mask_of
+from shatterlab._bits import bits, facets_present, iter_bits, mask_of
 from shatterlab.complexes import (
     SimplicialComplex,
-    degree,
     delta_d,
     format_complex_json,
     overlap_witness,
@@ -77,6 +76,14 @@ def test_vertex_mask_is_the_union_of_the_vertices():
         assert cx.vertices() == [bits(f)[0] for f in cx.faces_of_dim(0)]
 
 
+def degree(cx, sigma, d):
+    """Reference for delta_d: the d-simplices containing the (d-1)-face sigma
+    (a mask or labels), found by adding each vertex outside sigma."""
+    smask = sigma if isinstance(sigma, int) else mask_of(sigma)
+    assert smask.bit_count() == d and smask in cx
+    return sum(1 for v in iter_bits(cx.vertex_mask & ~smask) if smask | (1 << v) in cx)
+
+
 def test_degree_T0_example():
     t0 = build_Tr(2, 5, 0)
     # edge {0,1} lies in the single triangle {0,1,2}
@@ -106,13 +113,30 @@ def test_degree_against_superset_recount():
         assert degree(cx, sigma, d) == expected
 
 
-def test_degree_errors():
+def test_delta_d_edge_cases():
     cx = SimplicialComplex.from_facets(3, [[0, 1]])
-    with pytest.raises(InvalidArgumentError):
-        degree(cx, [0, 2], 2)  # not a face
     assert delta_d(cx, 2) == 0  # the edge extends to no triangle
     with pytest.raises(EmptyDomainError):
         delta_d(cx, 3)  # no 2-simplices to take degrees of
+
+
+def test_delta_d_is_the_least_reference_degree():
+    # random complexes, d-trees (each (d-1)-face in few d-faces) and complete
+    # complexes (each in n - d of them)
+    rng = random.Random(19)
+    cases = [random_complex(rng) for _ in range(60)]
+    cases += [build_Tr(d, q, r).complex for d, q, r in [(1, 3, 0), (2, 4, 3), (3, 2, 5)]]
+    cases += [
+        SimplicialComplex.from_facets(n, combinations(range(n), min(n, 4))) for n in range(1, 8)
+    ]
+    checked = 0
+    for cx in cases:
+        for d in range(1, cx.dimension + 2):
+            lower = cx.faces_of_dim(d - 1)
+            assert delta_d(cx, d) == min(degree(cx, s, d) for s in lower)
+            checked += 1
+    assert checked > 150
+    assert delta_d(SimplicialComplex.from_facets(7, combinations(range(7), 4)), 2) == 5
 
 
 def test_density_T0_full_unrooted_block():

@@ -431,7 +431,7 @@ def complete_graph(n):
 
 
 def test_embedding_single_simplex_equals_degree():
-    from shatterlab.complexes import degree
+    from test_complexes import degree
 
     cx = SimplicialComplex.from_facets(6, [[0, 1, 2], [1, 2, 3], [1, 2, 4], [0, 4, 5]])
     t = RootedDTree(SimplicialComplex.from_facets(3, [[0, 1, 2]]), 0b11, 0)

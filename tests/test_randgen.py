@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from shatterlab import _keyed, randgen, scan
+from shatterlab import _bits, _keyed, randgen, scan
 from shatterlab._bits import bits, facets_present, mask_of
 from shatterlab._keyed import (
     inverse_power_threshold,
@@ -143,13 +143,13 @@ def test_fast_sampler_matches_reference_across_edge_chunks(monkeypatch):
 def test_fast_sampler_matches_reference_across_pair_chunks(monkeypatch, chunk, t):
     # chunks of 7 and 64 split the pairs of one top vertex; C(40, 2) is one
     # exact chunk, and one less leaves the last pair alone in a second
-    monkeypatch.setattr(randgen, "_PAIR_CHUNK", chunk)
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", chunk)
     fast = materialize(sample_levels(40, t, Fraction(3, 10), 5, collect=True))
     assert fast == sample_complex(40, t, Fraction(3, 10), 5)
 
 
 def test_fast_sampler_matches_reference_across_default_pair_chunks():
-    assert math.comb(400, 2) > randgen._PAIR_CHUNK
+    assert math.comb(400, 2) > _bits.BLOCK_CELLS
     fast = materialize(sample_levels(400, 1, Fraction(1, 20), 3))
     assert fast == sample_complex(400, 1, Fraction(1, 20), 3)
 
@@ -184,7 +184,7 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sum(calls) == math.comb(n, 2)
-    assert max(calls) <= randgen._PAIR_CHUNK
+    assert max(calls) <= _bits.BLOCK_CELLS
     assert peak < 16 << 20
 
 
@@ -577,7 +577,7 @@ def test_trace_count_across_blocks_and_chunks(monkeypatch, t, z):
     # p = 1/2 a block holds about 28 edges, so blocks take several chunks.
     # Pruning at z = 24 (t = 1) and 44 (t = 2) removes 9 and 8 of 24 vertices.
     n, m = 24, 8
-    monkeypatch.setattr(randgen, "TRACE_BLOCK_CELLS", 3 * m * m - 1)
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 3 * m * m - 1)
     hashed = []
 
     def counted(key, ranks):

@@ -9,7 +9,8 @@ Likewise a defaulted parameter (of a public function, method or class
 constructor) that no call there passes, or that every call passes as the
 same literal, has one value in use, so it is a constant, not an option.
 And every worker pool is the one bounded pool: no other function names
-ProcessPoolExecutor.
+ProcessPoolExecutor.  Likewise every chunked layer sizes its blocks through
+_bits.blocks: no other function calls range with a step.
 """
 
 import ast
@@ -174,3 +175,24 @@ def test_one_function_names_the_process_pool():
         if "ProcessPoolExecutor" in _referenced_names(node)
     ]
     assert owners == ["_pool.py: bounded_map"]
+
+
+def _steps_a_range(node: ast.AST) -> bool:
+    return any(
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "range"
+        and len(call.args) == 3
+        for call in ast.walk(node)
+    )
+
+
+def test_one_function_steps_a_range():
+    library, trees = _trees()
+    owners = [
+        f"{path.name}: {getattr(node, 'name', type(node).__name__)}"
+        for path in library
+        for node in trees[path].body
+        if _steps_a_range(node)
+    ]
+    assert owners == ["_bits.py: blocks"]

@@ -10,6 +10,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from shatterlab import _bits
 from shatterlab._bits import bits, facets_present, mask_of, popcount_groups, zeta_transform
 from shatterlab.compression import is_downward_closed
 from shatterlab.errors import InvalidArgumentError, ResourceLimitError
@@ -24,7 +25,6 @@ from shatterlab.search import (
     extremal_oracle,
     kpartite_instance,
 )
-import shatterlab.setsystem as setsystem_module
 from shatterlab.setsystem import SetSystem, max_members_inside, shatter_profile, shatter_value
 
 RECORDED_SEARCH_DIGEST = "51dd43904e861b46d4360149c6c8a072c35c44784581257f14f06a50dff96c41"
@@ -239,7 +239,7 @@ def test_max_members_inside_over_many_chunks(monkeypatch):
     # closed families at n = 6..10, three rows per subset-sum chunk
     rng = random.Random(6)
     for n in range(6, 11):
-        monkeypatch.setattr(setsystem_module, "ZETA_CHUNK_CELLS", 3 << n)
+        monkeypatch.setattr(_bits, "BLOCK_CELLS", 3 << n)
         families = []
         for _ in range(20):
             facets = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 10))]
@@ -277,7 +277,7 @@ def test_extremal_nodes_and_witnesses_unchanged():
 def test_extremal_digest_with_one_row_blocks(monkeypatch):
     # one cell per block: the search scores and builds one candidate at a
     # time, and the oracle table, built again, transforms one family at a time
-    monkeypatch.setattr(setsystem_module, "ZETA_CHUNK_CELLS", 1)
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 1)
     search_module._oracle_table.cache_clear()
     try:
         check_search_digest()

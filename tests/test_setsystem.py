@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shatterlab.setsystem as setsystem_module
+from shatterlab import _bits
 from shatterlab._bits import bits, iter_size_subsets
 from shatterlab.errors import (
     DEFAULT_SUBSET_LIMIT,
@@ -127,7 +128,7 @@ def test_shatter_subset_limit():
 def block_rows(monkeypatch, system, rows):
     """Patch the scan's blocks to `rows` Y masks for this system (None: default)."""
     if rows is not None:
-        monkeypatch.setattr(setsystem_module, "TRACE_BLOCK_CELLS", rows * max(1, len(system)))
+        monkeypatch.setattr(_bits, "BLOCK_CELLS", rows * max(1, len(system)))
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
