@@ -107,15 +107,22 @@ def zeta_transform(table: np.ndarray) -> np.ndarray:
     table is a C-contiguous integer array of shape (..., 2^n); afterwards
     entry [..., Y] is the sum of the old entries [..., T] over all T within Y.
     The caller picks a dtype wide enough for the sums.  Returns table.
+    When rows outnumber columns, the butterflies run on a transposed copy,
+    where each step adds runs of 2^v rows instead of 2^v entries per row.
     """
     size = table.shape[-1]
     n = size.bit_length() - 1
     if size != 1 << n or not table.flags.c_contiguous:
         raise ValueError("zeta_transform needs a C-contiguous array with 2^n columns")
     rows = table.reshape(-1, size)
+    flip = len(rows) > size
+    work = np.ascontiguousarray(rows.T) if flip else rows
+    lead, tail = (1, len(rows)) if flip else (len(rows), 1)
     for v in range(n):
-        pairs = rows.reshape(len(rows), size >> (v + 1), 2, 1 << v)
+        pairs = work.reshape(lead, size >> (v + 1), 2, tail << v)
         pairs[:, :, 1, :] += pairs[:, :, 0, :]
+    if flip:
+        rows[...] = work.T
     return table
 
 

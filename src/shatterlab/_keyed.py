@@ -1,19 +1,21 @@
 """Counter-based pseudorandomness keyed by (seed, level, subset rank).
 
 Face decisions depend only on the key, never on draw order, so sampling is
-reproducible under any evaluation order or parallel schedule.  The scalar
-and numpy paths implement the identical function (splitmix64 finalizer over
-a mixed key) and acceptance of a face compares the 53-bit output against an
-integer threshold floor(p * 2^53), so no floating point enters the decision.
-rank_u53_np works in place on one copy of its ranks.
+reproducible under any evaluation order or parallel schedule.  A face is
+accepted when rank_u53, the 53-bit output of the splitmix64 finalizer over a
+mixed key, is below an integer threshold floor(p * 2^53), so no floating
+point enters the decision.  rank_u53 is the oracle; rank_u53_np makes the
+same decisions for a block of ranks and returns the accepted positions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from shatterlab import _bits
 from shatterlab.errors import InvalidArgumentError
 
 GENERATOR_ID = "splitmix64-colex-v1"
@@ -42,26 +44,66 @@ def rank_u53(key: int, rank: int) -> int:
     return mix64(key ^ ((rank * _RANK_SALT) & _M64)) >> 11
 
 
-def rank_u53_np(key: int, ranks: np.ndarray) -> np.ndarray:
-    """Vectorized rank_u53; bit-identical to the scalar path.
+def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
+    """Ascending positions i with rank_u53(key, ranks[i]) < threshold.
 
-    Steps run in place on one uint64 copy of ranks, with one scratch array
-    for the shifts; the caller's array is never written.
+    ranks is a uint64 or int64 array, which is never written (int64 is
+    viewed as uint64: the hash reads ranks mod 2^64), or a range of step 1.
+    A range's products rank * salt are one add, start * salt plus a cached
+    read-only table of i * salt one _bits.BLOCK_CELLS block long; a longer
+    range goes a table at a time.  The hash runs in place on one uint64
+    array with one scratch array, up to its last xor-shift, z ^ (z >> 31),
+    which keeps z's bits 33..63: only the few z whose top bits can still
+    fall under the threshold take that step and the exact compare.
+    Thresholds 0 and 2^53 need no hash.
     """
-    z = ranks.astype(np.uint64)
+    if threshold <= 0:
+        return np.zeros(0, dtype=np.intp)
+    if threshold >= 1 << 53:
+        return np.arange(len(ranks))
+    if not isinstance(ranks, range):
+        ranks = np.asarray(ranks)
+        if ranks.dtype == np.int64:
+            ranks = ranks.view(np.uint64)
+        return _accepted(np.multiply(ranks, _RANK_SALT), key, threshold)
+    if ranks.step != 1:
+        raise ValueError("rank_u53_np takes ranges of step 1")
+    table = _salt_table(_bits.BLOCK_CELLS)
+    if len(ranks) > len(table):
+        spans = _bits.blocks(len(ranks), 1, len(table))
+        return np.concatenate(
+            [rank_u53_np(key, ranks[lo:hi], threshold) + lo for lo, hi in spans]
+        )
+    z = table[: len(ranks)] + ((ranks.start * _RANK_SALT) & _M64)
+    return _accepted(z, key, threshold)
+
+
+@lru_cache(maxsize=1)
+def _salt_table(cells: int) -> np.ndarray:
+    """i * _RANK_SALT mod 2^64 for i < cells, read-only."""
+    table = np.arange(cells, dtype=np.uint64) * _RANK_SALT
+    table.flags.writeable = False
+    return table
+
+
+def _accepted(z: np.ndarray, key: int, threshold: int) -> np.ndarray:
+    """Positions whose hash of z = rank * salt (overwritten) is under
+    threshold, for 0 < threshold < 2^53."""
     tmp = np.empty_like(z)
-    z *= np.uint64(_RANK_SALT)
-    z ^= np.uint64(key)
-    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= key
+    np.right_shift(z, 30, out=tmp)
     z ^= tmp
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(z, np.uint64(27), out=tmp)
+    z *= 0xBF58476D1CE4E5B9
+    np.right_shift(z, 27, out=tmp)
     z ^= tmp
-    z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
-    z >>= np.uint64(11)
-    return z
+    z *= 0x94D049BB133111EB
+    # mix >> 11 < threshold means mix < limit, and mix's bits 33..63 are z's:
+    # so z >> 33 <= (limit - 1) >> 33, i.e. z <= (limit - 1) | (2^33 - 1)
+    limit = threshold << 11
+    cand = (z <= (limit - 1) | ((1 << 33) - 1)).nonzero()[0]
+    mix = z[cand]
+    mix ^= mix >> 31
+    return cand[mix < limit]
 
 
 def probability_threshold(p) -> int:

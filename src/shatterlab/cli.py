@@ -242,7 +242,7 @@ def _cmd_dtree_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cx = randgen.sample_complex(args.n, args.t, args.p, args.seed, limit=args.limit_subsets)
+    cx = randgen.sampled_complex(args.n, args.t, args.p, args.seed, limit=args.limit_subsets)
     text = complexes.format_complex_json(cx)
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:

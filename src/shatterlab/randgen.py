@@ -58,17 +58,37 @@ def sample_complex(
     if n < 1 or t < 1:
         raise InvalidArgumentError("need n >= 1 and t >= 1")
     threshold = probability_threshold(p)
+    _check_level_sizes(n, t, limit)
     faces: set[int] = {1 << v for v in range(n)}
     for k in range(2, t + 2):
-        total = math.comb(n, k)
-        if total > limit:
-            raise ResourceLimitError(f"level {k} has {total} candidates (limit {limit})")
         key = level_key(seed, k)
         for rank, mask in enumerate(iter_size_subsets(n, k)):
             # gated on every facet of the candidate being a face
             if facets_present(faces, mask) and rank_u53(key, rank) < threshold:
                 faces.add(mask)
     return SimplicialComplex(n, faces)
+
+
+def _check_level_sizes(n: int, t: int, limit: int) -> None:
+    """Raise for the first level k in 2..t+1 with more than limit k-sets."""
+    for k in range(2, t + 2):
+        total = math.comb(n, k)
+        if total > limit:
+            raise ResourceLimitError(f"level {k} has {total} candidates (limit {limit})")
+
+
+def sampled_complex(
+    n: int, t: int, p, seed: int, *, limit: int = DEFAULT_SUBSET_LIMIT
+) -> SimplicialComplex:
+    """sample_complex's complex, or its error, from the vectorized sampler
+    when t <= 2 and n <= MAX_SAMPLE_VERTICES, and from sample_complex
+    otherwise."""
+    if t not in (1, 2) or not 1 <= n <= MAX_SAMPLE_VERTICES:
+        return sample_complex(n, t, p, seed, limit=limit)
+    # sample_complex's checks, in its order, so the first error is the same
+    probability_threshold(p)
+    _check_level_sizes(n, t, limit)
+    return materialize(sample_levels(n, t, p, seed, collect=True))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +184,7 @@ class LevelSample:
                 rc, ic, jc = rc[e], ic[e], jc[e]
                 ranks = _triangle_ranks(block[rc, ic], block[rc, jc], block[rc, k])
                 # _keyed's hash: randgen.rank_u53_np is the sampling passes' own
-                ok = _keyed.rank_u53_np(key, ranks) < np.uint64(self.threshold)
+                ok = _keyed.rank_u53_np(key, ranks, self.threshold)
                 out[lo:hi] += np.bincount(rc[ok], minlength=len(block))
         return out
 
@@ -189,17 +209,16 @@ def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarra
 
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash all C(n, 2) pair ranks, _bits.BLOCK_CELLS at a time (the hash's
-    two uint64 buffers of a block stay in cache), and decode the accepted
-    ones in colex order."""
+    """Hash all C(n, 2) pair ranks, one range of _bits.BLOCK_CELLS ranks at
+    a time (the hash's two uint64 buffers of a block stay in cache), and
+    decode the accepted ones in colex order."""
     key = level_key(seed, 2)
     total = math.comb(n, 2)
     starts = _pair_offsets(n)
     us, vs = [], []
     if threshold > 0:
         for lo, hi in blocks(total, 1):
-            ranks = np.arange(lo, hi, dtype=np.uint64)
-            hit = ranks[rank_u53_np(key, ranks) < np.uint64(threshold)]
+            hit = rank_u53_np(key, range(lo, hi), threshold) + lo
             if len(hit):
                 u, v = _decode_pair_ranks(hit, starts)
                 us.append(u.astype(np.int32))
@@ -247,8 +266,8 @@ def _triangle_pass(
         ei, col = np.divmod(at[hit >> 3], nbytes - first)
         w = (col + first) * 8 + (hit & 7)
         base = _triangle_ranks(u_c.astype(np.int64), v_c.astype(np.int64), 0)
-        ok = rank_u53_np(key, base[ei] + ranks_w[w]) < np.uint64(threshold)
-        count += int(np.count_nonzero(ok))
+        ok = rank_u53_np(key, base[ei] + ranks_w[w], threshold)
+        count += len(ok)
         if collect:
             ei, w = ei[ok], w[ok]
             kept.append(np.stack([u_c[ei], v_c[ei], w.astype(np.int32)], axis=1))

@@ -37,6 +37,16 @@ def test_zeta_transform_of_one_row_and_of_many_axes():
     assert (cube == flat).all()
 
 
+def test_zeta_transform_of_more_rows_than_columns_matches_each_row_alone():
+    # more rows than columns run on a transposed copy; one row never does
+    rng = np.random.default_rng(4)
+    for shape in [(1, 1), (5, 1), (3, 2), (32, 32), (33, 32), (7580, 32), (4, 3, 8)]:
+        table = rng.integers(-9, 10, shape)
+        want = [zeta_transform(row.copy()).tolist() for row in table.reshape(-1, shape[-1])]
+        assert zeta_transform(table) is table
+        assert table.reshape(-1, shape[-1]).tolist() == want, shape
+
+
 def test_zeta_transform_rejects_bad_tables():
     with pytest.raises(ValueError):
         zeta_transform(np.zeros((2, 6), dtype=np.int32))

@@ -399,6 +399,77 @@ def test_facet_lists_are_pinned(capsys, argv, digest):
     assert code == 0 and _sha256(out) == digest
 
 
+_EMPTY = _sha256("")
+
+
+@pytest.mark.parametrize(
+    "cmd, code, digest, err",
+    [
+        (
+            "sample --n 300 --t 2 --p 1/4 --seed 7",
+            0,
+            "d49ebd7262c2f93261d4e2b33a956959d6397ece7025793281f8204bc617b605",
+            "# faces by dim: {0: 300, 1: 11244, 2: 17668}\n",
+        ),
+        (
+            "sample --n 200 --t 1 --p 1/10 --seed 3",
+            0,
+            "b3026c4d65751b3419046852a4abb4477d027714a156af1e279f00d714155844",
+            "# faces by dim: {0: 200, 1: 1902}\n",
+        ),
+        (
+            "sample --n 2 --t 2 --p 1 --seed 0",
+            0,
+            "29fbf8f3d5d8d68bc1c4d82f3d4501ad0dc2ef47d8b160d704b2d4dc553883f4",
+            "# faces by dim: {0: 2, 1: 1}\n",
+        ),
+        (
+            "sample --n 12 --t 3 --p 1/2 --seed 5",
+            0,
+            "5ad36bc272f0f9c3bd6d0d543542dc6cef381b49bf9f12a846d6683541986ce4",
+            "# faces by dim: {0: 12, 1: 24, 2: 4}\n",
+        ),
+        (
+            "sample --n 40 --t 2 --p 0 --seed 1",
+            0,
+            "3a1b74676d9e012e334d6eab6dd446c9360b3b887cca7bb76883cb470ffb4644",
+            "# faces by dim: {0: 40}\n",
+        ),
+        ("sample --n 30 --t 2 --p 3/2", 2, _EMPTY, "error: probability Fraction(3, 2) outside [0, 1]\n"),
+        ("sample --n 0 --t 2 --p 1/2", 2, _EMPTY, "error: need n >= 1 and t >= 1\n"),
+        (
+            "sample --n 100 --t 2 --p 3/2 --limit-subsets 10",
+            2,
+            _EMPTY,
+            "error: probability Fraction(3, 2) outside [0, 1]\n",
+        ),
+        (
+            "sample --n 100 --t 2 --p 1/4 --limit-subsets 10",
+            3,
+            _EMPTY,
+            "resource limit: level 2 has 4950 candidates (limit 10)\n",
+        ),
+        (
+            "sample --n 100 --t 2 --p 1/4 --limit-subsets 5000",
+            3,
+            _EMPTY,
+            "resource limit: level 3 has 161700 candidates (limit 5000)\n",
+        ),
+        (
+            "sample --n 20000 --t 1 --p 1/2",
+            3,
+            _EMPTY,
+            "resource limit: level 2 has 199990000 candidates (limit 10000000)\n",
+        ),
+    ],
+)
+def test_sample_bytes_are_pinned(capsys, cmd, code, digest, err):
+    # recorded when every sample came from the scalar sample_complex; t <= 2
+    # now takes the vectorized sampler, and t = 3 and n > 2^14 do not
+    got, out, got_err = run_cli(capsys, *cmd.split())
+    assert (got, _sha256(out), got_err) == (code, digest, err)
+
+
 def test_bh_probe_large_m_bytes_are_pinned(capsys):
     # m = 60 rows span many trace_count blocks; the digest was recorded with
     # a per-set pair loop that shares no code with the batched counter

@@ -38,30 +38,77 @@ from shatterlab.randgen import (
 from shatterlab.verify import DEFAULT_SEED
 
 
-def test_keyed_hash_scalar_vector_agree():
+def _accepted_by_scalar(key, ranks, threshold):
+    return [i for i, r in enumerate(ranks) if rank_u53(key, r) < threshold]
+
+
+# thresholds 0 and 2^53 take no hash; 2^53 - 1 is the largest the filter on
+# the top bits sees
+THRESHOLDS = (0, 1, 1 << 40, 1 << 52, (1 << 53) - 1, 1 << 53)
+
+
+def test_keyed_hash_threshold_is_exact():
+    # rank r is accepted at threshold h(r) + 1 and not at h(r): the filter on
+    # the top bits never drops a survivor, and the exact compare decides
     key = level_key(987654321, 2)
-    ranks = np.arange(50_000, dtype=np.uint64)
-    vec = rank_u53_np(key, ranks)
-    for r in range(0, 50_000, 1237):
-        assert int(vec[r]) == rank_u53(key, r)
+    ranks = np.random.default_rng(1).integers(0, 1 << 40, 300).astype(np.uint64)
+    for r in ranks.tolist():
+        h = rank_u53(key, r)
+        one = np.array([r], dtype=np.uint64)
+        assert rank_u53_np(key, one, h).tolist() == []
+        assert rank_u53_np(key, one, h + 1).tolist() == [0]
+        assert rank_u53_np(key, range(r, r + 1), h + 1).tolist() == [0]
+    hashes = sorted(rank_u53(key, r) for r in ranks.tolist())
+    for threshold in (*THRESHOLDS, hashes[0], hashes[150], hashes[-1]):
+        got = rank_u53_np(key, ranks, threshold)
+        assert got.tolist() == _accepted_by_scalar(key, ranks.tolist(), threshold)
+    # 50,000 consecutive ranks at p = 1/64, the sampler's form
+    got = rank_u53_np(key, range(50_000), 1 << 47)
+    assert got.tolist() == _accepted_by_scalar(key, range(50_000), 1 << 47)
+    assert 600 < len(got) < 950
 
 
 def test_keyed_hash_agrees_at_the_ends_of_its_range():
-    # uint64 ranks near 2^53 and near 2^64 - 1, where rank * salt wraps, and
-    # int64 triangle ranks up to C(2^14, 3), the sampler's largest
+    # ranges and uint64 arrays near 2^53 and ending at 2^64 - 1, where
+    # start * salt wraps, and int64 triangle ranks up to C(2^14, 3), the
+    # sampler's largest; no input array is written
     key = level_key(987654321, 3)
-    top = np.uint64((1 << 64) - 1) - np.arange(1000, dtype=np.uint64)
-    near53 = np.arange((1 << 53) - 500, (1 << 53) + 500, dtype=np.uint64)
+    top = range((1 << 64) - 1000, 1 << 64)
+    near53 = range((1 << 53) - 500, (1 << 53) + 500)
     rng = np.random.default_rng(2)
     uvw = np.sort(rng.choice(1 << 14, size=(2000, 3)), axis=1)
     uvw = uvw[(uvw[:, 0] < uvw[:, 1]) & (uvw[:, 1] < uvw[:, 2])]
     tri = _triangle_ranks(uvw[:, 0], uvw[:, 1], uvw[:, 2])
     tri = np.concatenate([tri, [0, math.comb(1 << 14, 3) - 1]]).astype(np.int64)
-    for ranks in (top, near53, tri):
-        before = ranks.copy()
-        vec = rank_u53_np(key, ranks)
-        assert np.array_equal(ranks, before) and ranks.dtype == before.dtype
-        assert vec.tolist() == [rank_u53(key, r) for r in ranks.tolist()]
+    for threshold in (*THRESHOLDS, 1 << 49):
+        for span in (top, near53):
+            want = _accepted_by_scalar(key, span, threshold)
+            array = np.array(span, dtype=np.uint64)
+            before = array.copy()
+            assert rank_u53_np(key, span, threshold).tolist() == want
+            assert rank_u53_np(key, array, threshold).tolist() == want
+            assert np.array_equal(array, before)
+        before = tri.copy()
+        got = rank_u53_np(key, tri, threshold)
+        assert np.array_equal(tri, before) and tri.dtype == np.int64
+        assert got.tolist() == _accepted_by_scalar(key, tri.tolist(), threshold)
+
+
+def test_keyed_hash_of_a_range_longer_than_its_salt_table(monkeypatch):
+    # the table is one block long; a longer range is hashed a table at a time
+    key = level_key(5, 2)
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 7)
+    table = _keyed._salt_table(_bits.BLOCK_CELLS)
+    assert len(table) == 7 and not table.flags.writeable
+    span = range((1 << 64) - 100, 1 << 64)
+    for threshold in (1 << 50, 1 << 52):
+        want = _accepted_by_scalar(key, span, threshold)
+        assert rank_u53_np(key, span, threshold).tolist() == want
+        assert rank_u53_np(key, np.array(span, dtype=np.uint64), threshold).tolist() == want
+    assert rank_u53_np(key, range(9, 9), 1 << 52).tolist() == []
+    assert rank_u53_np(key, np.zeros(0, dtype=np.int64), 1 << 52).tolist() == []
+    with pytest.raises(ValueError):
+        rank_u53_np(key, range(0, 10, 2), 1 << 52)
 
 
 def test_probability_threshold_exact():
@@ -172,9 +219,9 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
     n = 8192
     calls = []
 
-    def recorded(key, ranks):
-        calls.append(len(ranks))
-        return rank_u53_np(key, ranks)
+    def recorded(key, ranks, threshold):
+        calls.append(ranks)
+        return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(randgen, "rank_u53_np", recorded)
     tracemalloc.start()
@@ -183,8 +230,11 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(calls) == math.comb(n, 2)
-    assert max(calls) <= _bits.BLOCK_CELLS
+    # consecutive ranges tile the pair ranks in order: no rank array is built
+    assert all(isinstance(span, range) and span.step == 1 for span in calls)
+    assert [span.start for span in calls] == [0] + [span.stop for span in calls[:-1]]
+    assert calls[-1].stop == math.comb(n, 2)
+    assert max(len(span) for span in calls) <= _bits.BLOCK_CELLS
     assert peak < 16 << 20
 
 
@@ -273,9 +323,9 @@ def test_sampled_triangles_are_pinned(monkeypatch):
     sample = sample_levels(n, 1, Fraction(threshold, 1 << 53), 3)
     hashed = []
 
-    def counted(key, ranks):
+    def counted(key, ranks, threshold):
         hashed.append(len(ranks))
-        return rank_u53_np(key, ranks)
+        return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(randgen, "rank_u53_np", counted)
     count, tris = _triangle_pass(sample, threshold, collect=True)
@@ -580,9 +630,9 @@ def test_trace_count_across_blocks_and_chunks(monkeypatch, t, z):
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 3 * m * m - 1)
     hashed = []
 
-    def counted(key, ranks):
+    def counted(key, ranks, threshold):
         hashed.append(len(ranks))
-        return rank_u53_np(key, ranks)
+        return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(_keyed, "rank_u53_np", counted)
     sample = sample_levels(n, t, Fraction(1, 2), 0, collect=True)
