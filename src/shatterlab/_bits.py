@@ -42,13 +42,6 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def facets_present(family, mask: int) -> bool:
     """True if every one-smaller subset of mask is in family (a set of masks).
 
@@ -132,9 +125,7 @@ def popcount_groups(n: int) -> tuple[np.ndarray, ...]:
     int32 arrays (n <= ZETA_MAX_N)."""
     if not 0 <= n <= ZETA_MAX_N:
         raise ValueError(f"popcount groups need n in 0..{ZETA_MAX_N}")
-    count = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(n):
-        count[1 << v : 2 << v] = count[: 1 << v] + 1
+    count = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     order = np.argsort(count, kind="stable").astype(np.int32)
     order.flags.writeable = False
     ends = np.cumsum(np.bincount(count, minlength=n + 1))

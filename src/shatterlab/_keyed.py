@@ -47,33 +47,25 @@ def rank_u53(key: int, rank: int) -> int:
 def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
     """Ascending positions i with rank_u53(key, ranks[i]) < threshold.
 
-    ranks is a uint64 or int64 array, which is never written (int64 is
-    viewed as uint64: the hash reads ranks mod 2^64), or a range of step 1.
-    A range's products rank * salt are one add, start * salt plus a cached
-    read-only table of i * salt one _bits.BLOCK_CELLS block long; a longer
-    range goes a table at a time.  The hash runs in place on one uint64
-    array with one scratch array, up to its last xor-shift, z ^ (z >> 31),
-    which keeps z's bits 33..63: only the few z whose top bits can still
-    fall under the threshold take that step and the exact compare.
-    Thresholds 0 and 2^53 need no hash.
+    ranks is an int64 array, which is never written (it is viewed as uint64:
+    the hash reads ranks mod 2^64), or a range of step 1 at most one
+    _bits.BLOCK_CELLS block long.  A range's products rank * salt are one
+    add, start * salt plus a cached read-only table of i * salt one block
+    long.  The hash runs in place on one uint64 array with one scratch
+    array, up to its last xor-shift, z ^ (z >> 31), which keeps z's bits
+    33..63: only the few z whose top bits can still fall under the
+    threshold take that step and the exact compare.  Thresholds 0 and 2^53
+    need no hash.
     """
     if threshold <= 0:
         return np.zeros(0, dtype=np.intp)
     if threshold >= 1 << 53:
         return np.arange(len(ranks))
     if not isinstance(ranks, range):
-        ranks = np.asarray(ranks)
-        if ranks.dtype == np.int64:
-            ranks = ranks.view(np.uint64)
-        return _accepted(np.multiply(ranks, _RANK_SALT), key, threshold)
-    if ranks.step != 1:
-        raise ValueError("rank_u53_np takes ranges of step 1")
+        return _accepted(np.multiply(ranks.view(np.uint64), _RANK_SALT), key, threshold)
     table = _salt_table(_bits.BLOCK_CELLS)
-    if len(ranks) > len(table):
-        spans = _bits.blocks(len(ranks), 1, len(table))
-        return np.concatenate(
-            [rank_u53_np(key, ranks[lo:hi], threshold) + lo for lo, hi in spans]
-        )
+    if ranks.step != 1 or len(ranks) > len(table):
+        raise ValueError("rank_u53_np takes ranges of step 1 and at most one block")
     z = table[: len(ranks)] + ((ranks.start * _RANK_SALT) & _M64)
     return _accepted(z, key, threshold)
 

@@ -41,6 +41,15 @@ def _emit(args, rows: list[str], obj) -> None:
             print(row)
 
 
+def _write(outfile, text: str) -> None:
+    """Write text to outfile (--out), or to stdout when it is not given."""
+    if outfile:
+        with open(outfile, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _global_flags(defaults: dict) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--seed", type=int, default=defaults["seed"])
@@ -204,17 +213,13 @@ def _cmd_dtree_build(args) -> int:
         "params": {"d": args.d, "Q": args.Q, "r": args.r},
         "min_density": str(dtree.min_density_formula(args.d, args.Q, args.r)),
     }
-    text = setsystem.json_line(obj)
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args.outfile, setsystem.json_line(obj) + "\n")
     return 0
 
 
 def _cmd_dtree_verify(args) -> int:
-    # the brute force takes d * Q unrooted vertices, so d and Q stop at its cap
+    # the brute force takes d * Q unrooted vertices, so d and Q stop at its cap,
+    # and walks their 2^(dQ) - 1 non-empty subsets
     cap = dtree.BRUTE_FORCE_VERTEX_CAP
     cells = []
     faces = 0  # faces closed over the whole grid, (dQ + r)(2^(d+1) - 1) per tree
@@ -224,6 +229,12 @@ def _cmd_dtree_verify(args) -> int:
             if r_top >= 0:
                 # the largest tree of the row
                 dtree.check_tree_size(d, q, r_top, limit=args.limit_subsets)
+                subsets = (1 << d * q) - 1
+                if subsets > args.limit_subsets:
+                    raise ResourceLimitError(
+                        f"the brute force with d={d}, Q={q} walks {subsets} subsets, "
+                        f"over the limit {args.limit_subsets}"
+                    )
             rows = max(r_top + 1, 0)
             faces += (rows * d * q + rows * (rows - 1) // 2) * ((2 << d) - 1)
             if faces > args.limit_subsets:
@@ -243,12 +254,7 @@ def _cmd_dtree_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     cx = randgen.sampled_complex(args.n, args.t, args.p, args.seed, limit=args.limit_subsets)
-    text = complexes.format_complex_json(cx)
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.outfile, complexes.format_complex_json(cx))
     counts = cx.face_counts()
     print(f"# faces by dim: {counts}", file=sys.stderr)
     return 0

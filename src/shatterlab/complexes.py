@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from shatterlab._bits import bits, iter_bits, submasks
+from shatterlab._bits import bits, submasks
 from shatterlab.errors import (
     DEFAULT_SUBSET_LIMIT,
     EmptyDomainError,
@@ -121,13 +121,7 @@ class SimplicialComplex:
         for d in sorted(self._by_dim, reverse=True):
             faces = self._by_dim[d]
             out += [f for f in faces if f not in covered]
-            covered = set()
-            for f in faces:
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    covered.add(f ^ low)
-                    rest ^= low
+            covered = {f ^ 1 << v for f in faces for v in bits(f)}
         return sorted(out)
 
 
@@ -140,7 +134,7 @@ def delta_d(cx: SimplicialComplex, d: int) -> int:
         raise EmptyDomainError(f"complex has no faces of dimension {d - 1}")
     degree = dict.fromkeys(lower, 0)
     for f in cx.faces_of_dim(d):
-        for v in iter_bits(f):
+        for v in bits(f):
             degree[f ^ (1 << v)] += 1
     return min(degree.values())
 

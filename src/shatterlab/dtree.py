@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab._bits import ZETA_MAX_N, bits, iter_bits, popcount_groups, zeta_transform
+from shatterlab._bits import ZETA_MAX_N, bits, popcount_groups, zeta_transform
 from shatterlab.complexes import MAX_FACET_LABELS, SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.setsystem import _as_vertex_mask
@@ -171,7 +171,7 @@ def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
     position = {v: 1 << i for i, v in enumerate(unrooted)}
     avoid = np.zeros(1 << k, dtype=np.int32)
     for f in tree.complex.faces:
-        avoid[sum(position[v] for v in iter_bits(f & unrooted_mask))] += 1
+        avoid[sum(position[v] for v in bits(f & unrooted_mask))] += 1
     zeta_transform(avoid)
     complement = avoid[::-1]  # entry S is avoid[full - S]
     faces = len(tree.complex.faces)
@@ -183,13 +183,13 @@ def min_density_bruteforce(tree: RootedDTree) -> tuple[Fraction, int]:
     ties = best_group[complement[best_group] == faces - best_e].tolist()
     best_subset = min(ties, key=lambda s: _vertex_list(s, unrooted))
     witness = 0
-    for i in iter_bits(best_subset):
+    for i in bits(best_subset):
         witness |= 1 << unrooted[i]
     return Fraction(best_e, best_size), witness
 
 
 def _vertex_list(subset: int, unrooted: list[int]) -> tuple[int, ...]:
-    return tuple(unrooted[i] for i in iter_bits(subset))
+    return tuple(unrooted[i] for i in bits(subset))
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def count_embeddings(tree: RootedDTree, cx: SimplicialComplex, sigma) -> Embeddi
             return
         new_v, glue = schedule[idx]
         glue_img = 0
-        for v in iter_bits(glue):
+        for v in bits(glue):
             glue_img |= 1 << mapping[v]
         for w in extensions(glue_img):
             if used >> w & 1:

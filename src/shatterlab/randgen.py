@@ -438,12 +438,10 @@ def _sample_pruned(job: _Trial, prune: bool) -> tuple[LevelSample, PruneResult |
     return sample.remove_vertices(res.removed_vertices), res
 
 
-def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit: int, workers: int):
-    """Run instance on each (n, trial) at p = n^(-1/(s-1)) and z = (s-1)(m+1),
-    n-major, in a pool bounded by workers (instance must then be a
-    module-level function), and fit the log-log slope of the total faces of
-    each result against n.  A size listed twice runs once and its results
-    repeat.  Returns (n_list as a tuple, results, slope)."""
+def _plan(s: Fraction, m: int, n_list, trials: int, seed: int, limit: int):
+    """The (n, trial) jobs of a sweep at p = n^(-1/(s-1)) and z = (s-1)(m+1),
+    n-major, each seeded by derive_seed(seed, n, trial).  Returns (n_list as
+    a tuple, jobs)."""
     if s < 2:
         raise InvalidArgumentError("s must be >= 2")
     if m < 1 or trials < 1:
@@ -464,6 +462,16 @@ def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit:
             _Trial(params, shortcut, limit, seed, trial, threshold, derive_seed(seed, n, trial))
             for trial in range(trials)
         ]
+    return n_list, jobs
+
+
+def _sweep(s: Fraction, m: int, n_list, trials: int, seed: int, instance, limit: int, workers: int):
+    """Run instance on each job of _plan in a pool bounded by workers
+    (instance must then be a module-level function), and fit the log-log
+    slope of the total faces of each result against n.  A size listed twice
+    runs once and its results repeat.  Returns (n_list as a tuple, results,
+    slope)."""
+    n_list, jobs = _plan(s, m, n_list, trials, seed, limit)
     # a repeated size repeats its jobs: run each distinct job once
     distinct = list(dict.fromkeys(jobs))
     done = dict(zip(distinct, list(bounded_map(instance, distinct, workers))))

@@ -39,9 +39,6 @@ BRANCH_MAX_N = 16
 CANONICAL_MAX_N = 8
 # branch-and-bound nodes before extremal_max_sets raises ResourceLimitError
 NODE_LIMIT = 2_000_000
-# uint64 entries per canonical-form gather (8 MB): permutations x the members
-# of every family in the batch
-CANONICAL_GATHER_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,31 +83,26 @@ def canonical_form(n: int, rows: np.ndarray) -> list[int]:
     """Largest bitset code of each family over all vertex permutations (n <= 8),
     in the order given.
 
-    rows is a (families, 2^n) bool array of member indicators.  The code of a
-    relabelled family has bit `mask` set for each member, so two families on
-    n vertices get the same form exactly when they are isomorphic.  The
-    members of the whole batch go through each block of at most
-    CANONICAL_GATHER_CELLS permutation-member images at once (one permutation,
-    if the batch is larger), and a reduceat ORs them into each family's code
-    words.  Past one word, codes are compared word by word from the top, per
-    family, among the permutations still tied and the best code of the
-    earlier blocks.
+    rows is a non-empty (families, 2^n) bool array of member indicators, each
+    family with a member (every search child holds the empty set).  The code
+    of a relabelled family has bit `mask` set for each member, so two
+    families on n vertices get the same form exactly when they are
+    isomorphic.  The members of the whole batch go through each block of at
+    most _bits.BLOCK_CELLS permutation-member images at once (one
+    permutation, if the batch is larger), and a reduceat ORs them into each
+    family's code words.  Past one word, codes are compared word by word from
+    the top, per family, among the permutations still tied and the best code
+    of the earlier blocks.
     """
     if not 0 <= n <= CANONICAL_MAX_N:
         raise InvalidArgumentError(f"canonical form needs n in 0..{CANONICAL_MAX_N}")
     family, members = np.nonzero(rows)
-    if not len(members):
-        return [0] * len(rows)  # an empty family's code is 0
     sizes = np.bincount(family, minlength=len(rows))
-    if not sizes.all():  # reduceat cannot give an empty segment
-        live = sizes.nonzero()[0]
-        forms = [0] * len(rows)
-        for i, form in zip(live.tolist(), canonical_form(n, rows[live])):
-            forms[i] = form
-        return forms
+    if not len(members) or not sizes.all():  # reduceat cannot give an empty segment
+        raise InvalidArgumentError("canonical form needs families that each hold a member")
     starts = sizes.cumsum() - sizes
     table = _perm_tables(n)
-    spans = blocks(table.shape[1], len(members), CANONICAL_GATHER_CELLS)
+    spans = blocks(table.shape[1], len(members))
     if table.dtype != np.uint64:
         return _multiword_forms(table, members, starts, spans)
     # one word: the table holds each image's bit

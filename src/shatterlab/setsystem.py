@@ -130,12 +130,6 @@ class ShatterProfile:
 
     values: tuple[int, ...]
 
-    def __getitem__(self, m: int) -> int:
-        return self.values[m]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
     def dominates(self, other: "ShatterProfile") -> bool:
         """Pointwise >= comparison (self dominates other)."""
         return len(self.values) == len(other.values) and all(

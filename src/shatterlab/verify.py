@@ -23,10 +23,9 @@ import numpy as np
 
 from shatterlab import bounds, compression, dtree, randgen, scan, search, setsystem
 from shatterlab._bits import iter_size_subsets
-from shatterlab._keyed import derive_seed
 from shatterlab.complexes import SimplicialComplex, delta_d, span_count
 from shatterlab.complexes import overlap_witness as overlap_witness_op
-from shatterlab.errors import InvalidArgumentError
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError
 
 DEFAULT_SEED = 20260810
 # ground size and member draws of the seeded systems behind suites 3 and 4
@@ -219,20 +218,17 @@ def _growth(res: SuiteResult, tier: str, seed: int) -> None:
 
 def _prune_guarantee(res: SuiteResult, tier: str, seed: int) -> None:
     seeds = 5 if tier == "full" else 2
-    n, m, s = 80, 4, Fraction(3)
-    z = (s - 1) * (m + 1)
+    n, m = 80, 4
+    _, jobs = randgen._plan(Fraction(3), m, (n,), seeds, seed, DEFAULT_SUBSET_LIMIT)
+    z = jobs[0].params.z
     if z != 10:
         res.failures.append(f"z = {z} != 10")
     combos = scan.combination_array(n, m)
     verts = np.arange(n, dtype=np.int16)
     spans = []
     f4s = []
-    for i in range(seeds):
-        trial_seed = derive_seed(seed, n, i)
-        threshold = randgen.inverse_power_threshold(n, 1 / (s - 1))
-        sample = randgen.sample_levels(n, 1, Fraction(threshold, 1 << 53), trial_seed)
-        cx = randgen.materialize(sample)
-        pruned = randgen.prune_bad_msets(cx, m, z).complex
+    for i, job in enumerate(jobs):
+        pruned = randgen._sample_pruned(job, True)[1].complex
         counts = scan.dim_ge1_counts(pruned, combos, verts)
         if len(counts) != math.comb(n, m):
             res.failures.append(f"seed {i}: scanned {len(counts)} 4-sets, not C(80,4)")

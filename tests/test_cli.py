@@ -341,6 +341,9 @@ def test_global_flag_before_or_after_the_subcommand(recording_pool, capsys, flag
         (("bounds", "eval", "--kind", "s_d", "--params", "s=1.0e999999999,d=1"), 2),
         # each row passes check_tree_size, but the grid closes about 1.35e11 faces
         (("dtree", "verify", "--d-max", "1", "--Q-max", "1", "--r-max", "300000"), 3),
+        # each tree is small, but the brute force at Q = 10 walks 2^10 - 1 subsets
+        (("dtree", "verify", "--d-max", "1", "--Q-max", "20", "--r-max", "0",
+          "--limit-subsets", "1000"), 3),
         (("growth", "--s", "3", "--m", "4", "--n", "100000", "--trials", "1"), 3),
         (("bh-probe", "--k", "2", "--m", "13", "--n", "100000"), 3),
     ],

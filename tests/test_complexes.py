@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from shatterlab._bits import bits, facets_present, iter_bits, mask_of
+from shatterlab._bits import bits, facets_present, mask_of
 from shatterlab.complexes import (
     SimplicialComplex,
     delta_d,
@@ -81,7 +81,7 @@ def degree(cx, sigma, d):
     (a mask or labels), found by adding each vertex outside sigma."""
     smask = sigma if isinstance(sigma, int) else mask_of(sigma)
     assert smask.bit_count() == d and smask in cx
-    return sum(1 for v in iter_bits(cx.vertex_mask & ~smask) if smask | (1 << v) in cx)
+    return sum(1 for v in bits(cx.vertex_mask & ~smask) if smask | (1 << v) in cx)
 
 
 def test_degree_T0_example():

@@ -10,7 +10,9 @@ constructor) that no call there passes, or that every call passes as the
 same literal, has one value in use, so it is a constant, not an option.
 And every worker pool is the one bounded pool: no other function names
 ProcessPoolExecutor.  Likewise every chunked layer sizes its blocks through
-_bits.blocks: no other function calls range with a step.
+_bits.blocks: no other function calls range with a step.  And _bits is the
+one module that walks the bits of a mask: no other function takes the
+lowest set bit, x & -x.
 """
 
 import ast
@@ -196,3 +198,33 @@ def test_one_function_steps_a_range():
         if _steps_a_range(node)
     ]
     assert owners == ["_bits.py: blocks"]
+
+
+def _takes_the_lowest_bit(node: ast.AST) -> bool:
+    return any(
+        isinstance(op, ast.BinOp)
+        and isinstance(op.op, ast.BitAnd)
+        and any(
+            isinstance(neg, ast.UnaryOp)
+            and isinstance(neg.op, ast.USub)
+            and ast.dump(neg.operand) == ast.dump(other)
+            for neg, other in ((op.right, op.left), (op.left, op.right))
+        )
+        for op in ast.walk(node)
+    )
+
+
+def test_one_module_takes_the_lowest_bit():
+    library, trees = _trees()
+    owners = [
+        f"{path.name}: {getattr(node, 'name', type(node).__name__)}"
+        for path in library
+        for node in trees[path].body
+        if _takes_the_lowest_bit(node)
+    ]
+    assert owners == [
+        "_bits.py: bits",
+        "_bits.py: facets_present",
+        "_bits.py: submasks",
+        "_bits.py: iter_size_subsets",
+    ]

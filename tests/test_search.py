@@ -196,15 +196,15 @@ def unchunked_canonical_form(n: int, family) -> int:
 
 @pytest.mark.parametrize("cells", [None, 700])
 def test_canonical_form_chunked_matches_unchunked(monkeypatch, cells):
-    # at n = 8 the default bound already splits families of over 26 members;
+    # at n = 8 the default block already splits families of over one member;
     # 700 cells split every family into blocks of a few permutations
     if cells is not None:
-        monkeypatch.setattr(search_module, "CANONICAL_GATHER_CELLS", cells)
+        monkeypatch.setattr(_bits, "BLOCK_CELLS", cells)
     rng = random.Random(8)
     families = [frozenset(rng.sample(range(1 << 8), rng.randrange(1, 120))) for _ in range(8)]
     families += [cycles_closure(8, [8]), cycles_closure(8, [4, 4])]
     if cells is None:
-        families.append(frozenset(range(1 << 8)))  # 10 blocks of 4,096 permutations
+        families.append(frozenset(range(1 << 8)))  # 158 blocks of 256 permutations
     families += [frozenset(rng.sample(range(1 << 7), 40)) for _ in range(2)]
     for family in families:
         n = 8 if max(family) >= 1 << 7 else 7
@@ -216,7 +216,7 @@ def test_batched_canonical_forms_match_unchunked(monkeypatch, cells):
     # mixed-size batches; 700 cells make the permutation blocks split inside a
     # batch: a block at n >= 4 holds a few permutations of all its families
     if cells is not None:
-        monkeypatch.setattr(search_module, "CANONICAL_GATHER_CELLS", cells)
+        monkeypatch.setattr(_bits, "BLOCK_CELLS", cells)
     rng = random.Random(15)
     batches = []
     for n in range(1, 9):
@@ -228,11 +228,13 @@ def test_batched_canonical_forms_match_unchunked(monkeypatch, cells):
     for n, batch in batches:
         batch.append(batch[0])  # a repeat in the same batch
         assert forms(n, batch) == [unchunked_canonical_form(n, f) for f in batch]
-    # every closed family on 4 vertices in one batch, and an empty family
+    # every closed family on 4 vertices in one batch; a family without a
+    # member, or no family at all, is refused
     closed = closed_families(4)
     assert forms(4, closed) == [unchunked_canonical_form(4, f) for f in closed]
-    assert forms(3, [frozenset({0, 1}), frozenset()]) == [unchunked_canonical_form(3, {0, 1}), 0]
-    assert forms(5, []) == []
+    for batch in ([frozenset({0, 1}), frozenset()], []):
+        with pytest.raises(InvalidArgumentError):
+            forms(3, batch)
 
 
 def test_max_members_inside_over_many_chunks(monkeypatch):
@@ -276,7 +278,18 @@ def test_extremal_nodes_and_witnesses_unchanged():
 
 def test_extremal_digest_with_one_row_blocks(monkeypatch):
     # one cell per block: the search scores and builds one candidate at a
-    # time, and the oracle table, built again, transforms one family at a time
+    # time, and the oracle table, built again, transforms one family at a
+    # time.  Canonical forms keep the default block, as one permutation per
+    # block would take half a minute here; the tests above split them.
+    default = _bits.BLOCK_CELLS
+    real_canonical_form = search_module.canonical_form
+
+    def canonical_form_at_the_default_block(n, rows):
+        with monkeypatch.context() as patch:
+            patch.setattr(_bits, "BLOCK_CELLS", default)
+            return real_canonical_form(n, rows)
+
+    monkeypatch.setattr(search_module, "canonical_form", canonical_form_at_the_default_block)
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 1)
     search_module._oracle_table.cache_clear()
     try:
