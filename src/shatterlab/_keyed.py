@@ -44,7 +44,7 @@ def rank_u53(key: int, rank: int) -> int:
     return mix64(key ^ ((rank * _RANK_SALT) & _M64)) >> 11
 
 
-def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
+def rank_u53_np(key: int, ranks, threshold: int, buffers=None) -> np.ndarray:
     """Ascending positions i with rank_u53(key, ranks[i]) < threshold.
 
     ranks is an int64 array, which is never written (it is viewed as uint64:
@@ -54,20 +54,27 @@ def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
     long.  The hash runs in place on one uint64 array with one scratch
     array, up to its last xor-shift, z ^ (z >> 31), which keeps z's bits
     33..63: only the few z whose top bits can still fall under the
-    threshold take that step and the exact compare.  Thresholds 0 and 2^53
-    need no hash.
+    threshold take that step and the exact compare.  Those two arrays are
+    the rows of buffers, a (2, c) uint64 array with c >= len(ranks), when
+    the caller passes one to hash many blocks in, and fresh ones otherwise.
+    Thresholds 0 and 2^53 need no hash.
     """
     if threshold <= 0:
         return np.zeros(0, dtype=np.intp)
     if threshold >= 1 << 53:
         return np.arange(len(ranks))
-    if not isinstance(ranks, range):
-        return _accepted(np.multiply(ranks.view(np.uint64), _RANK_SALT), key, threshold)
-    table = _salt_table(_bits.BLOCK_CELLS)
-    if ranks.step != 1 or len(ranks) > len(table):
-        raise ValueError("rank_u53_np takes ranges of step 1 and at most one block")
-    z = table[: len(ranks)] + ((ranks.start * _RANK_SALT) & _M64)
-    return _accepted(z, key, threshold)
+    count = len(ranks)
+    z = tmp = None
+    if buffers is not None:
+        z, tmp = buffers[0, :count], buffers[1, :count]
+    if isinstance(ranks, range):
+        table = _salt_table(_bits.BLOCK_CELLS)
+        if ranks.step != 1 or count > len(table):
+            raise ValueError("rank_u53_np takes ranges of step 1 and at most one block")
+        z = np.add(table[:count], (ranks.start * _RANK_SALT) & _M64, out=z)
+    else:
+        z = np.multiply(ranks.view(np.uint64), _RANK_SALT, out=z)
+    return _accepted(z, np.empty_like(z) if tmp is None else tmp, key, threshold)
 
 
 @lru_cache(maxsize=1)
@@ -78,10 +85,9 @@ def _salt_table(cells: int) -> np.ndarray:
     return table
 
 
-def _accepted(z: np.ndarray, key: int, threshold: int) -> np.ndarray:
+def _accepted(z: np.ndarray, tmp: np.ndarray, key: int, threshold: int) -> np.ndarray:
     """Positions whose hash of z = rank * salt (overwritten) is under
-    threshold, for 0 < threshold < 2^53."""
-    tmp = np.empty_like(z)
+    threshold, for 0 < threshold < 2^53; tmp is scratch of z's shape."""
     z ^= key
     np.right_shift(z, 30, out=tmp)
     z ^= tmp

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab import _keyed, scan
+from shatterlab import _bits, _keyed, scan
 from shatterlab._bits import bits, blocks, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
@@ -210,19 +210,22 @@ def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarra
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Hash all C(n, 2) pair ranks, one range of _bits.BLOCK_CELLS ranks at
-    a time (the hash's two uint64 buffers of a block stay in cache), and
-    decode the accepted ones in colex order."""
+    a time, and decode the accepted ones in colex order.  Every block is
+    hashed in the same two uint64 buffers, which stay in cache and are
+    freed before the decoded pairs are joined."""
     key = level_key(seed, 2)
     total = math.comb(n, 2)
     starts = _pair_offsets(n)
     us, vs = [], []
     if threshold > 0:
+        buffers = np.empty((2, min(total, _bits.BLOCK_CELLS)), dtype=np.uint64)
         for lo, hi in blocks(total, 1):
-            hit = rank_u53_np(key, range(lo, hi), threshold) + lo
+            hit = rank_u53_np(key, range(lo, hi), threshold, buffers) + lo
             if len(hit):
                 u, v = _decode_pair_ranks(hit, starts)
                 us.append(u.astype(np.int32))
                 vs.append(v.astype(np.int32))
+        del buffers
     if not us:
         e = np.zeros(0, dtype=np.int32)
         return e, e.copy()
@@ -263,7 +266,9 @@ def _triangle_pass(
         if not len(at):
             continue
         hit = np.flatnonzero(np.unpackbits(common[at]).view(bool))
-        ei, col = np.divmod(at[hit >> 3], nbytes - first)
+        q = at[hit >> 3]
+        ei = q // (nbytes - first)
+        col = q - ei * (nbytes - first)
         w = (col + first) * 8 + (hit & 7)
         base = _triangle_ranks(u_c.astype(np.int64), v_c.astype(np.int64), 0)
         ok = rank_u53_np(key, base[ei] + ranks_w[w], threshold)
@@ -319,6 +324,9 @@ class PruneResult:
     bad_sets_found: int
     subsets_scanned: int
     shortcut: bool  # z exceeded the dimension ceiling, so no scan was needed
+    # the most faces of dimension >= 1 an m-set spans, when the scan ran and
+    # removed nothing; None after a removal or the shortcut
+    span_max: int | None = None
 
 
 def prune_bad_msets(
@@ -331,7 +339,10 @@ def prune_bad_msets(
     what the guarantee needs, and isolated vertices can never contribute.
     When z exceeds the dimension ceiling sum_{i>=2} C(m,i) the scan is
     skipped outright; the result is provably identical.  The scan is exact
-    or it raises; it never samples.
+    or it raises; it never samples.  It keeps the rows at or above
+    min(ceil(z), g), g the span of a greedy set: when none reaches ceil(z),
+    g was below it, so the rows hold the largest span, which the result
+    reports as span_max.
     """
     zf = Fraction(z)
     if zf < 1:
@@ -341,14 +352,13 @@ def prune_bad_msets(
     zc = math.ceil(zf)
     if max_possible_dim_ge1_span(m, cx.dimension) < zc:
         return PruneResult(cx, (), 0, 0, True)
-    scanned = scan.active_span_counts(cx, m, zc, limit)
-    if scanned is None:
-        return PruneResult(cx, (), 0, 0, False)
-    verts, bad, _ = scanned
-    total = math.comb(len(verts), min(m, len(verts)))
+    # past the shortcut the complex has an edge and m >= 2, so k >= 2
+    verts, rows, counts = scan.active_span_counts(cx, m, zc, limit)
+    total = math.comb(len(verts), rows.shape[1])
+    bad = np.flatnonzero(counts >= zc)
     if not len(bad):
-        return PruneResult(cx, (), 0, total, False)
-    removed = mask_of(int(v) for v in np.unique(verts[bad]))
+        return PruneResult(cx, (), 0, total, False, int(counts.max()))
+    removed = mask_of(int(v) for v in np.unique(verts[rows[bad]]))
     faces = {f for f in cx.faces if not f & removed}
     pruned = SimplicialComplex(cx.n, faces)
     return PruneResult(pruned, tuple(bits(removed)), len(bad), total, False)
@@ -501,12 +511,16 @@ def _loglog_slope(totals) -> float:
 
 def _growth_trial(job: _Trial) -> ExperimentReport:
     """Prune when C(n, m) fits under the limit or the shortcut fails; exact
-    f(m) of the pruned complex when the scan fits."""
+    f(m) of the pruned complex when the scan fits.  A prune that removed
+    nothing reports the largest span of its own scan, so f(m) takes no
+    second scan."""
     p = job.params
     prune = math.comb(p.n, p.m) <= job.limit or not job.shortcut
     sample, res = _sample_pruned(job, prune)
     f_m: int | str = "sampled"
-    if res is not None:
+    if res is not None and res.span_max is not None:
+        f_m = scan.shatter_from_span(res.complex, p.m, res.span_max)
+    elif res is not None:
         try:
             f_m = scan.exact_shatter_value(res.complex, p.m, limit=job.limit)
         except ResourceLimitError:

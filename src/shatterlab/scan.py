@@ -216,25 +216,32 @@ def _greedy_span(cx: SimplicialComplex, active: list[int], k: int) -> int:
     """Span of a deterministic greedy k-set of active vertices.
 
     From each of the 3 vertices on the most faces, add the vertex that adds
-    the most faces until the set has k.  Each such set is a row of the
-    active scan, so its span is a floor that the maximum row reaches.
+    the most faces, the lowest on a tie, until the set has k.  Each such set
+    is a row of the active scan, so its span is a floor that the maximum row
+    reaches.  Gains are kept as the set grows: each face holds the count of
+    its vertices not yet chosen, and a face left with one such vertex adds
+    one to that vertex's gain.
     """
-    rests = {v: [] for v in active}  # faces through v, less v
-    for d in range(1, cx.dimension + 1):
-        for f in cx.faces_of_dim(d):
-            for v in bits(f):
-                rests[v].append(f ^ (1 << v))
+    faces = [f for d in range(1, cx.dimension + 1) for f in cx.faces_of_dim(d)]
+    through = {v: [] for v in active}  # indexes of the faces through v
+    for i, f in enumerate(faces):
+        for v in bits(f):
+            through[v].append(i)
+    sizes = [f.bit_count() for f in faces]
     best = 0
-    for start in sorted(active, key=lambda v: -len(rests[v]))[:3]:
-        chosen, span = 1 << start, 0
+    for start in sorted(active, key=lambda v: -len(through[v]))[:3]:
+        outside = sizes.copy()
+        gain = dict.fromkeys(active, 0)  # over the vertices not yet chosen
+        chosen, span, v = 0, 0, start
         for _ in range(k - 1):
-            gain, pick = max(
-                (sum(1 for r in rests[v] if r & chosen == r), -v)
-                for v in active
-                if not chosen >> v & 1
-            )
-            chosen |= 1 << -pick
-            span += gain
+            chosen |= 1 << v
+            del gain[v]
+            for i in through[v]:
+                outside[i] -= 1
+                if outside[i] == 1:
+                    gain[(faces[i] & ~chosen).bit_length() - 1] += 1
+            g, u = max((g, -u) for u, g in gain.items())
+            span, v = span + g, -u
         best = max(best, span)
     return best
 
@@ -243,23 +250,24 @@ def active_span_counts(
     cx: SimplicialComplex, m: int, floor: int | None, limit: int = DEFAULT_SUBSET_LIMIT
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(vertices, rows, counts) of the k-subsets of the active vertices
-    that span >= floor faces of dimension >= 1.
+    that span >= min(floor, g) faces of dimension >= 1, where g is the span
+    of a greedy k-set; a floor of None is g.
 
     k = min(m, number of active vertices); None when k < 2, where no subset
     spans a face of dimension >= 1.  An m-set spans exactly what its active
-    part spans, so these rows decide every m-set of the complex.  A floor of
-    None is the span of a greedy k-set, so the rows hold the maximum span.
-    The limit applies to all C(active, k) subsets, before any work.
+    part spans, so these rows decide every m-set of the complex.  The greedy
+    set is a row, so the rows always hold the maximum span, and when no row
+    reaches the floor, every row from g up is present.  The limit applies
+    to all C(active, k) subsets, before any work.
     """
     active = active_vertices(cx)
     k = min(m, len(active))
     if k < 2:
         return None
     _guard(math.comb(len(active), k), limit)
-    if floor is None:
-        floor = _greedy_span(cx, active, k)
+    greedy = _greedy_span(cx, active, k)
     verts = np.asarray(active)
-    return verts, *floor_span_rows(cx, verts, k, floor)
+    return verts, *floor_span_rows(cx, verts, k, greedy if floor is None else min(floor, greedy))
 
 
 def max_dim_ge1_span(cx: SimplicialComplex, m: int, *, vertices=None) -> int:
@@ -285,14 +293,15 @@ def exact_shatter_value(
     vertices, so only subsets of edge-covered vertices need enumerating, and
     only those reaching a greedy set's span.
     """
-    vcount = len(cx.faces_of_dim(0))
-    if m == 0 or vcount == 0:
-        return 1
-    base = 1 + min(m, vcount)
     scanned = active_span_counts(cx, m, None, limit)
-    if scanned is None:
-        return base
-    return base + int(scanned[2].max())
+    return shatter_from_span(cx, m, 0 if scanned is None else int(scanned[2].max()))
+
+
+def shatter_from_span(cx: SimplicialComplex, m: int, span: int) -> int:
+    """f(m) of the complex when span is the most faces of dimension >= 1
+    that an m-subset spans: the empty set, the min(m, vertices) vertices
+    that the best m-set can hold, and those faces."""
+    return 1 + min(m, len(cx.faces_of_dim(0))) + span
 
 
 def active_vertices(cx: SimplicialComplex) -> list[int]:

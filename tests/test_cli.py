@@ -504,8 +504,17 @@ _SCAN_JSON = "f10b6d2ddf2c6fd7d6244574280f1d62ea42af012db00513034d99af131233be"
              "--format", "json"),
             "6620b4e0e85de2276551c06e90a965d6dcaadd33ef5fae2f12b96d6a9d32ccbb",
         ),
+        (
+            ("growth", "--s", "3", "--m", "6", "--n", "24,28,32", "--trials", "3"),
+            "d7428709a78346c2684b342b70eca7cf9ba7ee6116f1c703bc96f5cda7c2e6ec",
+        ),
+        (
+            ("growth", "--s", "4", "--m", "7", "--n", "12,14,16", "--trials", "3"),
+            "28877073461f63e8097f247450ed84e8d98ae3a953783ddcfc1efdf8ce9842ac",
+        ),
     ],
-    ids=["scan-csv-1", "scan-csv-2", "scan-json-1", "scan-json-2", "shortcut", "probe"],
+    ids=["scan-csv-1", "scan-csv-2", "scan-json-1", "scan-json-2", "shortcut", "probe",
+         "scan-keeps", "scan-removes"],
 )
 def test_sweep_bytes_are_pinned(capsys, argv, digest):
     # growth at s = 5 scans (t = 2), and at s = 3 takes the shortcut (t = 1);
@@ -513,6 +522,9 @@ def test_sweep_bytes_are_pinned(capsys, argv, digest):
     # real pool of two processes.  The digests were recorded when growth and
     # the probe still had a sweep loop each, apart from the probe's: pruning
     # empties its n = 16 instances, whose max_trace now reads 1, not m + 1.
+    # The last two were recorded when every growth trial scanned its pruned
+    # complex again for f(m): s = 3, m = 6 scans and removes nothing, and
+    # s = 4, m = 7 removes 8 and 10 vertices in two of its n = 16 trials.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and _sha256(out) == digest
 

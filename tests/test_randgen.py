@@ -221,9 +221,9 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
     n = 8192
     calls = []
 
-    def recorded(key, ranks, threshold):
+    def recorded(key, ranks, threshold, *buffers):
         calls.append(ranks)
-        return rank_u53_np(key, ranks, threshold)
+        return rank_u53_np(key, ranks, threshold, *buffers)
 
     monkeypatch.setattr(randgen, "rank_u53_np", recorded)
     tracemalloc.start()
@@ -238,6 +238,30 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
     assert calls[-1].stop == math.comb(n, 2)
     assert max(len(span) for span in calls) <= _bits.BLOCK_CELLS
     assert peak < 16 << 20
+
+
+def test_edge_pass_hashes_every_block_in_one_pair_of_buffers(monkeypatch):
+    # C(60, 2) = 1,770 ranks in blocks of 97: every block hashes in the same
+    # two arrays, and the edges are those of the default blocks
+    n, threshold = 60, probability_threshold(Fraction(1, 3))
+    want = _sample_edges_np(n, threshold, 4)
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 97)
+    arrays = []
+
+    def recorded(z, tmp, key, threshold):
+        arrays.append((z, tmp))
+        return accepted(z, tmp, key, threshold)
+
+    accepted = _keyed._accepted
+    monkeypatch.setattr(_keyed, "_accepted", recorded)
+    got = _sample_edges_np(n, threshold, 4)
+    assert len(arrays) == math.ceil(math.comb(n, 2) / 97)
+    z0, tmp0 = arrays[0]
+    assert not np.shares_memory(z0, tmp0)
+    assert all(np.shares_memory(z, z0) and np.shares_memory(tmp, tmp0) for z, tmp in arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(want[0]) > 500
+    # no pair to hash, and one
+    assert [len(us) for us, _ in (_sample_edges_np(k, 1 << 53, 4) for k in (1, 2))] == [0, 1]
 
 
 def test_pair_decode_is_the_colex_order():
@@ -325,9 +349,9 @@ def test_sampled_triangles_are_pinned(monkeypatch):
     sample = sample_levels(n, 1, Fraction(threshold, 1 << 53), 3)
     hashed = []
 
-    def counted(key, ranks, threshold):
+    def counted(key, ranks, threshold, *buffers):
         hashed.append(len(ranks))
-        return rank_u53_np(key, ranks, threshold)
+        return rank_u53_np(key, ranks, threshold, *buffers)
 
     monkeypatch.setattr(randgen, "rank_u53_np", counted)
     count, tris = _triangle_pass(sample, threshold, collect=True)
@@ -504,6 +528,29 @@ def test_repeated_sizes_run_once(monkeypatch):
     assert math.isnan(twice.slope)
 
 
+def test_growth_trial_scans_twice_only_after_a_removal(monkeypatch):
+    # s = 4, m = 7: the n = 16 trials at the default seed remove 8, 10 and
+    # no vertices; a trial that removes nothing takes f(m) from its prune's
+    # own scan, and one that removes vertices scans the pruned complex again
+    floors = []
+    floor_span_rows = scan.floor_span_rows
+
+    def counted(cx, vertices, k, floor):
+        floors.append(floor)
+        return floor_span_rows(cx, vertices, k, floor)
+
+    monkeypatch.setattr(scan, "floor_span_rows", counted)
+    _, jobs = randgen._plan(Fraction(4), 7, (14, 16), 3, DEFAULT_SEED, 10**7)
+    removed = []
+    for job in jobs:
+        floors.clear()
+        report = randgen._growth_trial(job)
+        assert report.pruning == "scan" and isinstance(report.f_m_exact, int)
+        assert len(floors) == (2 if report.vertices_removed else 1)
+        removed.append(report.vertices_removed)
+    assert removed == [0, 0, 0, 8, 10, 0]
+
+
 def test_growth_rejects_bad_s():
     with pytest.raises(InvalidArgumentError):
         growth_experiment(Fraction(3, 2), 4, (64,), 1, 0)
@@ -632,9 +679,9 @@ def test_trace_count_across_blocks_and_chunks(monkeypatch, t, z):
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 3 * m * m - 1)
     hashed = []
 
-    def counted(key, ranks, threshold):
+    def counted(key, ranks, threshold, *buffers):
         hashed.append(len(ranks))
-        return rank_u53_np(key, ranks, threshold)
+        return rank_u53_np(key, ranks, threshold, *buffers)
 
     monkeypatch.setattr(_keyed, "rank_u53_np", counted)
     sample = sample_levels(n, t, Fraction(1, 2), 0, collect=True)

@@ -256,14 +256,15 @@ def test_over_limit_scan_raises_before_allocating():
 
 def reference_prune(cx, m, z, *, limit=DEFAULT_SUBSET_LIMIT):
     """prune_bad_msets as it was before the floor scan: every active k-row
-    is counted, and the rows at or above z are the bad sets."""
+    is counted, and the rows at or above z are the bad sets; when there are
+    none, the largest count is the span maximum."""
     zc = math.ceil(Fraction(z))
     if max_possible_dim_ge1_span(m, cx.dimension) < zc:
         return PruneResult(cx, (), 0, 0, True)
     active = scan.active_vertices(cx)
     k = min(m, len(active))
     if k < 2:
-        return PruneResult(cx, (), 0, 0, False)
+        return PruneResult(cx, (), 0, 0, False, 0)
     if math.comb(len(active), k) > limit:
         raise ResourceLimitError("over the limit")
     verts = np.asarray(active)
@@ -271,7 +272,7 @@ def reference_prune(cx, m, z, *, limit=DEFAULT_SUBSET_LIMIT):
     counts = scan.dim_ge1_counts(cx, combos, verts)
     bad = np.nonzero(counts >= zc)[0]
     if not len(bad):
-        return PruneResult(cx, (), 0, len(combos), False)
+        return PruneResult(cx, (), 0, len(combos), False, int(counts.max()))
     removed = mask_of(int(v) for v in np.unique(verts[combos[bad]]))
     faces = {f for f in cx.faces if not f & removed}
     pruned = SimplicialComplex(cx.n, faces)
@@ -318,3 +319,79 @@ def test_greedy_floor_is_a_row_span():
             assert 0 <= scan._greedy_span(cx, active, k) <= int(counts.max())
     cx = SimplicialComplex.from_facets(12, [[3, 5, 7, 9, 11], [0, 1], [1, 2], [0, 2]])
     assert scan._greedy_span(cx, scan.active_vertices(cx), 4) == 6 + 4 + 1
+
+
+def test_prune_reports_the_largest_span_when_it_removes_nothing():
+    # whenever span_max is set it is what a second scan of the unchanged
+    # complex finds, for every (m, z) on complexes of dimension 1 to 3; a
+    # complex with no edge, where k < 2, always takes the shortcut
+    seen = set()
+    cases = list(random_complexes(15, 12, max_n=11))
+    cases += [SimplicialComplex(6, [1 << v for v in range(0, 6, 2)]), SimplicialComplex(3, [])]
+    for i, cx in enumerate(cases):
+        active = scan.active_vertices(cx)
+        vertices = len(cx.faces_of_dim(0))
+        for m in range(1, min(6, cx.n) + 1):
+            k = min(m, len(active))
+            greedy = scan._greedy_span(cx, active, k) if k >= 2 else None
+            largest = scan.exact_shatter_value(cx, m) - 1 - min(m, vertices)
+            assert largest == reference_exact_shatter_value(cx, m) - 1 - min(m, vertices)
+            for zc in range(1, max_possible_dim_ge1_span(m, cx.dimension) + 2):
+                z = zc - Fraction(1, 3) if zc > 1 and (i + zc) % 2 else Fraction(zc)
+                res = prune_bad_msets(cx, m, z)
+                if res.shortcut or res.removed_vertices:
+                    assert res.span_max is None
+                else:
+                    assert res.span_max == largest
+                if k < 2:
+                    assert res.shortcut
+                    seen.add("k < 2")
+                elif not res.shortcut:
+                    seen.add(
+                        ("greedy >= z" if greedy >= zc else "greedy < z")
+                        + (", removal" if res.removed_vertices else "")
+                    )
+    assert seen == {"k < 2", "greedy < z", "greedy < z, removal", "greedy >= z, removal"}
+
+
+def reference_greedy_span(cx, active, k):
+    """_greedy_span as it was before it kept its gains: each step recounts,
+    for every vertex not chosen, the faces through it whose other vertices
+    are all chosen."""
+    rests = {v: [] for v in active}  # faces through v, less v
+    for d in range(1, cx.dimension + 1):
+        for f in cx.faces_of_dim(d):
+            for v in bits(f):
+                rests[v].append(f ^ (1 << v))
+    best = 0
+    for start in sorted(active, key=lambda v: -len(rests[v]))[:3]:
+        chosen, span = 1 << start, 0
+        for _ in range(k - 1):
+            gain, pick = max(
+                (sum(1 for r in rests[v] if r & chosen == r), -v)
+                for v in active
+                if not chosen >> v & 1
+            )
+            chosen |= 1 << -pick
+            span += gain
+        best = max(best, span)
+    return best
+
+
+def test_greedy_span_matches_its_recounting_reference():
+    cases = list(random_complexes(16, 200, max_n=16))
+    # ties everywhere: a cycle, disjoint triangles, a clique, a star beside
+    # a path, and paths beside a filled triangle
+    cases += [
+        SimplicialComplex.from_facets(9, [[i, (i + 1) % 9] for i in range(9)]),
+        SimplicialComplex.from_facets(12, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]),
+        SimplicialComplex.from_facets(7, [list(range(7))]),
+        SimplicialComplex.from_facets(10, [[0, 1], [0, 2], [0, 3], [5, 6], [6, 7], [7, 8]]),
+        SimplicialComplex.from_facets(
+            10, [[0, 1], [0, 2], [9, 8], [9, 7], [8, 7], [1, 3], [2, 4], [7, 6, 5]]
+        ),
+    ]
+    for cx in cases:
+        active = scan.active_vertices(cx)
+        for k in range(2, min(6, len(active)) + 1):
+            assert scan._greedy_span(cx, active, k) == reference_greedy_span(cx, active, k)
