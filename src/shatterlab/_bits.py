@@ -85,12 +85,24 @@ def iter_size_subsets(n: int, m: int):
         mask = (((r ^ mask) >> 2) // c) | r
 
 
-def blocks(total: int, item_cells: int, budget: int | None = None):
+def blocks(total: int, item_cells: int, budget: int | None = None, *, grow: bool = False):
     """(start, stop) of consecutive runs over range(total) of at most
     max(1, budget // item_cells) items each; budget defaults to BLOCK_CELLS,
-    read at each call."""
-    step = max(1, (BLOCK_CELLS if budget is None else budget) // item_cells)
-    for start in range(0, total, step):
+    read at each call.
+
+    With grow, the runs start at about budget >> 6 cells (at least one item)
+    and grow 4x per run up to that cap, so a caller that may stop early
+    draws few items before its first check.
+    """
+    budget = BLOCK_CELLS if budget is None else budget
+    step = max(1, budget // item_cells)
+    start = 0
+    run = max(1, (budget >> 6) // item_cells) if grow else step
+    while run < step and start < total:
+        yield start, min(start + run, total)
+        start += run
+        run *= 4
+    for start in range(start, total, step):
         yield start, min(start + step, total)
 
 

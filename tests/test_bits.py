@@ -17,6 +17,26 @@ def test_blocks_cover_the_items_within_the_budget(monkeypatch):
     assert list(blocks(5, 1)) == [(0, 2), (2, 4), (4, 5)]
 
 
+def test_growing_blocks_tile_the_items_up_to_the_budget(monkeypatch):
+    for total in (0, 1, 2, 5, 17, 100, 1000, 5000):
+        for item_cells in (1, 3, 40, 289, 1 << 10, 1 << 17):
+            for budget in (None, 13, 1 << 10, 1 << 12):
+                cap = max(1, (_bits.BLOCK_CELLS if budget is None else budget) // item_cells)
+                step = [(s, min(s + cap, total)) for s in range(0, total, cap)]
+                assert list(blocks(total, item_cells, budget)) == step
+                assert list(blocks(total, item_cells, budget, grow=False)) == step
+                runs = list(blocks(total, item_cells, budget, grow=True))
+                assert [start for start, _ in runs] + [total] == [0] + [stop for _, stop in runs]
+                sizes = [stop - start for start, stop in runs]
+                assert all(0 < size <= cap for size in sizes)
+                assert all(b <= 4 * a for a, b in zip(sizes, sizes[1:]))
+    # the runs start at a 64th of the budget and reach it; the budget is read at each call
+    assert [b - a for a, b in blocks(1000, 1, 1 << 10, grow=True)] == [16, 64, 256, 664]
+    assert [b - a for a, b in blocks(6000, 1, grow=True)] == [1024, 4096, 880]
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 1 << 8)
+    assert [b - a for a, b in blocks(300, 1, grow=True)] == [4, 16, 64, 216]
+
+
 def test_zeta_transform_matches_direct_subset_sums():
     rng = random.Random(3)
     for n in range(7):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import shlex
 import time
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from shatterlab import bounds, dtree, verify
 from shatterlab.cli import main
-from shatterlab.setsystem import parse_json
+from shatterlab.setsystem import SetSystem, parse_json, save_file
 
 
 def run_cli(capsys, *argv):
@@ -470,6 +471,59 @@ def test_sample_bytes_are_pinned(capsys, cmd, code, digest, err):
     # recorded when every sample came from the scalar sample_complex; t <= 2
     # now takes the vectorized sampler, and t = 3 and n > 2^14 do not
     got, out, got_err = run_cli(capsys, *cmd.split())
+    assert (got, _sha256(out), got_err) == (code, digest, err)
+
+
+def _pinned_system(name: str) -> SetSystem:
+    """The systems of the shatter pins: three random, not downward-closed ones
+    whose traces need 16, 32 and 64 bits, and a closed one."""
+    if name == "closed":
+        return SetSystem.from_masks(9, (mask for mask in range(1 << 9) if mask.bit_count() <= 2))
+    n, count = {"n12": (12, 60), "n17": (17, 40), "n33": (33, 12)}[name]
+    rng = random.Random(n)
+    return SetSystem.from_masks(n, {rng.getrandbits(n) for _ in range(count)})
+
+
+# (system, flags, exit code, sha256 of stdout, stderr), recorded when each
+# scan drew whole blocks of uint64 traces before it checked the ceiling
+_SHATTER_PINS = [
+    ("n12", "", 0, "09177f13ff4f2b50ee9154855f6309f47823aea2258a59e25265ad53b126d6fa", ""),
+    ("n12", "--format json", 0, "82a91f178a6a4b1634875738cb5e4ea99c2030c4da6f3de22ad3345b8e7c75ef", ""),
+    ("n17", "", 0, "740d8d5a8428d03fd80d06160ec5fcdd341008b9e0cad2d73417a0024e6e9053", ""),
+    ("n17", "--format json", 0, "4331fe31978e05af4de783b1073b2f8e2393e865b9ea229069e7b53dce850e1f", ""),
+    ("n33", "", 0, "4dc29e2b72827e8c9f47447420a324cc34e7938be48595ce0d06b96156099c05", ""),
+    ("n33", "--format json", 0, "db844465a32e15ee29b8966658076b64386d8d8c6385950529f18ac2e7ef3278", ""),
+    # the ceiling 32 first at colex rank 36
+    ("n12", "--m 5", 0, "20bbfe1a606b1bd9e9d186598a9a830286ffeac7872a2f0a798e05e1b22b8f92", ""),
+    # never the ceiling: all 12,376 subsets
+    ("n17", "--m 6", 0, "5883f21715f1bf47439e0043510a9818bbabc8c794a6dfcd91db75ef1015d0e2", ""),
+    # the ceiling 12 first at colex rank 40
+    ("n33", "--m 4", 0, "de22ea9b714ae53ab61ec0cd7e64bb25834291ad9753ac5efd31119694affc81", ""),
+    # the ceiling 40 first at colex rank 104: a limit of 105 reaches it, 104 does not
+    ("n17", "--m 7 --limit-subsets 105", 0, "3ae74c40c0921a4b15ac46874ab6ef7e6fb4a7f0245c2a3bf99badc6a39a5496", ""),
+    (
+        "n17",
+        "--m 7 --limit-subsets 104",
+        3,
+        _EMPTY,
+        "resource limit: shatter scan of 19448 7-subsets exceeds the limit 104; "
+        "raise --limit-subsets to force it\n",
+    ),
+    # the subset-sum path
+    ("closed", "", 0, "123b0b1cfc9ccb21cb5c7a2426b010f51c7ded5e2fc6a20bbcdad86e16280f22", ""),
+    ("closed", "--format json", 0, "0733b02ba282c942a028d5e7c331c814f2ade5417d8abfabc8af12e4ca853f4a", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "system, flags, code, digest, err",
+    _SHATTER_PINS,
+    ids=[f"{system} {flags}".strip() for system, flags, *_ in _SHATTER_PINS],
+)
+def test_shatter_bytes_are_pinned(tmp_path, capsys, system, flags, code, digest, err):
+    path = tmp_path / "system.txt"
+    save_file(str(path), _pinned_system(system))
+    got, out, got_err = run_cli(capsys, "shatter", "--in", str(path), *flags.split())
     assert (got, _sha256(out), got_err) == (code, digest, err)
 
 

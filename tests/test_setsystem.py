@@ -178,6 +178,79 @@ def test_block_scan_limit_matches_the_loop(monkeypatch, rows):
             assert shatter_value(system, m, limit=limit) == want
 
 
+def boundary_systems(n):
+    """Systems on n points whose members use the top point: pairs of members
+    apart only there, and random members that all hold it."""
+    rng = random.Random(n)
+    top = 1 << (n - 1)
+    pairs = [0, top, 1, top | 1, 6, top | 6, top >> 1, (1 << n) - 1]
+    return [
+        SetSystem.from_masks(n, pairs),
+        SetSystem.from_masks(n, {rng.getrandbits(n) | top for _ in range(12)}),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+def test_block_scan_at_the_dtype_boundaries(monkeypatch, n, rows):
+    # n = 8, 16 and 32 fill uint8, uint16 and uint32 lanes; one more point
+    # takes the next dtype
+    for system in boundary_systems(n):
+        block_rows(monkeypatch, system, rows)
+        for m in range(n + 1 if n <= 17 else 4):
+            assert shatter_value(system, m) == loop_shatter_value(system, m), (system, m)
+    # traces apart only in the top point: the ceiling 2 first at colex rank C(n-1, 3)
+    far = SetSystem.from_masks(n, [1 << (n - 2), 3 << (n - 2)])
+    block_rows(monkeypatch, far, rows)
+    assert shatter_value(far, 3, limit=comb(n - 1, 3) + 1) == 2
+    with pytest.raises(ResourceLimitError) as got:
+        shatter_value(far, 3, limit=comb(n - 1, 3))
+    with pytest.raises(ResourceLimitError) as want:
+        loop_shatter_value(far, 3, limit=comb(n - 1, 3))
+    assert str(got.value) == str(want.value)
+
+
+def count_drawn(monkeypatch):
+    """Count the Y masks that shatter_value draws from the colex iterator."""
+    drawn = []
+
+    def counted(n, m):
+        drawn.append(0)
+        for mask in iter_size_subsets(n, m):
+            drawn[-1] += 1
+            yield mask
+
+    monkeypatch.setattr(setsystem_module, "iter_size_subsets", counted)
+    return drawn
+
+
+def test_scan_draws_only_what_its_answer_needs(monkeypatch):
+    rng = random.Random(289)
+    # every subset of {0..4} is a member, so the first colex m-set reaches the
+    # ceiling 2^m for m <= 5
+    members = set(range(32))
+    while len(members) < 289:
+        members.add(rng.getrandbits(12))
+    system = SetSystem.from_masks(12, members)
+    drawn = count_drawn(monkeypatch)
+    assert [shatter_value(system, m) for m in range(6)] == [1, 2, 4, 8, 16, 32]
+    # the first run: (BLOCK_CELLS >> 6) // 289 = 3 subsets, where a whole
+    # block holds 226
+    assert drawn == [1, 3, 3, 3, 3, 3]
+    # a chain has m + 1 traces on any m-set, under its ceiling for 2 <= m <= 11,
+    # so the scan draws every subset, or exactly `limit` and raises
+    chain = SetSystem.from_masks(12, [(1 << k) - 1 for k in range(13)])
+    for m in range(2, 12):
+        drawn.clear()
+        assert shatter_value(chain, m) == m + 1
+        assert drawn == [comb(12, m)]
+        if comb(12, m) > 50:
+            drawn.clear()
+            with pytest.raises(ResourceLimitError):
+                shatter_value(chain, m, limit=50)
+            assert drawn == [50]
+
+
 def test_profile_examples():
     assert shatter_profile(SetSystem(3, tuple(range(1 << 3)))).values == (1, 2, 4, 8)
     star = SetSystem.from_sets(3, [[], [0], [1], [2]])
