@@ -5,7 +5,8 @@ reproducible under any evaluation order or parallel schedule.  A face is
 accepted when rank_u53, the 53-bit output of the splitmix64 finalizer over a
 mixed key, is below an integer threshold floor(p * 2^53), so no floating
 point enters the decision.  rank_u53 is the oracle; rank_u53_np makes the
-same decisions for a block of ranks and returns the accepted positions.
+same decisions for an array or a range of ranks and returns the accepted
+positions, hashing a long range on several threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from shatterlab import _bits
+from shatterlab import _bits, _pool
 from shatterlab.errors import InvalidArgumentError
 
 GENERATOR_ID = "splitmix64-colex-v1"
@@ -44,37 +45,48 @@ def rank_u53(key: int, rank: int) -> int:
     return mix64(key ^ ((rank * _RANK_SALT) & _M64)) >> 11
 
 
-def rank_u53_np(key: int, ranks, threshold: int, buffers=None) -> np.ndarray:
+def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
     """Ascending positions i with rank_u53(key, ranks[i]) < threshold.
 
     ranks is an int64 array, which is never written (it is viewed as uint64:
-    the hash reads ranks mod 2^64), or a range of step 1 at most one
-    _bits.BLOCK_CELLS block long.  A range's products rank * salt are one
-    add, start * salt plus a cached read-only table of i * salt one block
-    long.  The hash runs in place on one uint64 array with one scratch
-    array, up to its last xor-shift, z ^ (z >> 31), which keeps z's bits
-    33..63: only the few z whose top bits can still fall under the
-    threshold take that step and the exact compare.  Those two arrays are
-    the rows of buffers, a (2, c) uint64 array with c >= len(ranks), when
-    the caller passes one to hash many blocks in, and fresh ones otherwise.
-    Thresholds 0 and 2^53 need no hash.
+    the hash reads ranks mod 2^64) and is hashed in one go, or a range of
+    step 1 and any length, which is hashed in _bits.blocks of consecutive
+    ranks on the threads of _pool.block_map.  A block's products
+    rank * salt are one add, its first rank * salt plus a cached read-only
+    table of i * salt one block long.  The hash runs in place on one uint64
+    array with one scratch array, up to its last xor-shift, z ^ (z >> 31),
+    which keeps z's bits 33..63: only the few z whose top bits can still
+    fall under the threshold take that step and the exact compare.  A range
+    call allocates one such pair of arrays per thread, and each thread
+    hashes all its blocks in its pair.  A block's positions are kept as
+    int32 where the range allows, and the pair of arrays is freed before
+    they are joined.  Thresholds 0 and 2^53 need no hash.
     """
     if threshold <= 0:
         return np.zeros(0, dtype=np.intp)
     if threshold >= 1 << 53:
         return np.arange(len(ranks))
-    count = len(ranks)
-    z = tmp = None
-    if buffers is not None:
-        z, tmp = buffers[0, :count], buffers[1, :count]
-    if isinstance(ranks, range):
-        table = _salt_table(_bits.BLOCK_CELLS)
-        if ranks.step != 1 or count > len(table):
-            raise ValueError("rank_u53_np takes ranges of step 1 and at most one block")
-        z = np.add(table[:count], (ranks.start * _RANK_SALT) & _M64, out=z)
-    else:
-        z = np.multiply(ranks.view(np.uint64), _RANK_SALT, out=z)
-    return _accepted(z, np.empty_like(z) if tmp is None else tmp, key, threshold)
+    if not isinstance(ranks, range):
+        z = np.multiply(ranks.view(np.uint64), _RANK_SALT)
+        return _accepted(z, np.empty_like(z), key, threshold)
+    if ranks.step != 1:
+        raise ValueError("rank_u53_np takes ranges of step 1")
+    spans = list(_bits.blocks(len(ranks), 1))
+    threads = _pool.block_threads(len(spans))
+    table = _salt_table(_bits.BLOCK_CELLS)
+    buffers = np.empty((threads, 2, min(len(ranks), len(table))), dtype=np.uint64)
+    narrow = np.int32 if len(ranks) <= 1 << 31 else np.intp
+
+    def block(slot, lo, hi):
+        z, tmp = buffers[slot, :, : hi - lo]
+        np.add(table[: hi - lo], ((ranks.start + lo) * _RANK_SALT) & _M64, out=z)
+        hit = _accepted(z, tmp, key, threshold).astype(narrow)
+        hit += lo
+        return hit
+
+    hits = _pool.block_map(block, spans, threads)
+    del buffers
+    return np.concatenate(hits, dtype=np.intp) if hits else np.zeros(0, dtype=np.intp)
 
 
 @lru_cache(maxsize=1)

@@ -8,13 +8,21 @@ runs diff cleanly.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
-from shatterlab import bounds, compression, complexes, dtree, randgen, search, setsystem, verify
+from shatterlab import (
+    _pool,
+    bounds,
+    compression,
+    complexes,
+    dtree,
+    randgen,
+    search,
+    setsystem,
+    verify,
+)
 from shatterlab._bits import bits
-from shatterlab._pool import bounded_map
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 
 
@@ -66,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     # when the flag follows the subcommand and never resets an earlier one.
     defaults = {
         "seed": verify.DEFAULT_SEED,
-        "threads": os.cpu_count() or 1,
+        "threads": _pool.cpu_count(),
         "format": "csv",
         "limit_subsets": DEFAULT_SUBSET_LIMIT,
     }
@@ -244,7 +252,7 @@ def _cmd_dtree_verify(args) -> int:
             cells.extend((d, q, r) for r in range(0, r_top + 1))
     print(verify.GRID_CSV_HEADER)
     failed = False
-    for line, failures in bounded_map(verify.check_grid_cell, cells, args.threads):
+    for line, failures in _pool.bounded_map(verify.check_grid_cell, cells, args.threads):
         print(line)
         for failure in failures:
             print(f"fail: {failure}", file=sys.stderr)

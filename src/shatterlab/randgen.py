@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab import _bits, _keyed, scan
+from shatterlab import _keyed, scan
 from shatterlab._bits import bits, blocks, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
@@ -31,7 +31,7 @@ from shatterlab._keyed import (
     rank_u53,
     rank_u53_np,
 )
-from shatterlab._pool import bounded_map
+from shatterlab._pool import block_map, block_threads, bounded_map
 from shatterlab.bounds import floor_log2, g_k, growth_exponent
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
@@ -209,27 +209,21 @@ def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarra
 
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash all C(n, 2) pair ranks, one range of _bits.BLOCK_CELLS ranks at
-    a time, and decode the accepted ones in colex order.  Every block is
-    hashed in the same two uint64 buffers, which stay in cache and are
-    freed before the decoded pairs are joined."""
-    key = level_key(seed, 2)
-    total = math.comb(n, 2)
+    """Hash all C(n, 2) pair ranks in one call, and decode the accepted ones
+    in colex order, in blocks on the hash's threads, into int32 arrays.  A
+    decoded pair takes about four int64 temporaries, so blocks of
+    _bits.BLOCK_CELLS // 4 pairs keep them within one block's cells."""
+    hits = rank_u53_np(level_key(seed, 2), range(math.comb(n, 2)), threshold)
     starts = _pair_offsets(n)
-    us, vs = [], []
-    if threshold > 0:
-        buffers = np.empty((2, min(total, _bits.BLOCK_CELLS)), dtype=np.uint64)
-        for lo, hi in blocks(total, 1):
-            hit = rank_u53_np(key, range(lo, hi), threshold, buffers) + lo
-            if len(hit):
-                u, v = _decode_pair_ranks(hit, starts)
-                us.append(u.astype(np.int32))
-                vs.append(v.astype(np.int32))
-        del buffers
-    if not us:
-        e = np.zeros(0, dtype=np.int32)
-        return e, e.copy()
-    return np.concatenate(us), np.concatenate(vs)
+    us = np.empty(len(hits), dtype=np.int32)
+    vs = np.empty(len(hits), dtype=np.int32)
+
+    def decode(slot, lo, hi):
+        us[lo:hi], vs[lo:hi] = _decode_pair_ranks(hits[lo:hi], starts)
+
+    spans = list(blocks(len(hits), 4))
+    block_map(decode, spans, block_threads(len(spans)))
+    return us, vs
 
 
 def _triangle_pass(

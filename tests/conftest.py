@@ -1,7 +1,8 @@
 import concurrent.futures
-import os
 
 import pytest
+
+from shatterlab import _pool
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def recording_pool(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -27,5 +28,5 @@ def recording_pool(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 3)
     return sizes

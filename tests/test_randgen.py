@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from shatterlab import _bits, _keyed, randgen, scan
+from shatterlab import _bits, _keyed, _pool, randgen, scan
 from shatterlab._bits import bits, facets_present, mask_of
 from shatterlab._keyed import (
     inverse_power_threshold,
@@ -95,20 +96,21 @@ def test_keyed_hash_agrees_at_the_ends_of_its_range():
 
 
 def test_keyed_hash_of_a_range_longer_than_its_salt_table(monkeypatch):
-    # the table is one block long, and the edge pass hands the hash one block
-    # at a time: a range up to the table's length is hashed, a longer one
-    # raises, as a stepped range does
+    # the table is one block long: a longer range is hashed a block at a
+    # time, on one thread or on up to 3; a stepped range raises
     key = level_key(5, 2)
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 7)
     table = _keyed._salt_table(_bits.BLOCK_CELLS)
     assert len(table) == 7 and not table.flags.writeable
-    span = range((1 << 64) - 7, 1 << 64)
-    for threshold in (1 << 50, 1 << 52):
-        want = _accepted_by_scalar(key, span, threshold)
-        assert rank_u53_np(key, span, threshold).tolist() == want
+    for cpus in (1, 3):
+        monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+        for span in (range((1 << 64) - 7, 1 << 64), range((1 << 64) - 50, 1 << 64), range(3, 999)):
+            for threshold in (1 << 50, 1 << 52):
+                want = _accepted_by_scalar(key, span, threshold)
+                assert rank_u53_np(key, span, threshold).tolist() == want, (cpus, span)
     assert rank_u53_np(key, range(9, 9), 1 << 52).tolist() == []
     assert rank_u53_np(key, np.zeros(0, dtype=np.int64), 1 << 52).tolist() == []
-    for bad in (range(0, 8), range(0, 10, 2)):
+    for bad in (range(0, 10, 2), range(10, 0, -1)):
         with pytest.raises(ValueError):
             rank_u53_np(key, bad, 1 << 52)
 
@@ -203,7 +205,7 @@ def test_fast_sampler_matches_reference_across_default_pair_chunks():
     assert fast == sample_complex(400, 1, Fraction(1, 20), 3)
 
 
-def test_sampled_edges_are_pinned():
+def _assert_pinned_edges():
     # C(8192, 2) pairs span hundreds of pair chunks; the digest was recorded
     # with 2^21-rank chunks and a hash that allocated a new array per step
     sample = sample_levels(8192, 1, Fraction(1, 90), 11)
@@ -215,15 +217,26 @@ def test_sampled_edges_are_pinned():
     )
 
 
+def test_sampled_edges_are_pinned():
+    _assert_pinned_edges()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sampled_edges_are_pinned_at_any_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+    _assert_pinned_edges()
+
+
 def test_edge_sampling_memory_is_bounded(monkeypatch):
-    # each hash call gets at most one chunk of ranks, so the hash's buffers
-    # stay small whatever n is; 2^21-rank chunks would peak near 51 MB
+    # one hash call takes every pair rank as a range, which it hashes a
+    # block at a time, so the hash's buffers stay small whatever n is;
+    # 2^21-rank chunks would peak near 51 MB
     n = 8192
     calls = []
 
-    def recorded(key, ranks, threshold, *buffers):
+    def recorded(key, ranks, threshold):
         calls.append(ranks)
-        return rank_u53_np(key, ranks, threshold, *buffers)
+        return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(randgen, "rank_u53_np", recorded)
     tracemalloc.start()
@@ -232,36 +245,54 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # consecutive ranges tile the pair ranks in order: no rank array is built
-    assert all(isinstance(span, range) and span.step == 1 for span in calls)
-    assert [span.start for span in calls] == [0] + [span.stop for span in calls[:-1]]
-    assert calls[-1].stop == math.comb(n, 2)
-    assert max(len(span) for span in calls) <= _bits.BLOCK_CELLS
+    assert calls == [range(math.comb(n, 2))]
     assert peak < 16 << 20
 
 
-def test_edge_pass_hashes_every_block_in_one_pair_of_buffers(monkeypatch):
-    # C(60, 2) = 1,770 ranks in blocks of 97: every block hashes in the same
-    # two arrays, and the edges are those of the default blocks
+def test_edge_pass_hashes_in_one_pair_of_buffers_per_thread(monkeypatch):
+    # C(60, 2) = 1,770 ranks in 19 blocks of 97 on up to 3 threads: each
+    # thread hashes all its blocks in one pair of arrays, at most 3 pairs
+    # exist, and the edges are those of the default blocks
     n, threshold = 60, probability_threshold(Fraction(1, 3))
     want = _sample_edges_np(n, threshold, 4)
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 97)
-    arrays = []
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 3)
+    calls = []
 
     def recorded(z, tmp, key, threshold):
-        arrays.append((z, tmp))
+        calls.append((threading.get_ident(), z, tmp))
         return accepted(z, tmp, key, threshold)
 
     accepted = _keyed._accepted
     monkeypatch.setattr(_keyed, "_accepted", recorded)
     got = _sample_edges_np(n, threshold, 4)
-    assert len(arrays) == math.ceil(math.comb(n, 2) / 97)
-    z0, tmp0 = arrays[0]
-    assert not np.shares_memory(z0, tmp0)
-    assert all(np.shares_memory(z, z0) and np.shares_memory(tmp, tmp0) for z, tmp in arrays)
+    assert len(calls) == math.ceil(math.comb(n, 2) / 97)
+    pairs = {}
+    for thread, z, tmp in calls:
+        pairs.setdefault(thread, (z, tmp))
+        z0, tmp0 = pairs[thread]
+        assert np.shares_memory(z, z0) and np.shares_memory(tmp, tmp0)
+    assert len(pairs) <= 3
+    arrays = [a for pair in pairs.values() for a in pair]
+    assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(want[0]) > 500
     # no pair to hash, and one
     assert [len(us) for us, _ in (_sample_edges_np(k, 1 << 53, 4) for k in (1, 2))] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 400])
+def test_edges_on_three_threads_equal_the_serial_edges(monkeypatch, n):
+    # blocks of 97 ranks and of 97 // 4 decoded pairs, claimed by up to 3 threads
+    threshold = probability_threshold(Fraction(1, 3))
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 1)
+    want = [_sample_edges_np(n, threshold, seed) for seed in range(3)]
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", 97)
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 3)
+    for seed, (us, vs) in enumerate(want):
+        got_u, got_v = _sample_edges_np(n, threshold, seed)
+        assert got_u.dtype == got_v.dtype == np.int32
+        assert np.array_equal(got_u, us) and np.array_equal(got_v, vs), seed
+    assert sum(len(us) for us, _ in want) > 0
 
 
 def test_pair_decode_is_the_colex_order():
@@ -349,9 +380,9 @@ def test_sampled_triangles_are_pinned(monkeypatch):
     sample = sample_levels(n, 1, Fraction(threshold, 1 << 53), 3)
     hashed = []
 
-    def counted(key, ranks, threshold, *buffers):
+    def counted(key, ranks, threshold):
         hashed.append(len(ranks))
-        return rank_u53_np(key, ranks, threshold, *buffers)
+        return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(randgen, "rank_u53_np", counted)
     count, tris = _triangle_pass(sample, threshold, collect=True)
@@ -679,9 +710,9 @@ def test_trace_count_across_blocks_and_chunks(monkeypatch, t, z):
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 3 * m * m - 1)
     hashed = []
 
-    def counted(key, ranks, threshold, *buffers):
+    def counted(key, ranks, threshold):
         hashed.append(len(ranks))
-        return rank_u53_np(key, ranks, threshold, *buffers)
+        return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(_keyed, "rank_u53_np", counted)
     sample = sample_levels(n, t, Fraction(1, 2), 0, collect=True)

@@ -8,14 +8,18 @@ import or a string (the benchmark names the attributes it wraps by string).
 Likewise a defaulted parameter (of a public function, method or class
 constructor) that no call there passes, or that every call passes as the
 same literal, has one value in use, so it is a constant, not an option.
-And every worker pool is the one bounded pool: no other function names
-ProcessPoolExecutor.  Likewise every chunked layer sizes its blocks through
+And every worker pool is one of the two bounded pools of _pool: no other
+function names ProcessPoolExecutor or ThreadPoolExecutor, and importing the
+library loads neither.  Likewise every chunked layer sizes its blocks through
 _bits.blocks: no other function calls range with a step.  And _bits is the
 one module that walks the bits of a mask: no other function takes the
 lowest set bit, x & -x.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,6 +181,31 @@ def test_one_function_names_the_process_pool():
         if "ProcessPoolExecutor" in _referenced_names(node)
     ]
     assert owners == ["_pool.py: bounded_map"]
+
+
+def test_one_function_names_the_thread_pool():
+    library, trees = _trees()
+    owners = [
+        f"{path.name}: {getattr(node, 'name', type(node).__name__)}"
+        for path in library
+        for node in trees[path].body
+        if "ThreadPoolExecutor" in _referenced_names(node)
+    ]
+    assert owners == ["_pool.py: _start_helpers"]
+
+
+def test_importing_the_library_loads_no_executor():
+    # concurrent.futures costs milliseconds to import; the pools load it
+    # when they first start
+    script = (
+        "import sys, shatterlab, shatterlab.cli, shatterlab.randgen;"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def _steps_a_range(node: ast.AST) -> bool:
