@@ -10,15 +10,22 @@ span reaches a floor, and `floor_span_rows` finds exactly those:
   level by level from colex prefixes: the j-rows with top position v are the
   surviving (j-1)-rows below v with v appended.
 - A row's span is its prefix's span plus the faces whose top vertex is the
-  new one: the edges take j-1 gathers from a position-indexed adjacency
-  matrix, and each higher face is tested only in the block of rows with its
-  top, against the prefix's position bitset (uint64 words, built only when
-  the complex has faces of dimension >= 2).
-- A j-prefix is dropped once it stays under the floor even if extending it
-  to k positions added every face that could be added: count +
-  ceiling(k) - ceiling(j) < floor, with ceiling from
-  max_possible_dim_ge1_span.  So no row at or above the floor is lost, and
-  no level holds more rows than C(positions, j).
+  new one: the edges are the prefix's edge count at that position, and
+  each higher face is tested only in the block of rows with its top,
+  against the prefix's position bitset (uint64 words, built only when the
+  complex has faces of dimension >= 2).
+- A j-prefix is dropped once it stays under the floor even if each of the
+  r = k - j positions still to add closed as many faces with it as the
+  best one can, and every face of two or more added positions were there.
+  A position with e edges into the prefix closes at most gain(e) faces
+  with it, one per set of 1 to dim of its e neighbours, so the test is
+  count + r * gain(most edges from a larger position) + ceiling(k) -
+  ceiling(j) - r * gain(j) < floor, with ceiling from
+  max_possible_dim_ge1_span.  Each prefix keeps its edge counts to every
+  position (the adjacency itself at level 1), so a candidate's new edges
+  are one gather, and its best extension one gather from the prefix's
+  suffix maxima.  So no row at or above the floor is lost, and no level
+  holds more rows than C(positions, j).
 
 Faces with a vertex outside the list are never counted, and vertex labels
 may be any size.  Scans over the active vertices refuse, before allocating,
@@ -110,29 +117,36 @@ def max_possible_dim_ge1_span(m: int, dim: int) -> int:
 def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
     """Yield (rows, counts) of levels j = 0..k of the floor scan.
 
-    Level j holds the j-prefixes, in colex order, that can still reach the
-    floor as k-rows: their tops leave room for k - j larger positions, and
-    count + ceiling(k) - ceiling(j) >= floor.  Memory: the candidates of a
-    level are distinct j-subsets, so at most C(npos, j) of them, each held
-    as j positions, an int32 count, intp source and offset indexes and, with
-    higher faces, one uint64 per 64 positions; the adjacency takes npos^2
-    bytes.
+    Level j holds the j-rows P + {v}, in colex order, whose prefix P is on
+    level j-1, whose top v leaves room for r = k - j larger positions, and
+    that pass the live test span + r * gain[1 + s] + ceiling(k) -
+    ceiling(j) - r * gain[j] >= floor, where s is the most edges that a
+    position above v has into P, so that 1 + s bounds its edges into the
+    row.  Memory: the candidates of a level are distinct j-subsets, so at
+    most C(npos, j) of them, each held as j positions, an int32 count, intp
+    source and offset indexes and, with higher faces, one uint64 per 64
+    positions; the adjacency takes npos^2 bytes.  Each kept row of a level
+    below k also holds npos edge counts, one byte each when k <= 255 and
+    more beyond, except on level 1, which reads the adjacency; and when two
+    or more positions are still to add and the next level's test can drop
+    a row, as many suffix maxima again.
     """
     npos = len(vertices)
     dtype = _position_dtype(npos)
     pos = {int(v): i for i, v in enumerate(vertices)}
     within = mask_of(pos)
-    adj = None  # flat: adj[v * npos + u] for the edge {u, v}
+    adj = None  # adj[v, u] for the edge {u, v}
     higher: dict[int, list] = {}  # top position -> per higher face, (word, bits) of the rest
-    for d in range(1, cx.dimension + 1):
+    dim = cx.dimension
+    for d in range(1, dim + 1):
         for f in cx.faces_of_dim(d):
             if f & within != f:
                 continue
             ps = sorted(pos[v] for v in bits(f))
             if d == 1:
                 if adj is None:
-                    adj = np.zeros(npos * npos, dtype=np.uint8)
-                adj[ps[0] * npos + ps[1]] = adj[ps[1] * npos + ps[0]] = 1
+                    adj = np.zeros((npos, npos), dtype=np.uint8)
+                adj[ps[0], ps[1]] = adj[ps[1], ps[0]] = 1
             else:
                 by_word: dict[int, int] = {}
                 for q in ps[:-1]:
@@ -140,14 +154,23 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
                 rest = [(w, np.uint64(b)) for w, b in by_word.items()]
                 higher.setdefault(ps[-1], []).append(rest)
     words = (npos + 63) // 64 if higher else 0
-    ceiling = [max_possible_dim_ge1_span(j, cx.dimension) for j in range(k + 1)]
+    ceiling = [max_possible_dim_ge1_span(j, dim) for j in range(k + 1)]
+    # gain[e]: most faces that one added position with e edges into a row closes
+    gain = [sum(math.comb(e, s) for s in range(1, min(dim, e) + 1)) for e in range(k + 1)]
+    # a j-row is live when its span + r * gain[its best extension's edges] >= need[j]
+    need = [floor - ceiling[k] + ceiling[j] + (k - j) * gain[j] for j in range(k + 1)]
+    wide = np.min_scalar_type(k)  # edge counts into a row stay below k
     live = 1 if ceiling[k] >= floor else 0  # the empty prefix, unless no row can reach the floor
     rows = np.zeros((live, 0), dtype=dtype)
     counts = np.zeros(live, dtype=np.int32)
     masks = np.zeros((words, live), dtype=np.uint64)  # word-major: masks[w, row]
+    # position-major: edges[w, i] = edges from position w into row i of the
+    # level, and reach[w, i] = max of edges[w:, i]
+    edges = reach = None
     yield rows, counts
     for j in range(1, k + 1):
-        tops = np.arange(j - 1, npos - (k - j), dtype=dtype)
+        r = k - j
+        tops = np.arange(j - 1, npos - r, dtype=dtype)
         # the (j-1)-rows below each top v are a colex prefix of the level
         if j == 1:
             below = np.full(len(tops), len(rows), dtype=np.intp)
@@ -158,10 +181,9 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
         top = np.repeat(tops, below)
         prefix = np.take(rows, src, axis=0)
         new = np.take(counts, src)
-        if adj is not None:
-            base = top.astype(np.intp) * npos
-            for i in range(j - 1):
-                new += np.take(adj, base + prefix[:, i])
+        if edges is not None:
+            cell = top.astype(np.intp) * edges.shape[1] + src
+            new += np.take(edges.ravel(), cell)
         if words:
             held = np.take(masks, src, axis=1)
             for v, at, size in zip(tops.tolist(), starts.tolist(), below.tolist()):
@@ -172,10 +194,16 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
                         for w, b in more:
                             inside &= (block[w] & b) == b
                         new[at : at + size] += inside
-        keep = new + (ceiling[k] - ceiling[j]) >= floor
+        if reach is not None:
+            # a position above top has at most 1 + reach[top + 1] edges into the row
+            bonus = np.array([r * g for g in gain[1 : j + 1]], dtype=np.int32)
+            keep = new + np.take(bonus, np.take(reach.ravel(), cell + edges.shape[1])) >= need[j]
+        else:
+            # s = 0: on level 1, without edges, or where the least bonus meets the need
+            keep = new >= need[j] - r * gain[1]
         if not keep.all():
             kept = np.flatnonzero(keep)
-            prefix, top, new = np.take(prefix, kept, axis=0), top[kept], new[kept]
+            prefix, top, new, src = np.take(prefix, kept, axis=0), top[kept], new[kept], src[kept]
             if words:
                 held = np.take(held, kept, axis=1)
         rows = np.empty((len(new), j), dtype=dtype)
@@ -187,6 +215,24 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
             masks[top >> 6, np.arange(len(top))] |= np.left_shift(
                 np.uint64(1), (top & 63).astype(np.uint64)
             )
+        reach = None
+        if adj is not None and j < k:
+            if j == 1:
+                edges = adj  # level 1 keeps every position, so row i is position i
+            else:
+                # a row's counts are its prefix's column plus its top's
+                # adjacency column, repeated over the run of rows with that top
+                grown = np.take(edges, src, axis=1).astype(wide, copy=False)
+                runs = np.diff(np.searchsorted(top, tops), append=len(top))
+                grown += np.repeat(adj[:, j - 1 : npos - r], runs, axis=1)
+                edges = grown
+            # the maxima matter only where the least bonus leaves the next
+            # level's need unmet, and that level reads them from position j + 1 up
+            if r >= 2 and need[j + 1] > (r - 1) * gain[1]:
+                reach = np.empty_like(edges)
+                reach[-1] = edges[-1]
+                for w in reversed(range(j + 1, npos - 1)):
+                    np.maximum(edges[w], reach[w + 1], out=reach[w])
         yield rows, counts
 
 

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shatterlab import scan
 from shatterlab._bits import bits, mask_of
@@ -159,25 +161,85 @@ def test_floor_scan_matches_full_scan_on_random_complexes():
         assert_floor_scan(cx, list(range(cx.n)), 4)
 
 
+def live_levels(cx, verts, k, floor):
+    """The levels of the floor scan by its live rule, from the full scan.
+
+    Level j holds the j-rows P + {v} whose prefix P is on level j-1, whose
+    top v leaves room for r = k - j larger positions, and that satisfy
+    span + r * gain(1 + s) + ceiling(k) - ceiling(j) - r * gain(j) >= floor,
+    where s is the most edges that a position above v has into P, counted
+    here from the adjacency, and gain(e) is the number of sets of 1..dim of
+    e neighbours.
+    """
+    npos, dim = len(verts), cx.dimension
+    ceiling = [max_possible_dim_ge1_span(j, dim) for j in range(k + 1)]
+
+    def gain(e):
+        return sum(math.comb(e, s) for s in range(1, min(dim, e) + 1))
+
+    at = {int(v): i for i, v in enumerate(verts)}
+    adj = np.zeros((npos, npos), dtype=np.int64)
+    for f in cx.faces_of_dim(1):
+        u, v = bits(f)
+        if u in at and v in at:
+            adj[at[u], at[v]] = adj[at[v], at[u]] = 1
+    # colex rank of a row: sum of C(row[i], i + 1)
+    binom = np.array([[math.comb(x, i + 1) for i in range(k)] for x in range(npos)])
+    levels, live = [], np.array([ceiling[k] >= floor])
+    for j in range(k + 1):
+        combos, spans = reference_counts(cx, verts, j)
+        if j:
+            r, top, prefix = k - j, combos[:, -1], combos[:, :-1]
+            parent = binom[prefix, np.arange(j - 1)].sum(axis=1)
+            into = adj[:, prefix].sum(axis=2)  # into[w, row]: edges from w into the prefix
+            s = np.where(np.arange(npos)[:, None] > top, into, 0).max(axis=0)
+            bonus = np.array([r * gain(1 + x) for x in s], dtype=np.int64)
+            live = (live[parent] & (top <= npos - 1 - r)
+                    & (spans + bonus + ceiling[k] - ceiling[j] - r * gain(j) >= floor))
+        levels.append((combos[live], spans[live]))
+    return levels
+
+
+def assert_levels(cx, verts, k, floor):
+    """Each level of the floor scan is exactly the one its live rule gives."""
+    levels = list(scan._span_levels(cx, np.asarray(verts), k, floor))
+    assert len(levels) == k + 1
+    for j, ((rows, counts), (want, spans)) in enumerate(
+        zip(levels, live_levels(cx, verts, k, floor))
+    ):
+        assert len(rows) <= math.comb(len(verts), j)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(counts, spans)
+
+
 def test_floor_scan_levels_hold_exactly_the_live_prefixes():
-    # level j holds the j-rows with room above their top for k - j positions
-    # and span + ceiling(k) - ceiling(j) >= floor; the ceiling may not be
-    # looser or tighter by one
+    # the bound may not be looser or tighter by one edge or one face
     for cx in random_complexes(12, 6, max_n=14):
-        verts = np.asarray(scan.active_vertices(cx))
-        ceiling = [max_possible_dim_ge1_span(j, cx.dimension) for j in range(7)]
+        verts = scan.active_vertices(cx)
         for k in range(2, min(6, len(verts)) + 1):
-            for floor in (-1, 1, ceiling[k] // 2, ceiling[k] - 1, ceiling[k] + 1):
-                levels = list(scan._span_levels(cx, verts, k, floor))
-                assert len(levels) == k + 1
-                for j, (rows, counts) in enumerate(levels):
-                    combos, spans = reference_counts(cx, verts, j)
-                    live = spans + ceiling[k] - ceiling[j] >= floor
-                    if j:
-                        live &= combos[:, -1] <= len(verts) - 1 - (k - j)
-                    assert len(rows) <= math.comb(len(verts), j)
-                    assert np.array_equal(rows, combos[live])
-                    assert np.array_equal(counts, spans[live])
+            ceiling = max_possible_dim_ge1_span(k, cx.dimension)
+            for floor in (-1, 1, ceiling // 2, ceiling - 1, ceiling + 1):
+                assert_levels(cx, verts, k, floor)
+    # the 1 + is tight: in a triangle of edges, vertex 2 has s = 1 edge into
+    # the prefix {0} of {0, 1}, and 2 into {0, 1}; only with 1 + s does
+    # {0, 1} (span 1) reach the floor 3 that the whole triangle meets
+    triangle = SimplicialComplex.from_facets(3, [[0, 1], [1, 2], [0, 2]])
+    assert len(list(scan._span_levels(triangle, np.arange(3), 3, 3))[2][0]) == 1
+    assert_levels(triangle, [0, 1, 2], 3, 3)
+    # dimension 2, k = 4: {0, 1, 2} spans 4 faces and vertex 3 has s = 1
+    # edge into {0, 1}, so at most 2 into {0, 1, 2}; it closes at most
+    # gain(2) = 2 + C(2, 2) = 3 faces, the slack is 10 - 4 - gain(3) = 0,
+    # and floor 8 drops the row at 7, which without the C(e, 2) terms
+    # would read 4 + 2 + (10 - 4 - 3) = 9
+    cx = SimplicialComplex.from_facets(5, [[0, 1, 2], [0, 3], [3, 4]])
+    for floor in (6, 7, 8):
+        assert_levels(cx, range(5), 4, floor)
+    levels = list(scan._span_levels(cx, np.arange(5), 4, 8))
+    assert len(levels[3][0]) == 0
+    # a list out of label order that leaves vertices out
+    cx = sample_complex(11, 2, Fraction(1, 2), 4)
+    for floor in range(-1, 12):
+        assert_levels(cx, [9, 0, 10, 3, 5, 1, 7, 2], 5, floor)
 
 
 def test_floor_scan_multiword_positions_and_large_labels():
@@ -219,6 +281,49 @@ def test_floor_scan_floor_no_row_reaches():
     assert all(len(rows) == 0 for rows, _ in scan._span_levels(cx, verts, 4, 12))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_floor_scan_is_the_full_scan_filtered_at_every_floor(data):
+    # dimension <= 3 on up to 12 vertices; the list may hold isolated
+    # vertices and leave out others, in any order, and k runs to its length
+    n = data.draw(st.integers(1, 12))
+    dim = data.draw(st.integers(0, 3))
+    facets = data.draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=dim + 1), max_size=10)
+    )
+    cx = SimplicialComplex.from_facets(n, facets)
+    verts = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    k = data.draw(st.integers(0, len(verts)))
+    assert_floor_scan(cx, np.asarray(verts, dtype=np.int64), k)
+
+
+def test_floor_scan_past_255_positions():
+    # a row's edge counts reach 256 and more, past 8 bits: K_258 less some
+    # disjoint edges, so that degrees, and with them spans, differ
+    n = 258
+    gone = {(v, v + 1) for v in range(0, 200, 2)} | {(v, v + 2) for v in range(201, 240, 4)}
+    cx = SimplicialComplex.from_facets(
+        n, [[u, v] for v in range(n) for u in range(v) if (u, v) not in gone]
+    )
+    for verts, k in ((list(range(n)), 257), (list(range(1, n)), 256)):
+        within = mask_of(verts)
+        inside = [bits(f) for f in cx.faces_of_dim(1) if f & within == f]
+        degree = dict.fromkeys(verts, 0)
+        for u, v in inside:
+            degree[u] += 1
+            degree[v] += 1
+        # the k-rows leave out one position x each, in colex order from the last x
+        want = [(tuple(i for i in range(k + 1) if i != x), len(inside) - degree[verts[x]])
+                for x in reversed(range(k + 1))]
+        spans = sorted({span for _, span in want})
+        for floor in (0, spans[1], spans[-1]):
+            rows, counts = scan.floor_span_rows(cx, np.asarray(verts), k, floor)
+            kept = [(row, span) for row, span in want if span >= floor]
+            assert 0 < len(kept) and (floor == 0) == (len(kept) == k + 1)
+            assert [tuple(row) for row in rows.tolist()] == [row for row, _ in kept]
+            assert counts.tolist() == [span for _, span in kept]
+
+
 def test_position_dtype_fits_positions():
     assert scan._position_dtype(32767) == np.int16
     assert scan._position_dtype(32768) == np.int32
@@ -249,6 +354,28 @@ def test_over_limit_scan_raises_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+def test_pair_scan_reads_the_adjacency_as_its_level_1_edge_counts():
+    # k = 2 over 1,500 positions: level 1 holds the npos^2-byte adjacency
+    # and no second array of that size (no copy, and no suffix maxima with
+    # a single position left to add)
+    npos = 1500
+    u, v = np.triu_indices(npos, 1)
+    chosen = np.random.default_rng(3).random(len(u)) < 0.02
+    cx = SimplicialComplex(npos, [1 << x for x in range(npos)] + [
+        1 << a | 1 << b for a, b in zip(u[chosen].tolist(), v[chosen].tolist())
+    ])
+    levels = scan._span_levels(cx, np.arange(npos), 2, 1)
+    tracemalloc.start()
+    try:
+        next(levels)
+        rows, _ = next(levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == npos - 1
+    assert npos * npos <= peak < 1.5 * npos * npos
 
 
 # -- the pruning and f(m) callers against the full scan -------------------------
