@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from shatterlab import _keyed, scan
-from shatterlab._bits import bits, blocks, facets_present, iter_size_subsets, mask_of
+from shatterlab._bits import blocks, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
     derive_seed,
@@ -103,7 +103,7 @@ class LevelSample:
     Holds what the experiments need (edge endpoints, triangle count, keys to
     re-derive any face decision) without materializing bitmask faces;
     trace_count answers batches of m-set queries from the upper rows and the
-    keys, and so does the pruned sample that remove_vertices returns.
+    keys, and so does the pruned sample that prune and remove_vertices return.
     """
 
     n: int
@@ -141,6 +141,20 @@ class LevelSample:
         if self.triangles is None and self.tri_count:
             raise InvalidArgumentError("triangles were not collected for this sample")
         return np.zeros((0, 3), dtype=np.int32) if self.triangles is None else self.triangles
+
+    def faces(self) -> list[np.ndarray]:
+        """The edges and the triangles as (F, d + 1) label arrays, rows
+        ascending, up to the top dimension with a face: the scans' input,
+        as scan.face_labels gives it for the sample's complex."""
+        edges = np.stack([self.edges_u, self.edges_v], axis=1)
+        return [f for f in (edges, self.collected_triangles()) if len(f)]
+
+    def prune(self, m: int, z, limit: int) -> tuple[LevelSample, PruneResult]:
+        """prune_bad_msets on the sample's complex, from its arrays: the
+        sample without the removed vertices, and the prune's numbers, whose
+        complex is None."""
+        res = _prune(self.n, self.faces(), m, z, limit)
+        return self.remove_vertices(res.removed_vertices), res
 
     def remove_vertices(self, removed) -> LevelSample:
         """The sample without the given vertices, besides those already
@@ -313,7 +327,7 @@ def materialize(sample: LevelSample) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class PruneResult:
-    complex: SimplicialComplex
+    complex: SimplicialComplex | None  # None from LevelSample.prune, whose sample stands for it
     removed_vertices: tuple[int, ...]
     bad_sets_found: int
     subsets_scanned: int
@@ -323,10 +337,20 @@ class PruneResult:
     span_max: int | None = None
 
 
-def prune_bad_msets(
-    cx: SimplicialComplex, m: int, z, *, limit: int = DEFAULT_SUBSET_LIMIT
-) -> PruneResult:
-    """Remove the vertices of every m-set spanning >= z faces of dimension >= 1.
+def prune_bad_msets(cx: SimplicialComplex, m: int, z) -> PruneResult:
+    """Remove the vertices of every m-set spanning >= z faces of dimension >= 1,
+    scanning at most DEFAULT_SUBSET_LIMIT subsets."""
+    res = _prune(cx.n, scan.face_labels(cx), m, z, DEFAULT_SUBSET_LIMIT)
+    removed = mask_of(res.removed_vertices)
+    if removed:
+        cx = SimplicialComplex(cx.n, {f for f in cx.faces if not f & removed})
+    return dataclasses.replace(res, complex=cx)
+
+
+def _prune(n: int, faces: list[np.ndarray], m: int, z, limit: int) -> PruneResult:
+    """The prune of prune_bad_msets on a complex on n vertices with the given
+    faces (as scan.active_span_counts takes them), without the pruned
+    complex.
 
     Only subsets of edge-covered vertices are enumerated: an m-set spans
     exactly what its edge-covered part spans, so removing the bad cores is
@@ -341,21 +365,20 @@ def prune_bad_msets(
     zf = Fraction(z)
     if zf < 1:
         raise InvalidArgumentError("z must be >= 1")
-    if not 1 <= m <= cx.n:
-        raise InvalidArgumentError(f"m must be in 1..{cx.n}")
+    if not 1 <= m <= n:
+        raise InvalidArgumentError(f"m must be in 1..{n}")
     zc = math.ceil(zf)
-    if max_possible_dim_ge1_span(m, cx.dimension) < zc:
-        return PruneResult(cx, (), 0, 0, True)
+    if max_possible_dim_ge1_span(m, len(faces)) < zc:
+        return PruneResult(None, (), 0, 0, True)
     # past the shortcut the complex has an edge and m >= 2, so k >= 2
-    verts, rows, counts = scan.active_span_counts(cx, m, zc, limit)
+    verts, rows, counts = scan.active_span_counts(faces, m, zc, limit)
     total = math.comb(len(verts), rows.shape[1])
     bad = np.flatnonzero(counts >= zc)
     if not len(bad):
-        return PruneResult(cx, (), 0, total, False, int(counts.max()))
-    removed = mask_of(int(v) for v in np.unique(verts[rows[bad]]))
-    faces = {f for f in cx.faces if not f & removed}
-    pruned = SimplicialComplex(cx.n, faces)
-    return PruneResult(pruned, tuple(bits(removed)), len(bad), total, False)
+        return PruneResult(None, (), 0, total, False, int(counts.max()))
+    hit = np.zeros(len(verts), dtype=bool)
+    hit[rows[bad]] = True
+    return PruneResult(None, tuple(verts[hit].tolist()), len(bad), total, False)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +454,14 @@ class _Trial:
 
 
 def _sample_pruned(job: _Trial, prune: bool) -> tuple[LevelSample, PruneResult | None]:
-    """Sample the job's level model; when prune is set, also prune the
-    materialized sample at (m, z) and return the sample without the removed
-    vertices, which answers queries as the pruned complex."""
+    """Sample the job's level model; when prune is set, also prune it at
+    (m, z) and return the sample without the removed vertices, which
+    answers queries as the pruned complex."""
     p = job.params
     sample = sample_levels(p.n, p.t, Fraction(job.threshold, 1 << 53), job.seed, collect=prune)
     if not prune:
         return sample, None
-    res = prune_bad_msets(materialize(sample), p.m, p.z, limit=job.limit)
-    return sample.remove_vertices(res.removed_vertices), res
+    return sample.prune(p.m, p.z, job.limit)
 
 
 def _plan(s: Fraction, m: int, n_list, trials: int, seed: int, limit: int):
@@ -505,18 +527,19 @@ def _loglog_slope(totals) -> float:
 
 def _growth_trial(job: _Trial) -> ExperimentReport:
     """Prune when C(n, m) fits under the limit or the shortcut fails; exact
-    f(m) of the pruned complex when the scan fits.  A prune that removed
+    f(m) of the pruned sample when the scan fits.  A prune that removed
     nothing reports the largest span of its own scan, so f(m) takes no
     second scan."""
     p = job.params
     prune = math.comb(p.n, p.m) <= job.limit or not job.shortcut
     sample, res = _sample_pruned(job, prune)
     f_m: int | str = "sampled"
-    if res is not None and res.span_max is not None:
-        f_m = scan.shatter_from_span(res.complex, p.m, res.span_max)
-    elif res is not None:
+    if res is not None:
         try:
-            f_m = scan.exact_shatter_value(res.complex, p.m, limit=job.limit)
+            span = res.span_max
+            if span is None:  # after a removal or the shortcut
+                span = scan.span_max(sample.faces(), p.m, job.limit)
+            f_m = scan.shatter_from_span(sample.counts_by_dim()[0], p.m, span)
         except ResourceLimitError:
             pass
     return ExperimentReport(

@@ -4,16 +4,28 @@ For a downward-closed family the trace on Y is the empty set plus the faces
 inside Y, so exact shatter values of complexes reduce to maximizing spanned
 face counts over m-subsets, and bad-m-set pruning to listing the m-subsets
 that span at least z faces.  Neither needs every subset, only those whose
-span reaches a floor, and `floor_span_rows` finds exactly those:
+span reaches a floor, and `floor_span_rows` finds exactly those.
 
-- Candidates are rows of positions into a vertex list, in colex order, built
-  level by level from colex prefixes: the j-rows with top position v are the
-  surviving (j-1)-rows below v with v appended.
-- A row's span is its prefix's span plus the faces whose top vertex is the
-  new one: the edges are the prefix's edge count at that position, and
-  each higher face is tested only in the block of rows with its top,
-  against the prefix's position bitset (uint64 words, built only when the
-  complex has faces of dimension >= 2).
+The scans read arrays, not face sets: one (F, d + 1) array per dimension
+d >= 1, each row a face in ascending order.  A LevelSample hands over its
+edges and triangles as they are; a SimplicialComplex goes through
+`face_labels`, the one loop over its faces.  `active_span_counts` maps the
+labels to positions among the active vertices, the edge ends, and
+`floor_span_rows` scans positions:
+
+- Candidates are rows of positions, in colex order, built level by level
+  from colex prefixes: the j-rows with top position v are the surviving
+  (j-1)-rows below v with v appended.
+- A row's span is its prefix's span plus the faces whose top is the new
+  position: the edges are the prefix's edge count at that position, one
+  gather, and the higher faces are the faces with that top whose
+  second-highest position is in the prefix and whose others are too.  All
+  such (row, face) pairs of a level are tested together, in bounded
+  chunks, each with one gather against the prefix's position bitset
+  (uint64 words, built only when the complex has faces of dimension 2 to
+  k - 1).  Only rows whose top has two or more edges into the prefix, and
+  that would pass the live test below with every higher face those edges
+  allow, are tested.
 - A j-prefix is dropped once it stays under the floor even if each of the
   r = k - j positions still to add closed as many faces with it as the
   best one can, and every face of two or more added positions were there.
@@ -27,11 +39,10 @@ span reaches a floor, and `floor_span_rows` finds exactly those:
   suffix maxima.  So no row at or above the floor is lost, and no level
   holds more rows than C(positions, j).
 
-Faces with a vertex outside the list are never counted, and vertex labels
-may be any size.  Scans over the active vertices refuse, before allocating,
-to enumerate more subsets than the configured limit.  `combination_array`
-and `dim_ge1_counts` count every row without a floor; they are the
-independent oracle of the floor scan.
+Scans over the active vertices refuse, before allocating, to enumerate
+more subsets than the configured limit.  `combination_array` and
+`dim_ge1_counts` count every row without a floor; they are the independent
+oracle of the floor scan.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ import math
 
 import numpy as np
 
-from shatterlab._bits import bits, mask_of
+from shatterlab._bits import bits, blocks, mask_of
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, ResourceLimitError
 
@@ -114,8 +125,21 @@ def max_possible_dim_ge1_span(m: int, dim: int) -> int:
     return sum(math.comb(m, i) for i in range(2, min(m, dim + 1) + 1))
 
 
-def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
-    """Yield (rows, counts) of levels j = 0..k of the floor scan.
+def face_labels(cx: SimplicialComplex) -> list[np.ndarray]:
+    """The faces of dimension 1..cx.dimension as one (F, d + 1) int64 array
+    of labels each, rows ascending: the one loop over a complex's faces
+    that the scans take."""
+    out = []
+    for d in range(1, cx.dimension + 1):
+        flat = np.fromiter((v for f in cx.faces_of_dim(d) for v in bits(f)), dtype=np.int64)
+        out.append(flat.reshape(-1, d + 1))
+    return out
+
+
+def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
+    """Yield (rows, counts) of levels j = 0..k of the floor scan over
+    positions 0..npos-1, whose faces of dimension d = 1..len(faces) are the
+    rows of faces[d - 1], a (F, d + 1) position array, each row ascending.
 
     Level j holds the j-rows P + {v}, in colex order, whose prefix P is on
     level j-1, whose top v leaves room for r = k - j larger positions, and
@@ -123,40 +147,39 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
     ceiling(j) - r * gain[j] >= floor, where s is the most edges that a
     position above v has into P, so that 1 + s bounds its edges into the
     row.  Memory: the candidates of a level are distinct j-subsets, so at
-    most C(npos, j) of them, each held as j positions, an int32 count, intp
-    source and offset indexes and, with higher faces, one uint64 per 64
-    positions; the adjacency takes npos^2 bytes.  Each kept row of a level
-    below k also holds npos edge counts, one byte each when k <= 255 and
-    more beyond, except on level 1, which reads the adjacency; and when two
-    or more positions are still to add and the next level's test can drop
-    a row, as many suffix maxima again.
+    most C(npos, j) of them, each held as j positions, an int32 count and
+    bar, its top's edge count, intp source and offset indexes and, with
+    higher faces, one uint64 per 64 positions; the adjacency takes npos^2
+    bytes, and with faces of dimension 2..k-1 (the higher faces a k-row
+    can hold), each of them as many uint64 words as a row, and a table of
+    two intp per (top, second) pair, 16 * npos^2 bytes.  Each kept row of
+    a level below k also holds npos edge counts, one byte each when
+    k <= 255 and more beyond, except on level 1, which reads the
+    adjacency; and when two or more positions are still to add and the
+    next level's test can drop a row, as many suffix maxima again.  The
+    higher-face test meets rows with the faces whose top is the row's top
+    and whose second is in its prefix, a chunk of rows at a time: at most
+    _bits.BLOCK_CELLS // words (row, face) pairs (one row's when it has
+    more), each pair six intp indexes and three gathered words per 64
+    positions, beside five intp per (row, prefix position).
     """
-    npos = len(vertices)
     dtype = _position_dtype(npos)
-    pos = {int(v): i for i, v in enumerate(vertices)}
-    within = mask_of(pos)
     adj = None  # adj[v, u] for the edge {u, v}
-    higher: dict[int, list] = {}  # top position -> per higher face, (word, bits) of the rest
-    dim = cx.dimension
-    for d in range(1, dim + 1):
-        for f in cx.faces_of_dim(d):
-            if f & within != f:
-                continue
-            ps = sorted(pos[v] for v in bits(f))
-            if d == 1:
-                if adj is None:
-                    adj = np.zeros((npos, npos), dtype=np.uint8)
-                adj[ps[0], ps[1]] = adj[ps[1], ps[0]] = 1
-            else:
-                by_word: dict[int, int] = {}
-                for q in ps[:-1]:
-                    by_word[q >> 6] = by_word.get(q >> 6, 0) | 1 << (q & 63)
-                rest = [(w, np.uint64(b)) for w, b in by_word.items()]
-                higher.setdefault(ps[-1], []).append(rest)
+    if faces and len(faces[0]):
+        adj = np.zeros((npos, npos), dtype=np.uint8)
+        adj[faces[0], faces[0][:, ::-1]] = 1
+    # the higher faces that a k-row can hold: dimension 2 to k - 1
+    higher = [f for f in faces[1:] if len(f) and f.shape[1] <= k]
     words = (npos + 63) // 64 if higher else 0
+    if words:
+        table = _face_table(npos, higher)
+        most = int(table[1].max())  # the most faces that share a top and a second
+    dim = len(faces)
     ceiling = [max_possible_dim_ge1_span(j, dim) for j in range(k + 1)]
     # gain[e]: most faces that one added position with e edges into a row closes
     gain = [sum(math.comb(e, s) for s in range(1, min(dim, e) + 1)) for e in range(k + 1)]
+    # room[e]: most higher faces that a top with e edges into the prefix closes
+    room = np.array([g - e for e, g in enumerate(gain)], dtype=np.int32)
     # a j-row is live when its span + r * gain[its best extension's edges] >= need[j]
     need = [floor - ceiling[k] + ceiling[j] + (k - j) * gain[j] for j in range(k + 1)]
     wide = np.min_scalar_type(k)  # edge counts into a row stay below k
@@ -183,24 +206,28 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
         new = np.take(counts, src)
         if edges is not None:
             cell = top.astype(np.intp) * edges.shape[1] + src
-            new += np.take(edges.ravel(), cell)
+            added = np.take(edges.ravel(), cell)  # the top's edges into the prefix
+            new += added
         if words:
             held = np.take(masks, src, axis=1)
-            for v, at, size in zip(tops.tolist(), starts.tolist(), below.tolist()):
-                if v in higher and size:
-                    block = held[:, at : at + size]
-                    for (w, b), *more in higher[v]:
-                        inside = (block[w] & b) == b
-                        for w, b in more:
-                            inside &= (block[w] & b) == b
-                        new[at : at + size] += inside
+        # a row is kept when its span reaches its bar
         if reach is not None:
             # a position above top has at most 1 + reach[top + 1] edges into the row
             bonus = np.array([r * g for g in gain[1 : j + 1]], dtype=np.int32)
-            keep = new + np.take(bonus, np.take(reach.ravel(), cell + edges.shape[1])) >= need[j]
+            bar = need[j] - np.take(bonus, np.take(reach.ravel(), cell + edges.shape[1]))
         else:
             # s = 0: on level 1, without edges, or where the least bonus meets the need
-            keep = new >= need[j] - r * gain[1]
+            bar = need[j] - r * gain[1]
+        if words and j > 2:
+            # only rows whose top has two or more edges into the prefix, and
+            # that might reach their bar with room[those edges] higher faces,
+            # meet the faces, at most `most` per prefix position
+            test = np.flatnonzero((added >= 2) & (new + np.take(room, added) >= bar))
+            for a, b in blocks(len(test), words * (j - 1) * most):
+                sel = test[a:b]
+                held_sel = np.take(held, sel, axis=1)
+                new[sel] += _faces_inside(table, npos, top[sel], prefix[sel], held_sel)
+        keep = new >= bar
         if not keep.all():
             kept = np.flatnonzero(keep)
             prefix, top, new, src = np.take(prefix, kept, axis=0), top[kept], new[kept], src[kept]
@@ -236,16 +263,50 @@ def _span_levels(cx: SimplicialComplex, vertices, k: int, floor: int):
         yield rows, counts
 
 
-def floor_span_rows(
-    cx: SimplicialComplex, vertices, k: int, floor: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts) of the k-subsets of vertices spanning >= floor faces
-    of dimension >= 1; rows are positions into vertices, in colex order.
+def _face_table(npos: int, higher: list[np.ndarray]):
+    """(rest, count, first) of the higher faces sorted by (top, second-highest
+    position): the count[v * npos + b] faces with top v and second b start
+    at column first[v * npos + b] of rest, whose words hold the positions of
+    each face below its second, word-major as the row masks."""
+    key = np.concatenate([f[:, -1].astype(np.intp) * npos + f[:, -2] for f in higher])
+    rest = np.zeros(((npos + 63) // 64, len(key)), dtype=np.uint64)
+    at = 0
+    for f in higher:
+        for q in f[:, :-2].T:  # a column holds each face once
+            bit = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
+            rest[q >> 6, np.arange(at, at + len(f))] |= bit
+        at += len(f)
+    count = np.bincount(key, minlength=npos * npos)
+    return rest[:, np.argsort(key, kind="stable")], count, np.cumsum(count) - count
 
-    Exactly the rows of combination_array(len(vertices), k) whose
-    dim_ge1_counts reach the floor, with those counts.
+
+def _faces_inside(table, npos: int, top, prefix, held) -> np.ndarray:
+    """How many higher faces lie in each row prefix + {top}, with table from
+    _face_table and held the prefixes' position bitsets: each (row, face)
+    pair whose face has the row's top and its second in the row's prefix is
+    tested with one gather."""
+    rest, count, first = table
+    key = (top.astype(np.intp)[:, None] * npos + prefix).ravel()
+    size = count[key]
+    ends = np.cumsum(size)  # past the pairs of each (row, prefix position)
+    face = np.arange(ends[-1]) - np.repeat(ends - size - first[key], size)
+    width = prefix.shape[1]
+    pair = np.repeat(np.arange(len(top)), np.diff(ends[width - 1 :: width], prepend=0))
+    want = np.take(rest, face, axis=1)
+    inside = ((np.take(held, pair, axis=1) & want) == want).all(axis=0)
+    return np.bincount(pair[inside], minlength=len(top))
+
+
+def floor_span_rows(
+    npos: int, faces: list[np.ndarray], k: int, floor: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts) of the k-rows of positions 0..npos-1 that span >= floor
+    faces of dimension >= 1, in colex order; faces as _span_levels takes them.
+
+    Exactly the rows of combination_array(npos, k) whose dim_ge1_counts
+    reach the floor, with those counts.
     """
-    for rows, counts in _span_levels(cx, vertices, k, floor):
+    for rows, counts in _span_levels(npos, faces, k, floor):
         pass  # each level replaces the last, so one level is held at a time
     return rows, counts
 
@@ -258,46 +319,49 @@ def _guard(total: int, limit: int) -> None:
         )
 
 
-def _greedy_span(cx: SimplicialComplex, active: list[int], k: int) -> int:
-    """Span of a deterministic greedy k-set of active vertices.
+def _greedy_span(npos: int, faces: list[np.ndarray], k: int) -> int:
+    """Span of a deterministic greedy k-set of positions, faces as
+    _span_levels takes them, with every position on a face.
 
-    From each of the 3 vertices on the most faces, add the vertex that adds
-    the most faces, the lowest on a tie, until the set has k.  Each such set
-    is a row of the active scan, so its span is a floor that the maximum row
-    reaches.  Gains are kept as the set grows: each face holds the count of
-    its vertices not yet chosen, and a face left with one such vertex adds
-    one to that vertex's gain.
+    From each of the 3 positions on the most faces, add the position that
+    adds the most faces, the lowest on a tie, until the set has k.  Each
+    such set is a row of the active scan, so its span is a floor that the
+    maximum row reaches.  Gains are kept as the set grows: each face holds
+    the count and the sum of its positions not yet chosen, and a face left
+    with one such position adds one to that position's gain.
     """
-    faces = [f for d in range(1, cx.dimension + 1) for f in cx.faces_of_dim(d)]
-    through = {v: [] for v in active}  # indexes of the faces through v
-    for i, f in enumerate(faces):
-        for v in bits(f):
-            through[v].append(i)
-    sizes = [f.bit_count() for f in faces]
+    size = np.concatenate([np.full(len(f), f.shape[1]) for f in faces])
+    flat = np.concatenate([f.ravel() for f in faces])
+    order = np.argsort(flat, kind="stable")
+    # the faces through position v are through[bound[v] : bound[v + 1]]
+    through = np.repeat(np.arange(len(size)), size)[order]
+    bound = np.searchsorted(flat[order], np.arange(npos + 1))
+    total = np.concatenate([f.sum(axis=1) for f in faces])
     best = 0
-    for start in sorted(active, key=lambda v: -len(through[v]))[:3]:
-        outside = sizes.copy()
-        gain = dict.fromkeys(active, 0)  # over the vertices not yet chosen
-        chosen, span, v = 0, 0, start
+    for start in np.argsort(-np.diff(bound), kind="stable")[:3].tolist():
+        outside, rest = size.copy(), total.copy()
+        gain = np.zeros(npos, dtype=np.int64)  # -1 once chosen
+        span, v = 0, start
         for _ in range(k - 1):
-            chosen |= 1 << v
-            del gain[v]
-            for i in through[v]:
-                outside[i] -= 1
-                if outside[i] == 1:
-                    gain[(faces[i] & ~chosen).bit_length() - 1] += 1
-            g, u = max((g, -u) for u, g in gain.items())
-            span, v = span + g, -u
+            gain[v] = -1
+            fs = through[bound[v] : bound[v + 1]]
+            outside[fs] -= 1
+            rest[fs] -= v
+            gain += np.bincount(rest[fs[outside[fs] == 1]], minlength=npos)
+            v = int(np.argmax(gain))
+            span += int(gain[v])
         best = max(best, span)
     return best
 
 
 def active_span_counts(
-    cx: SimplicialComplex, m: int, floor: int | None, limit: int = DEFAULT_SUBSET_LIMIT
+    faces: list[np.ndarray], m: int, floor: int | None, limit: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(vertices, rows, counts) of the k-subsets of the active vertices
     that span >= min(floor, g) faces of dimension >= 1, where g is the span
-    of a greedy k-set; a floor of None is g.
+    of a greedy k-set; a floor of None is g.  faces hold labels, one
+    (F, d + 1) array per dimension 1..dim with rows ascending, as
+    face_labels gives them.
 
     k = min(m, number of active vertices); None when k < 2, where no subset
     spans a face of dimension >= 1.  An m-set spans exactly what its active
@@ -306,14 +370,22 @@ def active_span_counts(
     reaches the floor, every row from g up is present.  The limit applies
     to all C(active, k) subsets, before any work.
     """
-    active = active_vertices(cx)
+    active = _edge_ends(faces)
     k = min(m, len(active))
     if k < 2:
         return None
     _guard(math.comb(len(active), k), limit)
-    greedy = _greedy_span(cx, active, k)
-    verts = np.asarray(active)
-    return verts, *floor_span_rows(cx, verts, k, greedy if floor is None else min(floor, greedy))
+    pos = [np.searchsorted(active, f) for f in faces]
+    greedy = _greedy_span(len(active), pos, k)
+    floor = greedy if floor is None else min(floor, greedy)
+    return active, *floor_span_rows(len(active), pos, k, floor)
+
+
+def span_max(faces: list[np.ndarray], m: int, limit: int) -> int:
+    """The most faces of dimension >= 1 that an m-set spans, faces as
+    active_span_counts takes them; 0 when fewer than two vertices are active."""
+    scanned = active_span_counts(faces, m, None, limit)
+    return 0 if scanned is None else int(scanned[2].max())
 
 
 def max_dim_ge1_span(cx: SimplicialComplex, m: int, *, vertices=None) -> int:
@@ -330,30 +402,32 @@ def max_dim_ge1_span(cx: SimplicialComplex, m: int, *, vertices=None) -> int:
     return int(dim_ge1_counts(cx, combos, np.asarray(verts)).max())
 
 
-def exact_shatter_value(
-    cx: SimplicialComplex, m: int, *, limit: int = DEFAULT_SUBSET_LIMIT
-) -> int:
+def exact_shatter_value(cx: SimplicialComplex, m: int) -> int:
     """f(m) of the complex viewed as a set system with the empty set included.
 
     Equals 1 + max span over m-subsets; the maximum always pads with plain
     vertices, so only subsets of edge-covered vertices need enumerating, and
-    only those reaching a greedy set's span.
+    only those reaching a greedy set's span.  Past DEFAULT_SUBSET_LIMIT
+    subsets it raises.
     """
-    scanned = active_span_counts(cx, m, None, limit)
-    return shatter_from_span(cx, m, 0 if scanned is None else int(scanned[2].max()))
+    span = span_max(face_labels(cx), m, DEFAULT_SUBSET_LIMIT)
+    return shatter_from_span(len(cx.faces_of_dim(0)), m, span)
 
 
-def shatter_from_span(cx: SimplicialComplex, m: int, span: int) -> int:
-    """f(m) of the complex when span is the most faces of dimension >= 1
-    that an m-subset spans: the empty set, the min(m, vertices) vertices
-    that the best m-set can hold, and those faces."""
-    return 1 + min(m, len(cx.faces_of_dim(0))) + span
+def shatter_from_span(vertices: int, m: int, span: int) -> int:
+    """f(m) of a complex with the given number of vertices when span is the
+    most faces of dimension >= 1 that an m-subset spans: the empty set, the
+    min(m, vertices) vertices that the best m-set can hold, and those faces."""
+    return 1 + min(m, vertices) + span
+
+
+def _edge_ends(faces: list[np.ndarray]) -> np.ndarray:
+    """The labels on an edge, ascending, faces as active_span_counts takes
+    them: in a downward-closed complex, the vertices on any face."""
+    ends = np.sort(faces[0], axis=None) if faces else np.zeros(0, dtype=np.int64)
+    return ends[np.diff(ends, prepend=-1) != 0]
 
 
 def active_vertices(cx: SimplicialComplex) -> list[int]:
     """Vertices incident to at least one face of dimension >= 1."""
-    m = 0
-    for d in range(1, cx.dimension + 1):
-        for f in cx.faces_of_dim(d):
-            m |= f
-    return bits(m)
+    return _edge_ends(face_labels(cx)).tolist()

@@ -228,7 +228,7 @@ def _prune_guarantee(res: SuiteResult, tier: str, seed: int) -> None:
     spans = []
     f4s = []
     for i, job in enumerate(jobs):
-        pruned = randgen._sample_pruned(job, True)[1].complex
+        pruned = randgen.materialize(randgen._sample_pruned(job, True)[0])
         counts = scan.dim_ge1_counts(pruned, combos, verts)
         if len(counts) != math.comb(n, m):
             res.failures.append(f"seed {i}: scanned {len(counts)} 4-sets, not C(80,4)")

@@ -583,6 +583,46 @@ def test_sweep_bytes_are_pinned(capsys, argv, digest):
     assert code == 0 and _sha256(out) == digest
 
 
+@pytest.mark.parametrize(
+    "cmd, code, out, err",
+    [
+        ("growth --s 5 --m 30 --n 20 --trials 1", 2, "", "error: m must be in 1..20\n"),
+        (
+            "growth --s 3 --m 6 --n 24 --trials 1 --limit-subsets 10",
+            3,
+            "",
+            "resource limit: scan of 134596 subsets exceeds the limit 10; "
+            "raise --limit-subsets to force it\n",
+        ),
+        (
+            # m = 1: the shortcut, and an f(m) scan with k < 2
+            "growth --s 3 --m 1 --n 5 --trials 1",
+            0,
+            "# generator=splitmix64-colex-v1\n"
+            "seed,n,s,m,t,p,faces_total,faces_top,f_m,bad_msets,removed_vertices\n"
+            "6374241921601488225,5,3,1,1,0.44721359549995787,12,7,2,0,0\n"
+            "# slope,nan\n"
+            "# target_exponent,3/2\n",
+            "",
+        ),
+        (
+            # the scan removes every vertex
+            "bh-probe --k 2 --m 13 --n 16 --trials 1",
+            0,
+            "seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked\n"
+            "6126241334339286458,16,0,1,92,1,scan,601\n"
+            "# exponent,nan\n"
+            "# premise_all_ok,1\n",
+            "",
+        ),
+    ],
+    ids=["m-past-n", "over-the-limit", "k-below-2", "prune-empties"],
+)
+def test_prune_path_edge_cases_are_pinned(capsys, cmd, code, out, err):
+    # recorded when the prune scanned the materialized sample
+    assert run_cli(capsys, *cmd.split()) == (code, out, err)
+
+
 def test_growth_prunes_past_the_limit_and_the_probe_skips(capsys):
     # s = 5, m = 6 has no shortcut (a 6-set spans at most 35 edges and
     # triangles, and z = 28), so growth must scan the C(200, 6) m-sets; the

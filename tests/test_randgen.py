@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import random
+import re
 import threading
 import tracemalloc
 import warnings
@@ -9,6 +11,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shatterlab import _bits, _keyed, _pool, randgen, scan
 from shatterlab._bits import bits, facets_present, mask_of
@@ -20,7 +24,7 @@ from shatterlab._keyed import (
     rank_u53_np,
 )
 from shatterlab.complexes import SimplicialComplex, span_count
-from shatterlab.errors import InvalidArgumentError, ResourceLimitError
+from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.randgen import (
     REPORT_CSV_HEADER,
     bondy_hajnal_probe,
@@ -479,9 +483,9 @@ def test_prune_guarantee_against_bruteforce_oracle():
 
 
 def test_prune_resource_limit():
-    cx = sample_complex(40, 1, Fraction(1, 2), 0)
+    sample = sample_levels(40, 1, Fraction(1, 2), 0, collect=True)
     with pytest.raises(ResourceLimitError):
-        prune_bad_msets(cx, 6, 2, limit=1000)
+        sample.prune(6, 2, 1000)
 
 
 def test_prune_rejects_bad_args():
@@ -562,13 +566,13 @@ def test_repeated_sizes_run_once(monkeypatch):
 def test_growth_trial_scans_twice_only_after_a_removal(monkeypatch):
     # s = 4, m = 7: the n = 16 trials at the default seed remove 8, 10 and
     # no vertices; a trial that removes nothing takes f(m) from its prune's
-    # own scan, and one that removes vertices scans the pruned complex again
+    # own scan, and one that removes vertices scans the pruned sample again
     floors = []
     floor_span_rows = scan.floor_span_rows
 
-    def counted(cx, vertices, k, floor):
+    def counted(npos, faces, k, floor):
         floors.append(floor)
-        return floor_span_rows(cx, vertices, k, floor)
+        return floor_span_rows(npos, faces, k, floor)
 
     monkeypatch.setattr(scan, "floor_span_rows", counted)
     _, jobs = randgen._plan(Fraction(4), 7, (14, 16), 3, DEFAULT_SEED, 10**7)
@@ -657,14 +661,18 @@ def test_pruned_sample_materializes_to_the_pruned_complex(monkeypatch):
     # every scan-mode trial of growth --s 5 --m 6 --n 20,24 and of the probe
     # at n = 16, with the CLI's defaults: growth's scans remove nothing, the
     # probe's remove every vertex, and an emptied instance reports the one
-    # empty trace
+    # empty trace; the sample's own prune is the complex's
     sample_pruned = randgen._sample_pruned
     removed = []
 
     def checked(job, prune):
         sample, res = sample_pruned(job, prune)
         if res is not None:
-            assert materialize(sample) == res.complex
+            p = job.params
+            full = sample_levels(p.n, p.t, Fraction(job.threshold, 1 << 53), job.seed, collect=True)
+            want = prune_bad_msets(materialize(full), p.m, p.z)
+            assert materialize(sample) == want.complex
+            assert dataclasses.replace(res, complex=want.complex) == want
             removed.append(len(res.removed_vertices))
         return sample, res
 
@@ -673,6 +681,89 @@ def test_pruned_sample_materializes_to_the_pruned_complex(monkeypatch):
     probe = bondy_hajnal_probe(2, 13, (16,), 3, DEFAULT_SEED)
     assert removed == [0] * 10 + [16] * 3
     assert [(i.faces_by_dim, i.max_trace_seen) for i in probe.instances] == [((0, 0, 0), 1)] * 3
+
+
+def exact_f(faces, vertices, m, span=None):
+    """f(m) from the largest span, scanned when not given; None past the limit."""
+    try:
+        span = scan.span_max(faces, m, DEFAULT_SUBSET_LIMIT) if span is None else span
+    except ResourceLimitError:
+        return None
+    return scan.shatter_from_span(vertices, m, span)
+
+
+def assert_sample_prune(n, t, p, seed, m, z):
+    """The sample's own prune against prune_bad_msets on its complex: the
+    same removed vertices, bad sets, subsets scanned, shortcut, span_max,
+    pruned complex and exact f(m), or the same error.  Returns the cases it
+    covers."""
+    sample = sample_levels(n, t, p, seed, collect=True)
+    cx = materialize(sample)
+    try:
+        want = prune_bad_msets(cx, m, z)
+    except (InvalidArgumentError, ResourceLimitError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            sample.prune(m, z, DEFAULT_SUBSET_LIMIT)
+        return {type(exc).__name__}
+    pruned, got = sample.prune(m, z, DEFAULT_SUBSET_LIMIT)
+    assert got.complex is None and dataclasses.replace(got, complex=want.complex) == want
+    assert materialize(pruned) == want.complex
+    vertices = len(want.complex.faces_of_dim(0))
+    assert exact_f(pruned.faces(), pruned.counts_by_dim()[0], m, got.span_max) == exact_f(
+        scan.face_labels(want.complex), vertices, m
+    )
+    cases = {"shortcut" if got.shortcut else "removal" if got.removed_vertices else "kept"}
+    if got.removed_vertices and pruned.tri_count:
+        cases.add("triangles left after removal")
+    if min(m, len(scan.active_vertices(cx))) < 2:
+        cases.add("k < 2")
+    return cases
+
+
+def test_sample_prune_matches_the_complex_prune():
+    # a sweep of t, n <= 32, p, m and z, with the cases named
+    rng = random.Random(26)
+    seen = set()
+    cases = [(24, 2, Fraction(1, 3), 0, 6, 16), (24, 1, Fraction(1, 2), 0, 8, 24),
+             (10, 2, Fraction(0), 1, 3, 1), (5, 1, Fraction(1, 2), 2, 1, 2)]
+    for _ in range(60):
+        t, n = rng.choice((1, 2)), rng.randint(1, 32)
+        m = rng.randint(1, min(n + 1, 8))
+        ceiling = max_possible_dim_ge1_span(m, t)
+        z = Fraction(rng.randint(4, 4 * ceiling + 8), 4)
+        cases.append((n, t, Fraction(rng.randint(0, 10), 10), rng.randrange(1 << 30), m, z))
+    for case in cases:
+        seen |= assert_sample_prune(*case)
+    assert {"shortcut", "removal", "kept", "triangles left after removal", "k < 2"} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sample_prune_matches_the_complex_prune_at_any_draw(data):
+    t = data.draw(st.sampled_from((1, 2)))
+    n = data.draw(st.integers(1, 32))
+    p = Fraction(data.draw(st.integers(0, 10)), 10)
+    m = data.draw(st.integers(1, min(n + 1, 8)))
+    z = Fraction(data.draw(st.integers(4, 4 * max_possible_dim_ge1_span(m, t) + 8)), 4)
+    assert_sample_prune(n, t, p, data.draw(st.integers(0, (1 << 32) - 1)), m, z)
+
+
+def test_scan_mode_never_materializes(monkeypatch):
+    # growth at s = 5, m = 6 keeps every vertex, at s = 4, m = 7 removes
+    # some and scans again, and the probe at n = 16 removes every vertex:
+    # all from the sample's arrays, with no face set
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan-mode trial built a complex")
+
+    monkeypatch.setattr(randgen, "materialize", refuse)
+    monkeypatch.setattr(randgen, "SimplicialComplex", refuse)
+    monkeypatch.setattr(randgen, "PROBE_SUBSET_SAMPLES", 50)
+    reports = growth_experiment(5, 6, (20,), 2, DEFAULT_SEED).reports
+    reports += growth_experiment(4, 7, (16,), 3, DEFAULT_SEED).reports
+    assert [r.pruning for r in reports] == ["scan"] * 5
+    assert [r.vertices_removed for r in reports] == [0, 0, 8, 10, 0]
+    probe = bondy_hajnal_probe(2, 13, (16,), 2, DEFAULT_SEED)
+    assert [(i.pruning, sum(i.faces_by_dim)) for i in probe.instances] == [("scan", 0)] * 2
 
 
 def test_pruned_sample_answers_queries_like_the_pruned_complex():

@@ -13,7 +13,13 @@ from shatterlab import scan
 from shatterlab._bits import bits, mask_of
 from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, ResourceLimitError
-from shatterlab.randgen import PruneResult, prune_bad_msets, sample_complex
+from shatterlab.randgen import (
+    PruneResult,
+    materialize,
+    prune_bad_msets,
+    sample_complex,
+    sample_levels,
+)
 from shatterlab.scan import max_possible_dim_ge1_span
 from shatterlab.setsystem import shatter_value
 
@@ -127,6 +133,29 @@ def reference_counts(cx, verts, k, chunk=1 << 16):
     return combos, np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
+def positions(cx, verts):
+    """The faces of cx inside verts, one (F, d + 1) array of positions into
+    verts per dimension 1..cx.dimension, each row ascending."""
+    at = {int(v): i for i, v in enumerate(verts)}
+    return [
+        np.array(
+            [sorted(at[v] for v in bits(f)) for f in cx.faces_of_dim(d) if set(bits(f)) <= set(at)],
+            dtype=np.intp,
+        ).reshape(-1, d + 1)
+        for d in range(1, cx.dimension + 1)
+    ]
+
+
+def floor_span_rows(cx, verts, k, floor):
+    """The floor scan over a vertex list of cx."""
+    return scan.floor_span_rows(len(verts), positions(cx, verts), k, floor)
+
+
+def span_levels(cx, verts, k, floor):
+    """The levels of the floor scan over a vertex list of cx."""
+    return scan._span_levels(len(verts), positions(cx, verts), k, floor)
+
+
 def assert_floor_scan(cx, verts, k, floors=None):
     """floor_span_rows equals the full scan filtered by >= floor, for every
     floor from -1 to one past the maximum span, or for the given floors.
@@ -134,7 +163,7 @@ def assert_floor_scan(cx, verts, k, floors=None):
     combos, counts = reference_counts(cx, verts, k)
     top = int(counts.max()) if len(counts) else 0
     for floor in floors if floors is not None else range(-1, top + 2):
-        rows, got = scan.floor_span_rows(cx, np.asarray(verts), k, floor)
+        rows, got = floor_span_rows(cx, np.asarray(verts), k, floor)
         keep = counts >= floor
         assert rows.shape == (int(keep.sum()), k)
         assert np.array_equal(rows, combos[keep])
@@ -202,7 +231,7 @@ def live_levels(cx, verts, k, floor):
 
 def assert_levels(cx, verts, k, floor):
     """Each level of the floor scan is exactly the one its live rule gives."""
-    levels = list(scan._span_levels(cx, np.asarray(verts), k, floor))
+    levels = list(span_levels(cx, np.asarray(verts), k, floor))
     assert len(levels) == k + 1
     for j, ((rows, counts), (want, spans)) in enumerate(
         zip(levels, live_levels(cx, verts, k, floor))
@@ -224,7 +253,7 @@ def test_floor_scan_levels_hold_exactly_the_live_prefixes():
     # the prefix {0} of {0, 1}, and 2 into {0, 1}; only with 1 + s does
     # {0, 1} (span 1) reach the floor 3 that the whole triangle meets
     triangle = SimplicialComplex.from_facets(3, [[0, 1], [1, 2], [0, 2]])
-    assert len(list(scan._span_levels(triangle, np.arange(3), 3, 3))[2][0]) == 1
+    assert len(list(span_levels(triangle, np.arange(3), 3, 3))[2][0]) == 1
     assert_levels(triangle, [0, 1, 2], 3, 3)
     # dimension 2, k = 4: {0, 1, 2} spans 4 faces and vertex 3 has s = 1
     # edge into {0, 1}, so at most 2 into {0, 1, 2}; it closes at most
@@ -234,7 +263,7 @@ def test_floor_scan_levels_hold_exactly_the_live_prefixes():
     cx = SimplicialComplex.from_facets(5, [[0, 1, 2], [0, 3], [3, 4]])
     for floor in (6, 7, 8):
         assert_levels(cx, range(5), 4, floor)
-    levels = list(scan._span_levels(cx, np.arange(5), 4, 8))
+    levels = list(span_levels(cx, np.arange(5), 4, 8))
     assert len(levels[3][0]) == 0
     # a list out of label order that leaves vertices out
     cx = sample_complex(11, 2, Fraction(1, 2), 4)
@@ -275,10 +304,10 @@ def test_floor_scan_floor_no_row_reaches():
     cx = SimplicialComplex.from_facets(9, [[0, 1, 2], [2, 3], [5, 6, 7, 8]])
     verts = np.asarray(cx.vertices())
     for k, floor in ((2, 2), (3, 5), (4, 12), (4, 100)):
-        rows, counts = scan.floor_span_rows(cx, verts, k, floor)
+        rows, counts = floor_span_rows(cx, verts, k, floor)
         assert rows.shape == (0, k) and len(counts) == 0
     # past the ceiling nothing is built at all
-    assert all(len(rows) == 0 for rows, _ in scan._span_levels(cx, verts, 4, 12))
+    assert all(len(rows) == 0 for rows, _ in span_levels(cx, verts, 4, 12))
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,7 +346,7 @@ def test_floor_scan_past_255_positions():
                 for x in reversed(range(k + 1))]
         spans = sorted({span for _, span in want})
         for floor in (0, spans[1], spans[-1]):
-            rows, counts = scan.floor_span_rows(cx, np.asarray(verts), k, floor)
+            rows, counts = floor_span_rows(cx, np.asarray(verts), k, floor)
             kept = [(row, span) for row, span in want if span >= floor]
             assert 0 < len(kept) and (floor == 0) == (len(kept) == k + 1)
             assert [tuple(row) for row in rows.tolist()] == [row for row, _ in kept]
@@ -331,24 +360,30 @@ def test_position_dtype_fits_positions():
     assert arr.dtype == np.int32 and int(arr[-1, 0]) == 39_999
     # no faces of dimension >= 1: no adjacency and no bitset words are built
     cx = SimplicialComplex(40_000, [1 << v for v in range(0, 40_000, 7)])
-    rows, counts = scan.floor_span_rows(cx, np.arange(40_000), 1, 0)
+    rows, counts = floor_span_rows(cx, np.arange(40_000), 1, 0)
     assert rows.dtype == np.int32
     assert np.array_equal(rows[:, 0], np.arange(40_000)) and not counts.any()
-    rows, _ = scan.floor_span_rows(cx, np.arange(100), 2, 0)
+    rows, _ = floor_span_rows(cx, np.arange(100), 2, 0)
     assert rows.dtype == np.int16 and len(rows) == math.comb(100, 2)
 
 
 def test_over_limit_scan_raises_before_allocating():
-    cx = sample_complex(60, 1, Fraction(1, 2), 2)
+    # C(60, 12) subsets: past a limit of 10^6 from the sample's arrays, and
+    # past DEFAULT_SUBSET_LIMIT from the complex
+    sample = sample_levels(60, 1, Fraction(1, 2), 2, collect=True)
+    cx = materialize(sample)
+    faces = scan.face_labels(cx)
     calls = [
-        lambda: scan.active_span_counts(cx, 12, 1, 10**6),
-        lambda: scan.exact_shatter_value(cx, 12, limit=10**6),
-        lambda: prune_bad_msets(cx, 12, 2, limit=10**6),
+        lambda: scan.active_span_counts(faces, 12, 1, 10**6),
+        lambda: scan.span_max(sample.faces(), 12, 10**6),
+        lambda: sample.prune(12, 2, 10**6),
+        lambda: scan.exact_shatter_value(cx, 12),
+        lambda: prune_bad_msets(cx, 12, 2),
     ]
     for call in calls:
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=r"exceeds the limit 1000000; raise"):
+            with pytest.raises(ResourceLimitError, match=r"exceeds the limit 10+; raise"):
                 call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -366,7 +401,7 @@ def test_pair_scan_reads_the_adjacency_as_its_level_1_edge_counts():
     cx = SimplicialComplex(npos, [1 << x for x in range(npos)] + [
         1 << a | 1 << b for a, b in zip(u[chosen].tolist(), v[chosen].tolist())
     ])
-    levels = scan._span_levels(cx, np.arange(npos), 2, 1)
+    levels = span_levels(cx, np.arange(npos), 2, 1)
     tracemalloc.start()
     try:
         next(levels)
@@ -376,6 +411,38 @@ def test_pair_scan_reads_the_adjacency_as_its_level_1_edge_counts():
         tracemalloc.stop()
     assert len(rows) == npos - 1
     assert npos * npos <= peak < 1.5 * npos * npos
+
+
+def test_higher_face_test_memory_is_bounded():
+    # k = 3, floor 1 over the 200 active vertices of a t = 2 sample with
+    # 15,218 triangles: level 3 has 1,313,400 candidates and meets their
+    # rows with the triangles in pairs.  Against the same level without
+    # the triangles, the level adds each candidate's position bitset (four
+    # words) and bounded chunks of pairs, about 37 bytes per candidate;
+    # holding all pairs at once took about 71
+    sample = sample_levels(200, 2, Fraction(1, 3), 5, collect=True)
+    faces = sample.faces()
+    active = np.unique(faces[0])
+    positions = [np.searchsorted(active, f) for f in faces]
+    assert len(active) == 200 and len(positions[1]) == 15_218
+
+    def level_3(faces):
+        levels = scan._span_levels(len(active), faces, 3, 1)
+        for _ in range(3):
+            below, _ = next(levels)
+        tracemalloc.start()
+        try:
+            rows, _ = next(levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return below, rows, peak
+
+    below, rows, peak = level_3(positions)
+    _, edge_rows, edge_peak = level_3(positions[:1])
+    candidates = int(np.searchsorted(below[:, -1], np.arange(2, len(active))).sum())
+    assert candidates == 1_313_400 and len(rows) == len(edge_rows) == 913_449
+    assert peak - edge_peak < candidates * (4 * 8 + 24)
 
 
 # -- the pruning and f(m) callers against the full scan -------------------------
@@ -437,15 +504,20 @@ def test_prune_and_exact_match_full_scan_references():
                 assert scan.exact_shatter_value(pruned, m2) == want
 
 
+def greedy_span(cx, active, k):
+    """The greedy floor over the active vertices of cx."""
+    return scan._greedy_span(len(active), positions(cx, active), k)
+
+
 def test_greedy_floor_is_a_row_span():
     # the greedy floor never exceeds the maximum, and reaches it on a clique
     for cx in random_complexes(14, 12, max_n=16):
         active = scan.active_vertices(cx)
         for k in range(2, min(6, len(active)) + 1):
             _, counts = reference_counts(cx, active, k)
-            assert 0 <= scan._greedy_span(cx, active, k) <= int(counts.max())
+            assert 0 <= greedy_span(cx, active, k) <= int(counts.max())
     cx = SimplicialComplex.from_facets(12, [[3, 5, 7, 9, 11], [0, 1], [1, 2], [0, 2]])
-    assert scan._greedy_span(cx, scan.active_vertices(cx), 4) == 6 + 4 + 1
+    assert greedy_span(cx, scan.active_vertices(cx), 4) == 6 + 4 + 1
 
 
 def test_prune_reports_the_largest_span_when_it_removes_nothing():
@@ -460,7 +532,7 @@ def test_prune_reports_the_largest_span_when_it_removes_nothing():
         vertices = len(cx.faces_of_dim(0))
         for m in range(1, min(6, cx.n) + 1):
             k = min(m, len(active))
-            greedy = scan._greedy_span(cx, active, k) if k >= 2 else None
+            greedy = greedy_span(cx, active, k) if k >= 2 else None
             largest = scan.exact_shatter_value(cx, m) - 1 - min(m, vertices)
             assert largest == reference_exact_shatter_value(cx, m) - 1 - min(m, vertices)
             for zc in range(1, max_possible_dim_ge1_span(m, cx.dimension) + 2):
@@ -521,4 +593,4 @@ def test_greedy_span_matches_its_recounting_reference():
     for cx in cases:
         active = scan.active_vertices(cx)
         for k in range(2, min(6, len(active)) + 1):
-            assert scan._greedy_span(cx, active, k) == reference_greedy_span(cx, active, k)
+            assert greedy_span(cx, active, k) == reference_greedy_span(cx, active, k)
