@@ -152,15 +152,16 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
     higher faces, one uint64 per 64 positions; the adjacency takes npos^2
     bytes, and with faces of dimension 2..k-1 (the higher faces a k-row
     can hold), each of them as many uint64 words as a row, and a table of
-    two intp per (top, second) pair, 16 * npos^2 bytes.  Each kept row of
-    a level below k also holds npos edge counts, one byte each when
-    k <= 255 and more beyond, except on level 1, which reads the
-    adjacency; and when two or more positions are still to add and the
-    next level's test can drop a row, as many suffix maxima again.  The
-    higher-face test meets rows with the faces whose top is the row's top
-    and whose second is in its prefix, a chunk of rows at a time: at most
-    _bits.BLOCK_CELLS // words (row, face) pairs (one row's when it has
-    more), each pair six intp indexes and three gathered words per 64
+    npos * (npos - 1) / 2 + 1 face offsets in the smallest unsigned type
+    that holds their count: npos^2 bytes, as the adjacency, below 65,536
+    such faces.  Each kept row of a level below k also holds npos edge
+    counts, one byte each when k <= 255 and more beyond, except on level
+    1, which reads the adjacency; and when two or more positions are still
+    to add and the next level's test can drop a row, as many suffix maxima
+    again.  The higher-face test meets rows with the faces whose top is the
+    row's top and whose second is in its prefix, a chunk of rows at a time:
+    at most _bits.BLOCK_CELLS // words (row, face) pairs (one row's when it
+    has more), each pair six intp indexes and three gathered words per 64
     positions, beside five intp per (row, prefix position).
     """
     dtype = _position_dtype(npos)
@@ -173,7 +174,7 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
     words = (npos + 63) // 64 if higher else 0
     if words:
         table = _face_table(npos, higher)
-        most = int(table[1].max())  # the most faces that share a top and a second
+        most = int(np.diff(table[1]).max())  # the most faces that share a top and a second
     dim = len(faces)
     ceiling = [max_possible_dim_ge1_span(j, dim) for j in range(k + 1)]
     # gain[e]: most faces that one added position with e edges into a row closes
@@ -226,8 +227,9 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
             for a, b in blocks(len(test), words * (j - 1) * most):
                 sel = test[a:b]
                 held_sel = np.take(held, sel, axis=1)
-                new[sel] += _faces_inside(table, npos, top[sel], prefix[sel], held_sel)
+                new[sel] += _faces_inside(table, top[sel], prefix[sel], held_sel)
         keep = new >= bar
+        cell = added = bar = None  # not held into the next level's peak
         if not keep.all():
             kept = np.flatnonzero(keep)
             prefix, top, new, src = np.take(prefix, kept, axis=0), top[kept], new[kept], src[kept]
@@ -264,11 +266,13 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
 
 
 def _face_table(npos: int, higher: list[np.ndarray]):
-    """(rest, count, first) of the higher faces sorted by (top, second-highest
-    position): the count[v * npos + b] faces with top v and second b start
-    at column first[v * npos + b] of rest, whose words hold the positions of
-    each face below its second, word-major as the row masks."""
-    key = np.concatenate([f[:, -1].astype(np.intp) * npos + f[:, -2] for f in higher])
+    """(rest, first) of the higher faces sorted by their top v and
+    second-highest position b: those faces are columns first[c] to
+    first[c + 1] of rest, for c = v * (v - 1) / 2 + b, and rest's words hold
+    the positions of each face below its second, word-major as the row
+    masks."""
+    top = np.concatenate([f[:, -1] for f in higher]).astype(np.intp)
+    key = top * (top - 1) // 2 + np.concatenate([f[:, -2] for f in higher])
     rest = np.zeros(((npos + 63) // 64, len(key)), dtype=np.uint64)
     at = 0
     for f in higher:
@@ -276,20 +280,24 @@ def _face_table(npos: int, higher: list[np.ndarray]):
             bit = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
             rest[q >> 6, np.arange(at, at + len(f))] |= bit
         at += len(f)
-    count = np.bincount(key, minlength=npos * npos)
-    return rest[:, np.argsort(key, kind="stable")], count, np.cumsum(count) - count
+    first = np.zeros(npos * (npos - 1) // 2 + 1, dtype=np.min_scalar_type(len(key)))
+    np.add.at(first, key + 1, 1)
+    np.cumsum(first, out=first)
+    return rest[:, np.argsort(key, kind="stable")], first
 
 
-def _faces_inside(table, npos: int, top, prefix, held) -> np.ndarray:
+def _faces_inside(table, top, prefix, held) -> np.ndarray:
     """How many higher faces lie in each row prefix + {top}, with table from
     _face_table and held the prefixes' position bitsets: each (row, face)
     pair whose face has the row's top and its second in the row's prefix is
     tested with one gather."""
-    rest, count, first = table
-    key = (top.astype(np.intp)[:, None] * npos + prefix).ravel()
-    size = count[key]
+    rest, first = table
+    top = top.astype(np.intp)
+    code = (top * (top - 1) // 2)[:, None] + prefix  # as _face_table codes them
+    start = np.take(first, code.ravel()).astype(np.intp)
+    size = np.take(first, code.ravel() + 1) - start
     ends = np.cumsum(size)  # past the pairs of each (row, prefix position)
-    face = np.arange(ends[-1]) - np.repeat(ends - size - first[key], size)
+    face = np.arange(ends[-1]) - np.repeat(ends - size - start, size)
     width = prefix.shape[1]
     pair = np.repeat(np.arange(len(top)), np.diff(ends[width - 1 :: width], prepend=0))
     want = np.take(rest, face, axis=1)
@@ -424,8 +432,7 @@ def shatter_from_span(vertices: int, m: int, span: int) -> int:
 def _edge_ends(faces: list[np.ndarray]) -> np.ndarray:
     """The labels on an edge, ascending, faces as active_span_counts takes
     them: in a downward-closed complex, the vertices on any face."""
-    ends = np.sort(faces[0], axis=None) if faces else np.zeros(0, dtype=np.int64)
-    return ends[np.diff(ends, prepend=-1) != 0]
+    return np.flatnonzero(np.bincount(faces[0].ravel())) if faces else np.zeros(0, dtype=np.intp)
 
 
 def active_vertices(cx: SimplicialComplex) -> list[int]:

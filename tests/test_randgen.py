@@ -11,8 +11,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from shatterlab import _bits, _keyed, _pool, randgen, scan
 from shatterlab._bits import bits, facets_present, mask_of
@@ -735,17 +733,6 @@ def test_sample_prune_matches_the_complex_prune():
     for case in cases:
         seen |= assert_sample_prune(*case)
     assert {"shortcut", "removal", "kept", "triangles left after removal", "k < 2"} <= seen
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_sample_prune_matches_the_complex_prune_at_any_draw(data):
-    t = data.draw(st.sampled_from((1, 2)))
-    n = data.draw(st.integers(1, 32))
-    p = Fraction(data.draw(st.integers(0, 10)), 10)
-    m = data.draw(st.integers(1, min(n + 1, 8)))
-    z = Fraction(data.draw(st.integers(4, 4 * max_possible_dim_ge1_span(m, t) + 8)), 4)
-    assert_sample_prune(n, t, p, data.draw(st.integers(0, (1 << 32) - 1)), m, z)
 
 
 def test_scan_mode_never_materializes(monkeypatch):

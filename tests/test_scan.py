@@ -374,16 +374,16 @@ def test_over_limit_scan_raises_before_allocating():
     cx = materialize(sample)
     faces = scan.face_labels(cx)
     calls = [
-        lambda: scan.active_span_counts(faces, 12, 1, 10**6),
-        lambda: scan.span_max(sample.faces(), 12, 10**6),
-        lambda: sample.prune(12, 2, 10**6),
-        lambda: scan.exact_shatter_value(cx, 12),
-        lambda: prune_bad_msets(cx, 12, 2),
+        (lambda: scan.active_span_counts(faces, 12, 1, 10**6), 10**6),
+        (lambda: scan.span_max(sample.faces(), 12, 10**6), 10**6),
+        (lambda: sample.prune(12, 2, 10**6), 10**6),
+        (lambda: scan.exact_shatter_value(cx, 12), DEFAULT_SUBSET_LIMIT),
+        (lambda: prune_bad_msets(cx, 12, 2), DEFAULT_SUBSET_LIMIT),
     ]
-    for call in calls:
+    for call, limit in calls:
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=r"exceeds the limit 10+; raise"):
+            with pytest.raises(ResourceLimitError, match=rf"exceeds the limit {limit}; raise"):
                 call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -443,6 +443,17 @@ def test_higher_face_test_memory_is_bounded():
     candidates = int(np.searchsorted(below[:, -1], np.arange(2, len(active))).sum())
     assert candidates == 1_313_400 and len(rows) == len(edge_rows) == 913_449
     assert peak - edge_peak < candidates * (4 * 8 + 24)
+    # the faces' offset table over 3,000 positions takes about as much as
+    # the adjacency, one uint16 per pair of positions below a top
+    npos = 3000
+    triangles = np.sort(np.random.default_rng(1).choice(npos, (5000, 3)), axis=1)
+    tracemalloc.start()
+    try:
+        scan._face_table(npos, [triangles[(np.diff(triangles, axis=1) > 0).all(axis=1)]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * npos**2
 
 
 # -- the pruning and f(m) callers against the full scan -------------------------
