@@ -3,7 +3,9 @@
 bounded_map runs whole items in processes and yields their results in item
 order.  block_map runs the blocks of one call on threads: the calling thread
 and persistent helper threads, started on first use, each claim the next
-block until none is left, so a thread on a busy CPU takes fewer blocks.  No
+block until none is left, so a thread on a busy CPU takes fewer blocks.  It
+can hand each block's result, in block order, to a function that runs on
+the calling thread alone, while the helpers build the next blocks.  No
 process forks while a helper thread is alive, and a process-pool worker runs
 its blocks on its own thread only.
 """
@@ -53,33 +55,84 @@ def block_threads(spans: int) -> int:
     return 1 if _alone or spans <= 1 else min(spans, cpu_count())
 
 
-def block_map(fn, spans: list, threads: int) -> list:
-    """[fn(slot, lo, hi) for (lo, hi) in spans], in span order.
+def block_map(fn, spans: list, threads: int, then=None) -> list:
+    """[then(fn(slot, lo, hi)) for (lo, hi) in spans], in span order; then
+    defaults to the identity.
 
     threads comes from block_threads.  The calling thread is slot 0 and
     helper threads are slots 1 .. threads - 1; each claims the next span
     from a shared counter until none is left.  A slot's calls run one after
-    another on one thread, so fn may reuse per-slot scratch.
+    another on one thread, so fn may reuse per-slot scratch.  then runs on
+    the calling thread only, on each result in span order as soon as that
+    result and every earlier one are in: before the caller claims another
+    span, it passes on every result that is ready.  With a then, a span is
+    claimed only while fewer than 2 * threads claimed spans await it, so at
+    most that many results wait.  A raise in fn or then propagates once
+    every helper has stopped.
     """
+    ahead = 2 * threads if then else len(spans)
+    then = then or (lambda result: result)
     if threads <= 1:
-        return [fn(0, lo, hi) for lo, hi in spans]
-    out = [None] * len(spans)
-    claims = iter(range(len(spans)))
-    claim_lock = threading.Lock()
+        return [then(fn(0, lo, hi)) for lo, hi in spans]
+    pending = object()
+    results = [pending] * len(spans)
+    out = []
+    claimed = 0
+    stop = False
+    turn = threading.Condition()
+
+    def claim():
+        # the next span's index, or None; called holding turn
+        nonlocal claimed
+        if stop or claimed == len(spans) or claimed >= len(out) + ahead:
+            return None
+        claimed += 1
+        return claimed - 1
 
     def work(slot):
+        nonlocal stop
+        i = None
         while True:
-            with claim_lock:
-                i = next(claims, None)
-            if i is None:
-                return
-            out[i] = fn(slot, *spans[i])
+            with turn:
+                if i is not None:
+                    results[i] = result
+                    turn.notify_all()
+                while (i := claim()) is None:
+                    if stop or claimed == len(spans):
+                        return
+                    turn.wait()
+            try:
+                result = fn(slot, *spans[i])
+            except BaseException:
+                with turn:
+                    stop = True
+                    turn.notify_all()
+                raise
 
     pool = _start_helpers(threads - 1)
     running = [pool.submit(work, slot) for slot in range(1, threads)]
     try:
-        work(0)
+        while len(out) < len(spans):
+            result = results[len(out)]
+            if result is not pending:
+                results[len(out)] = None
+                out.append(then(result))
+                if ahead < len(spans):
+                    with turn:
+                        turn.notify_all()  # room for a helper waiting to claim
+                continue
+            with turn:
+                i = None
+                while results[len(out)] is pending and not stop and (i := claim()) is None:
+                    turn.wait()
+            if i is not None:
+                results[i] = fn(0, *spans[i])
+            elif stop:
+                break
     finally:
+        with turn:
+            stop = True
+            turn.notify_all()
         for future in running:
             future.exception()  # waits, and leaves the raising to result()
     for future in running:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shatterlab import _keyed, scan
+from shatterlab import _bits, _keyed, scan
 from shatterlab._bits import blocks, facets_present, iter_size_subsets, mask_of
 from shatterlab._keyed import (
     GENERATOR_ID,
@@ -37,8 +37,8 @@ from shatterlab.complexes import SimplicialComplex
 from shatterlab.errors import DEFAULT_SUBSET_LIMIT, InvalidArgumentError, ResourceLimitError
 from shatterlab.scan import max_possible_dim_ge1_span
 
-# bytes of each packed-row operand the triangle pass gathers at once
-_TRIANGLE_CHUNK_BYTES = 1 << 17
+# most bytes of each packed-row operand the triangle pass gathers at once
+_TRIANGLE_CHUNK_BYTES = 1 << 18
 # uniform random m-subsets whose traces the Bondy-Hajnal probe counts per instance
 PROBE_SUBSET_SAMPLES = 600
 # largest n the vectorized sampler takes: it hashes all C(n, 2) pairs, and
@@ -246,24 +246,33 @@ def _triangle_pass(
     """Stream gated triangle candidates (common neighbors above each edge).
 
     For each edge u < v the candidates are the w > v adjacent to both: the
-    AND of the upper rows of u and v.  Edges go in chunks of
-    _TRIANGLE_CHUNK_BYTES // (bytes per row), so no gathered operand exceeds
-    that budget.  Edges come in colex order, so v ascends within a chunk and
-    no candidate lies below its first v's byte: each chunk gathers only the
-    bytes from there on.  Common neighbors are sparse (density about p^2),
-    so only the non-zero bytes of a chunk's AND are unpacked, most
+    AND of the upper rows of u and v.  Common neighbors are sparse (density
+    about p^2 at the sample's edge probability p), so edges go in chunks
+    whose gathered bytes hold about _bits.BLOCK_CELLS candidates:
+    BLOCK_CELLS / (8 p^2) bytes per operand, at most _TRIANGLE_CHUNK_BYTES.
+    Edges come in colex order, so v ascends within a chunk and no candidate
+    lies below its first v's byte: each chunk gathers only the bytes from
+    there on.  Only the non-zero bytes of a chunk's AND are unpacked, most
     significant bit (lowest column) first: candidates come out in edge order
     and then w ascending, the reference sampler's colex order.  Each rank is
     the edge's _triangle_ranks(u, v, 0) plus _triangle_ranks(0, 0, w) = C(w, 3).
+    The chunks' candidates are built on the threads of _pool.block_map, and
+    the calling thread gates each chunk, in chunk order, with one keyed-hash
+    call.
     """
     key = level_key(sample.seed, 3)
     upper = sample.upper
     nbytes = upper.shape[1]
     ranks_w = _triangle_ranks(0, 0, np.arange(sample.n))  # C(w, 3)
-    count = 0
-    kept = []
     eu, ev = sample.edges_u, sample.edges_v
-    for lo, hi in blocks(len(eu), nbytes, _TRIANGLE_CHUNK_BYTES):
+    budget = _TRIANGLE_CHUNK_BYTES
+    if sample.threshold:
+        budget = min(budget, (_bits.BLOCK_CELLS << 103) // sample.threshold**2)
+
+    def build(slot, lo, hi):
+        # the chunk's candidate ranks, and when collecting their int32 edge
+        # indexes and w; None when it has none.  Each temporary is dropped
+        # once used, so a thread holds few candidate-sized arrays at a time
         u_c = eu[lo:hi]
         v_c = ev[lo:hi]
         first = int(v_c[0]) >> 3
@@ -272,18 +281,42 @@ def _triangle_pass(
         common = common.ravel()
         at = np.flatnonzero(common != 0)
         if not len(at):
-            continue
-        hit = np.flatnonzero(np.unpackbits(common[at]).view(bool))
-        q = at[hit >> 3]
-        ei = q // (nbytes - first)
-        col = q - ei * (nbytes - first)
-        w = (col + first) * 8 + (hit & 7)
-        base = _triangle_ranks(u_c.astype(np.int64), v_c.astype(np.int64), 0)
-        ok = rank_u53_np(key, base[ei] + ranks_w[w], threshold)
+            return None
+        w = np.flatnonzero(np.unpackbits(common[at]).view(bool))
+        del common
+        ei = at[w >> 3]  # flat byte positions, then edges within the chunk
+        del at
+        w &= 7
+        stride = nbytes - first
+        col = ei % stride
+        ei //= stride
+        col += first
+        col <<= 3
+        w += col
+        del col
+        ranks = ranks_w[w]
+        ranks += _triangle_ranks(u_c.astype(np.int64), v_c.astype(np.int64), 0)[ei]
+        if not collect:
+            return ranks, None, None
+        ei += lo
+        return ranks, ei.astype(np.int32), w.astype(np.int32)
+
+    count = 0
+    kept = []
+
+    def gate(built):
+        nonlocal count
+        if built is None:
+            return
+        ranks, ei, w = built
+        ok = rank_u53_np(key, ranks, threshold)
         count += len(ok)
         if collect:
-            ei, w = ei[ok], w[ok]
-            kept.append(np.stack([u_c[ei], v_c[ei], w.astype(np.int32)], axis=1))
+            ei = ei[ok]
+            kept.append(np.stack([eu[ei], ev[ei], w[ok]], axis=1))
+
+    spans = list(blocks(len(eu), nbytes, budget))
+    block_map(build, spans, block_threads(len(spans)), gate)
     tris = None
     if collect:
         tris = np.concatenate(kept) if kept else np.zeros((0, 3), dtype=np.int32)

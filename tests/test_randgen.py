@@ -374,20 +374,29 @@ def test_triangle_candidates_match_trace_of_cube(monkeypatch):
         assert count == cube, budget
 
 
-def test_sampled_triangles_are_pinned(monkeypatch):
-    # 92,394 edges make 91 chunks; the digest, the count and the candidates
-    # hashed were recorded with 4096-edge chunks over whole packed rows
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sampled_triangles_are_pinned(monkeypatch, cpus):
+    # 92,394 edges in 181 chunks of 512 edges; helpers build candidates, and
+    # every hash call runs on the calling thread.  The digest, the count and
+    # the candidates hashed were recorded with 4096-edge chunks over whole
+    # packed rows, on one thread
     n = 1024
     threshold = inverse_power_threshold(n, Fraction(1, 4))
     sample = sample_levels(n, 1, Fraction(threshold, 1 << 53), 3)
-    hashed = []
+    hashed, callers = [], set()
 
     def counted(key, ranks, threshold):
         hashed.append(len(ranks))
+        callers.add(threading.get_ident())
         return rank_u53_np(key, ranks, threshold)
 
+    monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(randgen, "_TRIANGLE_CHUNK_BYTES", 1 << 16)
     monkeypatch.setattr(randgen, "rank_u53_np", counted)
     count, tris = _triangle_pass(sample, threshold, collect=True)
+    assert len(hashed) >= 20
+    assert callers == {threading.get_ident()}
+    assert cpus == 1 or _pool._helper_count >= 2
     assert sample.edge_count == 92_394
     assert sum(hashed) == 980_366
     assert count == len(tris) == 173_235
@@ -397,10 +406,13 @@ def test_sampled_triangles_are_pinned(monkeypatch):
     )
 
 
-def test_triangle_pass_memory_is_bounded():
-    # the upper rows take n^2/8 bytes (2 MB here), built before tracing, and
-    # each chunk gathers 2^17-byte operands; unpacked n x n bool temporaries
-    # would peak near 50 MB
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_triangle_pass_memory_is_bounded(monkeypatch, cpus):
+    # the upper rows take n^2/8 bytes (2 MB here), built before tracing; at
+    # p = 1/64 a chunk gathers 2^18-byte operands, and at most 2 * 3 chunks'
+    # candidates wait for the gate; unpacked n x n bool temporaries would
+    # peak near 50 MB
+    monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
     n = 4096
     sample = sample_levels(n, 1, Fraction(1, 64), 5)
     sample.upper
@@ -412,6 +424,27 @@ def test_triangle_pass_memory_is_bounded():
         tracemalloc.stop()
     assert count > 0
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("cpus, bound", [(1, 3), (3, 9)])
+def test_triangle_chunks_hold_about_a_block_of_candidates(monkeypatch, cpus, bound):
+    # p = 2048^(-1/5): 456,545 edges in 677 chunks of 675 edges, whose
+    # 172,950 bytes per operand hold about BLOCK_CELLS candidates; the pass
+    # holds a few chunks' candidates per thread, whatever n is (it read 2.0
+    # and 7.0 MB)
+    monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+    n = 2048
+    threshold = inverse_power_threshold(n, Fraction(1, 5))
+    sample = sample_levels(n, 1, Fraction(threshold, 1 << 53), 7)
+    sample.upper
+    tracemalloc.start()
+    try:
+        count, _ = _triangle_pass(sample, threshold, collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 0
+    assert peak < bound << 20
 
 
 def test_edge_count_mean_within_tolerance():
