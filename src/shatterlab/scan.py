@@ -18,14 +18,11 @@ labels to positions among the active vertices, the edge ends, and
   (j-1)-rows below v with v appended.
 - A row's span is its prefix's span plus the faces whose top is the new
   position: the edges are the prefix's edge count at that position, one
-  gather, and the higher faces are the faces with that top whose
-  second-highest position is in the prefix and whose others are too.  All
-  such (row, face) pairs of a level are tested together, in bounded
-  chunks, each with one gather against the prefix's position bitset
-  (uint64 words, built only when the complex has faces of dimension 2 to
-  k - 1).  Only rows whose top has two or more edges into the prefix, and
-  that would pass the live test below with every higher face those edges
-  allow, are tested.
+  gather, and each c-face, c = 3..k, is the top with a (c - 1)-subset of
+  the prefix, one lookup of its colex code sum C(p_i, i + 1) in a bitmap
+  of the c-faces' codes.  Only rows whose top has two or more edges into
+  the prefix, and that would pass the live test below with every higher
+  face those edges allow, look their codes up, a chunk of rows at a time.
 - A j-prefix is dropped once it stays under the floor even if each of the
   r = k - j positions still to add closed as many faces with it as the
   best one can, and every face of two or more added positions were there.
@@ -48,6 +45,7 @@ oracle of the floor scan.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -148,33 +146,37 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
     position above v has into P, so that 1 + s bounds its edges into the
     row.  Memory: the candidates of a level are distinct j-subsets, so at
     most C(npos, j) of them, each held as j positions, an int32 count and
-    bar, its top's edge count, intp source and offset indexes and, with
-    higher faces, one uint64 per 64 positions; the adjacency takes npos^2
-    bytes, and with faces of dimension 2..k-1 (the higher faces a k-row
-    can hold), each of them as many uint64 words as a row, and a table of
-    npos * (npos - 1) / 2 + 1 face offsets in the smallest unsigned type
-    that holds their count: npos^2 bytes, as the adjacency, below 65,536
-    such faces.  Each kept row of a level below k also holds npos edge
-    counts, one byte each when k <= 255 and more beyond, except on level
-    1, which reads the adjacency; and when two or more positions are still
-    to add and the next level's test can drop a row, as many suffix maxima
-    again.  The higher-face test meets rows with the faces whose top is the
-    row's top and whose second is in its prefix, a chunk of rows at a time:
-    at most _bits.BLOCK_CELLS // words (row, face) pairs (one row's when it
-    has more), each pair six intp indexes and three gathered words per 64
-    positions, beside five intp per (row, prefix position).
+    bar, its top's edge count and intp source and offset indexes; the
+    adjacency takes npos^2 bytes, and each face size c = 3..k that the
+    complex has a bitmap of C(npos, c) / 8 bytes, at most C(npos, k) / 8
+    when c <= k <= npos - c.  Each kept row of a level below k also holds
+    npos edge counts, one byte each when k <= 255 and more beyond, except
+    on level 1, which reads the adjacency; and when two or more positions
+    are still to add and the next level's test can drop a row, as many
+    suffix maxima again.  The higher-face test looks up a chunk of rows at
+    a time, at most _bits.BLOCK_CELLS codes (one row's when it has more),
+    each an int64 with its gathered byte.
     """
     dtype = _position_dtype(npos)
     adj = None  # adj[v, u] for the edge {u, v}
     if faces and len(faces[0]):
         adj = np.zeros((npos, npos), dtype=np.uint8)
         adj[faces[0], faces[0][:, ::-1]] = 1
-    # the higher faces that a k-row can hold: dimension 2 to k - 1
-    higher = [f for f in faces[1:] if len(f) and f.shape[1] <= k]
-    words = (npos + 63) // 64 if higher else 0
-    if words:
-        table = _face_table(npos, higher)
-        most = int(np.diff(table[1]).max())  # the most faces that share a top and a second
+    # the higher faces that a k-row can hold: sizes c = 3 to k, each a
+    # bitmap with the bit of its colex code sum C(p_i, i + 1) set
+    higher = {f.shape[1]: f for f in faces[1:] if len(f) and f.shape[1] <= k}
+    # binom[i][x] = C(x, i) up to the largest of those sizes, by Pascal's rule
+    binom = [np.ones(npos, dtype=np.int64)]
+    for i in range(1, max(higher, default=0) + 1):
+        binom.append(np.concatenate(([0], np.cumsum(binom[-1][:-1]))))
+    bitmaps = {}
+    for c, f in higher.items():
+        code = binom[1][f[:, 0]]  # fancy indexing: no copy of a strided index
+        for i in range(1, c):
+            code += binom[i + 1][f[:, i]]
+        bit = np.left_shift(np.uint8(1), code.astype(np.uint8) & 7)
+        bitmaps[c] = np.zeros((math.comb(npos, c) + 7) // 8, dtype=np.uint8)
+        np.bitwise_or.at(bitmaps[c], np.right_shift(code, 3, out=code), bit)
     dim = len(faces)
     ceiling = [max_possible_dim_ge1_span(j, dim) for j in range(k + 1)]
     # gain[e]: most faces that one added position with e edges into a row closes
@@ -187,7 +189,6 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
     live = 1 if ceiling[k] >= floor else 0  # the empty prefix, unless no row can reach the floor
     rows = np.zeros((live, 0), dtype=dtype)
     counts = np.zeros(live, dtype=np.int32)
-    masks = np.zeros((words, live), dtype=np.uint64)  # word-major: masks[w, row]
     # position-major: edges[w, i] = edges from position w into row i of the
     # level, and reach[w, i] = max of edges[w:, i]
     edges = reach = None
@@ -209,8 +210,6 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
             cell = top.astype(np.intp) * edges.shape[1] + src
             added = np.take(edges.ravel(), cell)  # the top's edges into the prefix
             new += added
-        if words:
-            held = np.take(masks, src, axis=1)
         # a row is kept when its span reaches its bar
         if reach is not None:
             # a position above top has at most 1 + reach[top + 1] edges into the row
@@ -219,31 +218,32 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
         else:
             # s = 0: on level 1, without edges, or where the least bonus meets the need
             bar = need[j] - r * gain[1]
-        if words and j > 2:
-            # only rows whose top has two or more edges into the prefix, and
-            # that might reach their bar with room[those edges] higher faces,
-            # meet the faces, at most `most` per prefix position
+        # the c-faces a row may gain are its top with a (c - 1)-subset of its
+        # prefix, the rows of picks[c] its columns; only rows whose top has two
+        # or more edges into the prefix, and that might reach their bar with
+        # room[those edges] higher faces, look them up
+        picks = {c: np.array(list(combinations(range(j - 1), c - 1)), dtype=np.intp)
+                 for c in bitmaps if c <= j}
+        if picks:
             test = np.flatnonzero((added >= 2) & (new + np.take(room, added) >= bar))
-            for a, b in blocks(len(test), words * (j - 1) * most):
+            for a, b in blocks(len(test), sum(map(len, picks.values()))):
                 sel = test[a:b]
-                held_sel = np.take(held, sel, axis=1)
-                new[sel] += _faces_inside(table, top[sel], prefix[sel], held_sel)
+                pre = prefix[sel]
+                for c, pick in picks.items():
+                    code = np.take(binom[c], top[sel])[:, None]
+                    for i in range(c - 1):
+                        code = code + np.take(binom[i + 1], pre[:, pick[:, i]])
+                    bit = np.take(bitmaps[c], code >> 3) >> (code & 7).astype(np.uint8)
+                    new[sel] += (bit & 1).sum(axis=1, dtype=np.int32)
         keep = new >= bar
         cell = added = bar = None  # not held into the next level's peak
         if not keep.all():
             kept = np.flatnonzero(keep)
             prefix, top, new, src = np.take(prefix, kept, axis=0), top[kept], new[kept], src[kept]
-            if words:
-                held = np.take(held, kept, axis=1)
         rows = np.empty((len(new), j), dtype=dtype)
         rows[:, : j - 1] = prefix
         rows[:, j - 1] = top
         counts = new
-        if words and j < k:
-            masks = held
-            masks[top >> 6, np.arange(len(top))] |= np.left_shift(
-                np.uint64(1), (top & 63).astype(np.uint64)
-            )
         reach = None
         if adj is not None and j < k:
             if j == 1:
@@ -263,46 +263,6 @@ def _span_levels(npos: int, faces: list[np.ndarray], k: int, floor: int):
                 for w in reversed(range(j + 1, npos - 1)):
                     np.maximum(edges[w], reach[w + 1], out=reach[w])
         yield rows, counts
-
-
-def _face_table(npos: int, higher: list[np.ndarray]):
-    """(rest, first) of the higher faces sorted by their top v and
-    second-highest position b: those faces are columns first[c] to
-    first[c + 1] of rest, for c = v * (v - 1) / 2 + b, and rest's words hold
-    the positions of each face below its second, word-major as the row
-    masks."""
-    top = np.concatenate([f[:, -1] for f in higher]).astype(np.intp)
-    key = top * (top - 1) // 2 + np.concatenate([f[:, -2] for f in higher])
-    rest = np.zeros(((npos + 63) // 64, len(key)), dtype=np.uint64)
-    at = 0
-    for f in higher:
-        for q in f[:, :-2].T:  # a column holds each face once
-            bit = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
-            rest[q >> 6, np.arange(at, at + len(f))] |= bit
-        at += len(f)
-    first = np.zeros(npos * (npos - 1) // 2 + 1, dtype=np.min_scalar_type(len(key)))
-    np.add.at(first, key + 1, 1)
-    np.cumsum(first, out=first)
-    return rest[:, np.argsort(key, kind="stable")], first
-
-
-def _faces_inside(table, top, prefix, held) -> np.ndarray:
-    """How many higher faces lie in each row prefix + {top}, with table from
-    _face_table and held the prefixes' position bitsets: each (row, face)
-    pair whose face has the row's top and its second in the row's prefix is
-    tested with one gather."""
-    rest, first = table
-    top = top.astype(np.intp)
-    code = (top * (top - 1) // 2)[:, None] + prefix  # as _face_table codes them
-    start = np.take(first, code.ravel()).astype(np.intp)
-    size = np.take(first, code.ravel() + 1) - start
-    ends = np.cumsum(size)  # past the pairs of each (row, prefix position)
-    face = np.arange(ends[-1]) - np.repeat(ends - size - start, size)
-    width = prefix.shape[1]
-    pair = np.repeat(np.arange(len(top)), np.diff(ends[width - 1 :: width], prepend=0))
-    want = np.take(rest, face, axis=1)
-    inside = ((np.take(held, pair, axis=1) & want) == want).all(axis=0)
-    return np.bincount(pair[inside], minlength=len(top))
 
 
 def floor_span_rows(

@@ -188,6 +188,13 @@ def test_floor_scan_matches_full_scan_on_random_complexes():
                 assert_floor_scan(cx, active, k)
         # every vertex, isolated ones included, as positions
         assert_floor_scan(cx, list(range(cx.n)), 4)
+    # t = 4, so a size-5 bitmap: 87 triangles, 41 tetrahedra and two
+    # 4-simplices on 12 vertices; k = 11 > npos - 3 leaves each c-bitmap
+    # larger than the C(12, 11) rows it counts for
+    cx = sample_complex(12, 4, Fraction(4, 5), 4)
+    assert len(cx.faces_of_dim(4)) == 2 and len(scan.active_vertices(cx)) == 12
+    for k in (5, 6, 11):
+        assert_floor_scan(cx, scan.active_vertices(cx), k)
 
 
 def live_levels(cx, verts, k, floor):
@@ -265,6 +272,10 @@ def test_floor_scan_levels_hold_exactly_the_live_prefixes():
         assert_levels(cx, range(5), 4, floor)
     levels = list(span_levels(cx, np.arange(5), 4, 8))
     assert len(levels[3][0]) == 0
+    # 4-simplices, at k = 6 and at k = npos - 1
+    cx = sample_complex(12, 4, Fraction(4, 5), 4)
+    for k, floor in ((6, 20), (6, 40), (11, 130), (11, 160)):
+        assert_levels(cx, range(12), k, floor)
     # a list out of label order that leaves vertices out
     cx = sample_complex(11, 2, Fraction(1, 2), 4)
     for floor in range(-1, 12):
@@ -415,11 +426,11 @@ def test_pair_scan_reads_the_adjacency_as_its_level_1_edge_counts():
 
 def test_higher_face_test_memory_is_bounded():
     # k = 3, floor 1 over the 200 active vertices of a t = 2 sample with
-    # 15,218 triangles: level 3 has 1,313,400 candidates and meets their
-    # rows with the triangles in pairs.  Against the same level without
-    # the triangles, the level adds each candidate's position bitset (four
-    # words) and bounded chunks of pairs, about 37 bytes per candidate;
-    # holding all pairs at once took about 71
+    # 15,218 triangles: level 3 has 1,313,400 candidates and looks up the
+    # triangle codes of the rows that pass the room prefilter, a chunk at a
+    # time.  Against the same level without the triangles, the level adds
+    # the tested rows' indexes and one chunk's codes, about 3 bytes per
+    # candidate; row bitsets and (row, face) pairs took about 37
     sample = sample_levels(200, 2, Fraction(1, 3), 5, collect=True)
     faces = sample.faces()
     active = np.unique(faces[0])
@@ -442,18 +453,22 @@ def test_higher_face_test_memory_is_bounded():
     _, edge_rows, edge_peak = level_3(positions[:1])
     candidates = int(np.searchsorted(below[:, -1], np.arange(2, len(active))).sum())
     assert candidates == 1_313_400 and len(rows) == len(edge_rows) == 913_449
-    assert peak - edge_peak < candidates * (4 * 8 + 24)
-    # the faces' offset table over 3,000 positions takes about as much as
-    # the adjacency, one uint16 per pair of positions below a top
-    npos = 3000
-    triangles = np.sort(np.random.default_rng(1).choice(npos, (5000, 3)), axis=1)
+    assert peak - edge_peak < candidates * 8
+    # before level 1, at 392 positions, the most with C(npos, 3) <= 10^7:
+    # the adjacency and the triangle bitmap, C(392, 3) / 8 bytes, and a few
+    # bytes per face while the codes are set; a byte per code would add
+    # C(392, 3), about 10^7.  Every vertex is active, so labels are positions
+    sample = sample_levels(392, 2, Fraction(1, 3), 5, collect=True)
+    faces = sample.faces()
+    npos = len(np.unique(faces[0]))
+    assert npos == 392 and math.comb(npos, 3) <= 10**7 < math.comb(npos + 1, 3)
     tracemalloc.start()
     try:
-        scan._face_table(npos, [triangles[(np.diff(triangles, axis=1) > 0).all(axis=1)]])
+        next(scan._span_levels(npos, faces, 3, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * npos**2
+    assert peak < npos**2 + math.comb(npos, 3) / 8 + 12 * sum(map(len, faces))
 
 
 # -- the pruning and f(m) callers against the full scan -------------------------
