@@ -57,10 +57,11 @@ def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
     array with one scratch array, up to its last xor-shift, z ^ (z >> 31),
     which keeps z's bits 33..63: only the few z whose top bits can still
     fall under the threshold take that step and the exact compare.  A range
-    call allocates one such pair of arrays per thread, and each thread
-    hashes all its blocks in its pair.  A block's positions are kept as
-    int32 where the range allows, and the pair of arrays is freed before
-    they are joined.  Thresholds 0 and 2^53 need no hash.
+    that fits one block is hashed on the calling thread in one such pair.
+    A longer range allocates one pair per thread, and each thread hashes
+    all its blocks in its pair.  A block's positions are kept as int32
+    where the range allows, and the pairs are freed before they are joined.
+    Thresholds 0 and 2^53 need no hash.
     """
     if threshold <= 0:
         return np.zeros(0, dtype=np.intp)
@@ -71,10 +72,13 @@ def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
         return _accepted(z, np.empty_like(z), key, threshold)
     if ranks.step != 1:
         raise ValueError("rank_u53_np takes ranges of step 1")
+    table = _salt_table(_bits.BLOCK_CELLS)
+    if len(ranks) <= len(table):
+        z = np.add(table[: len(ranks)], (ranks.start * _RANK_SALT) & _M64)
+        return _accepted(z, np.empty_like(z), key, threshold)
     spans = list(_bits.blocks(len(ranks), 1))
     threads = _pool.block_threads(len(spans))
-    table = _salt_table(_bits.BLOCK_CELLS)
-    buffers = np.empty((threads, 2, min(len(ranks), len(table))), dtype=np.uint64)
+    buffers = np.empty((threads, 2, len(table)), dtype=np.uint64)
     narrow = np.int32 if len(ranks) <= 1 << 31 else np.intp
 
     def block(slot, lo, hi):
@@ -86,7 +90,7 @@ def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
 
     hits = _pool.block_map(block, spans, threads)
     del buffers
-    return np.concatenate(hits, dtype=np.intp) if hits else np.zeros(0, dtype=np.intp)
+    return np.concatenate(hits, dtype=np.intp)
 
 
 @lru_cache(maxsize=1)

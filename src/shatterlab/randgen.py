@@ -100,25 +100,47 @@ def sampled_complex(
 class LevelSample:
     """Sampled complex of dimension <= 2 in array form.
 
-    Holds what the experiments need (edge endpoints, triangle count, keys to
-    re-derive any face decision) without materializing bitmask faces;
-    trace_count answers batches of m-set queries from the upper rows and the
-    keys, and so does the pruned sample that prune and remove_vertices return.
+    Holds what the experiments need (edges as colex pair ranks, triangle
+    count, keys to re-derive any face decision) without materializing
+    bitmask faces; trace_count answers batches of m-set queries from the
+    upper rows and the keys, and so does the pruned sample that prune and
+    remove_vertices return.  Face counts read only the ranks; the edge
+    endpoints are decoded from them once, when first read.
     """
 
     n: int
     t: int
     seed: int
     threshold: int  # the keyed-hash threshold of every level 2..t+1
-    edges_u: np.ndarray  # edges_u < edges_v, in colex order
-    edges_v: np.ndarray
+    pair_ranks: np.ndarray  # the edges' colex ranks u + v(v - 1)/2, ascending
     present: np.ndarray  # bool per vertex: False once pruning removed it
     tri_count: int = 0
     triangles: np.ndarray | None = None  # (k, 3) when collected
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges_u)
+        return len(self.pair_ranks)
+
+    @functools.cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges_u, edges_v), the int32 ends u < v of the pair ranks, decoded
+        on the hash's threads in blocks of _bits.BLOCK_CELLS // 4 pairs (each
+        takes about four int64 temporaries), or on this thread in one block."""
+        ranks, starts = self.pair_ranks, _pair_offsets(self.n)
+        if len(ranks) <= _bits.BLOCK_CELLS // 4:
+            return tuple(a.astype(np.int32) for a in _decode_pair_ranks(ranks, starts))
+        us = np.empty(len(ranks), dtype=np.int32)
+        vs = np.empty_like(us)
+
+        def decode(slot, lo, hi):
+            us[lo:hi], vs[lo:hi] = _decode_pair_ranks(ranks[lo:hi], starts)
+
+        spans = list(blocks(len(ranks), 4))
+        block_map(decode, spans, block_threads(len(spans)))
+        return us, vs
+
+    edges_u = property(lambda self: self.endpoints[0])
+    edges_v = property(lambda self: self.endpoints[1])
 
     def counts_by_dim(self) -> tuple[int, ...]:
         out = [int(np.count_nonzero(self.present)), self.edge_count]
@@ -161,13 +183,14 @@ class LevelSample:
         removed, and every edge and triangle that touches them."""
         present = self.present.copy()
         present[list(removed)] = False
-        keep = present[self.edges_u] & present[self.edges_v]
+        eu, ev = self.endpoints
+        keep = present[eu] & present[ev]
         tris = self.collected_triangles()
         tris = tris[present[tris].all(axis=1)]
-        eu, ev = self.edges_u[keep], self.edges_v[keep]
-        return dataclasses.replace(
-            self, edges_u=eu, edges_v=ev, present=present, tri_count=len(tris), triangles=tris
-        )
+        out = dataclasses.replace(self, pair_ranks=self.pair_ranks[keep], present=present)
+        out.endpoints = eu[keep], ev[keep]
+        out.tri_count, out.triangles = len(tris), tris
+        return out
 
     def trace_count(self, rows) -> np.ndarray:
         """Traces on each row of a (B, m) array of distinct vertices: 1 (the
@@ -217,27 +240,15 @@ def _pair_offsets(n: int) -> np.ndarray:
 def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs u < v < n with the given colex ranks u + v(v - 1)/2, where
     starts is _pair_offsets(n)."""
-    ranks = ranks.astype(np.int64)
+    ranks = ranks.astype(np.int64, copy=False)
     v = np.searchsorted(starts, ranks, side="right") - 1
     return ranks - starts[v], v
 
 
 def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash all C(n, 2) pair ranks in one call, and decode the accepted ones
-    in colex order, in blocks on the hash's threads, into int32 arrays.  A
-    decoded pair takes about four int64 temporaries, so blocks of
-    _bits.BLOCK_CELLS // 4 pairs keep them within one block's cells."""
-    hits = rank_u53_np(level_key(seed, 2), range(math.comb(n, 2)), threshold)
-    starts = _pair_offsets(n)
-    us = np.empty(len(hits), dtype=np.int32)
-    vs = np.empty(len(hits), dtype=np.int32)
-
-    def decode(slot, lo, hi):
-        us[lo:hi], vs[lo:hi] = _decode_pair_ranks(hits[lo:hi], starts)
-
-    spans = list(blocks(len(hits), 4))
-    block_map(decode, spans, block_threads(len(spans)))
-    return us, vs
+    """The colex ranks of the accepted pairs, ascending, from one hash call
+    on all C(n, 2) ranks, and _pair_offsets(n): _decode_pair_ranks's input."""
+    return rank_u53_np(level_key(seed, 2), range(math.comb(n, 2)), threshold), _pair_offsets(n)
 
 
 def _triangle_pass(
@@ -336,8 +347,8 @@ def sample_levels(
             f"n = {n} is over the sampler's limit of {MAX_SAMPLE_VERTICES} vertices"
         )
     thr = probability_threshold(p)
-    us, vs = _sample_edges_np(n, thr, seed)
-    sample = LevelSample(n, t, seed, thr, us, vs, np.ones(n, dtype=bool))
+    ranks, _ = _sample_edges_np(n, thr, seed)
+    sample = LevelSample(n, t, seed, thr, ranks, np.ones(n, dtype=bool))
     if t >= 2 and n >= 3:
         sample.tri_count, sample.triangles = _triangle_pass(sample, thr, collect=collect)
     return sample
@@ -452,21 +463,9 @@ class ExperimentReport:
 
     def csv_row(self) -> str:
         p = self.params
-        return ",".join(
-            str(x)
-            for x in (
-                self.seed,
-                p.n,
-                p.s,
-                p.m,
-                p.t,
-                repr(p.p),
-                self.total_faces,
-                self.top_faces,
-                self.f_m_exact,
-                self.bad_sets_removed,
-                self.vertices_removed,
-            )
+        return (
+            f"{self.seed},{p.n},{p.s},{p.m},{p.t},{p.p!r},{self.total_faces},{self.top_faces},"
+            f"{self.f_m_exact},{self.bad_sets_removed},{self.vertices_removed}"
         )
 
 
@@ -655,24 +654,11 @@ class ProbeResult:
     exceeds_k: bool
 
     def csv_lines(self) -> list[str]:
-        lines = ["seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked"]
-        for inst in self.instances:
-            lines.append(
-                ",".join(
-                    str(x)
-                    for x in (
-                        inst.seed,
-                        inst.n,
-                        sum(inst.faces_by_dim),
-                        inst.max_trace_seen,
-                        self.g_k_m,
-                        int(inst.premise_ok),
-                        inst.pruning,
-                        inst.subsets_checked,
-                    )
-                )
-            )
-        return lines
+        return ["seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked"] + [
+            f"{i.seed},{i.n},{sum(i.faces_by_dim)},{i.max_trace_seen},{self.g_k_m},"
+            f"{int(i.premise_ok)},{i.pruning},{i.subsets_checked}"
+            for i in self.instances
+        ]
 
 
 def _probe_spot_sets(sample: LevelSample, m: int) -> dict[str, tuple[int, ...]]:

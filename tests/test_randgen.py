@@ -231,7 +231,8 @@ def test_sampled_edges_are_pinned_at_any_cpu_count(monkeypatch, cpus):
 
 def test_edge_sampling_memory_is_bounded(monkeypatch):
     # one hash call takes every pair rank as a range, which it hashes a
-    # block at a time, so the hash's buffers stay small whatever n is;
+    # block at a time, so the hash's buffers stay small whatever n is, and
+    # the endpoints are decoded a block at a time on first read;
     # 2^21-rank chunks would peak near 51 MB
     n = 8192
     calls = []
@@ -241,9 +242,10 @@ def test_edge_sampling_memory_is_bounded(monkeypatch):
         return rank_u53_np(key, ranks, threshold)
 
     monkeypatch.setattr(randgen, "rank_u53_np", recorded)
+    p = Fraction(inverse_power_threshold(n, Fraction(1, 2)), 1 << 53)
     tracemalloc.start()
     try:
-        _sample_edges_np(n, inverse_power_threshold(n, Fraction(1, 2)), 1)
+        sample_levels(n, 1, p, 1).endpoints
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,22 +281,86 @@ def test_edge_pass_hashes_in_one_pair_of_buffers_per_thread(monkeypatch):
     assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(want[0]) > 500
     # no pair to hash, and one
-    assert [len(us) for us, _ in (_sample_edges_np(k, 1 << 53, 4) for k in (1, 2))] == [0, 1]
+    assert [len(ranks) for ranks, _ in (_sample_edges_np(k, 1 << 53, 4) for k in (1, 2))] == [0, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 60, 400])
 def test_edges_on_three_threads_equal_the_serial_edges(monkeypatch, n):
     # blocks of 97 ranks and of 97 // 4 decoded pairs, claimed by up to 3 threads
-    threshold = probability_threshold(Fraction(1, 3))
+    p = Fraction(1, 3)
     monkeypatch.setattr(_pool, "cpu_count", lambda: 1)
-    want = [_sample_edges_np(n, threshold, seed) for seed in range(3)]
+    want = [sample_levels(n, 1, p, seed) for seed in range(3)]
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 97)
     monkeypatch.setattr(_pool, "cpu_count", lambda: 3)
-    for seed, (us, vs) in enumerate(want):
-        got_u, got_v = _sample_edges_np(n, threshold, seed)
+    for seed, serial in enumerate(want):
+        got = sample_levels(n, 1, p, seed)
+        assert np.array_equal(got.pair_ranks, serial.pair_ranks), seed
+        got_u, got_v = got.endpoints
         assert got_u.dtype == got_v.dtype == np.int32
-        assert np.array_equal(got_u, us) and np.array_equal(got_v, vs), seed
-    assert sum(len(us) for us, _ in want) > 0
+        assert np.array_equal(got_u, serial.edges_u) and np.array_equal(got_v, serial.edges_v), seed
+    assert sum(s.edge_count for s in want) > 0
+
+
+def test_count_only_trial_decodes_no_pair(monkeypatch):
+    # an s = 3 trial at n = 1024 is t = 1 with the shortcut, and C(1024, 4)
+    # is over the scan limit: it reads face counts only, so it decodes no
+    # pair rank and its one threaded call is the hash's
+    decoded, mapped = [], []
+    monkeypatch.setattr(randgen, "_decode_pair_ranks", lambda *args: decoded.append(args))
+    block_map = _pool.block_map
+
+    def counted(*args):
+        mapped.append(args[0])
+        return block_map(*args)
+
+    monkeypatch.setattr(_pool, "block_map", counted)
+    monkeypatch.setattr(randgen, "block_map", counted)
+    (report,) = growth_experiment(3, 4, [1024], 1, 7).reports
+    assert report.pruning == "shortcut" and report.faces_by_dim[1] > 0
+    assert decoded == [] and len(mapped) == 1
+    sample = sample_levels(1024, 1, report.params.p, report.seed)
+    assert sample.counts_by_dim() == report.faces_by_dim == (1024, len(sample.pair_ranks))
+    assert decoded == [] and "endpoints" not in vars(sample)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("cells", [97, _bits.BLOCK_CELLS])
+def test_endpoints_are_decoded_on_first_read(monkeypatch, cpus, cells):
+    # blocks of 97 // 4 pairs split the edges of n = 40 and 90 on up to 3
+    # threads; the default block holds them whole, decoded on the caller
+    monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_bits, "BLOCK_CELLS", cells)
+    p = Fraction(3, 10)
+    for n in (1, 2, 40, 90):
+        sample = sample_levels(n, 1, p, 5)
+        u, v = _decode_pair_ranks(sample.pair_ranks, _pair_offsets(n))
+        assert sample.edges_u.dtype == sample.edges_v.dtype == np.int32
+        assert np.array_equal(sample.edges_u, u) and np.array_equal(sample.edges_v, v)
+        assert sample.endpoints is sample.endpoints
+        assert materialize(sample) == sample_complex(n, 1, p, 5)
+
+
+def test_remove_vertices_is_the_same_with_or_without_decoded_endpoints(monkeypatch):
+    n, p, removed = 300, Fraction(1, 12), range(0, 300, 7)
+    fresh = sample_levels(n, 1, p, 3)
+    decoded = sample_levels(n, 1, p, 3)
+    decoded.endpoints
+    got = [s.remove_vertices(removed) for s in (fresh, decoded)]
+    # the pruned samples carry their endpoints: no pair is decoded again
+    monkeypatch.setattr(randgen, "_decode_pair_ranks", None)
+    for s in got:
+        assert np.array_equal(s.pair_ranks, got[0].pair_ranks)
+        assert np.array_equal(s.present, got[0].present)
+        assert all(map(np.array_equal, s.endpoints, got[0].endpoints))
+        assert s.counts_by_dim() == got[0].counts_by_dim()
+    monkeypatch.undo()
+    want = _decode_pair_ranks(got[0].pair_ranks, _pair_offsets(n))
+    assert all(map(np.array_equal, got[0].endpoints, want))
+    assert 0 < got[0].edge_count < fresh.edge_count
+    ref = sample_complex(n, 1, p, 3)
+    assert materialize(got[0]) == SimplicialComplex(
+        n, {f for f in ref.faces if not f & mask_of(removed)}
+    )
 
 
 def test_pair_decode_is_the_colex_order():
