@@ -59,8 +59,8 @@ def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
     fall under the threshold take that step and the exact compare.  A range
     that fits one block is hashed on the calling thread in one such pair.
     A longer range allocates one pair per thread, and each thread hashes
-    all its blocks in its pair.  A block's positions are kept as int32
-    where the range allows, and the pairs are freed before they are joined.
+    all its blocks in its pair, keeps their positions as int32 where the
+    range allows, and frees the pairs before it joins them at that dtype.
     Thresholds 0 and 2^53 need no hash.
     """
     if threshold <= 0:
@@ -90,7 +90,7 @@ def rank_u53_np(key: int, ranks, threshold: int) -> np.ndarray:
 
     hits = _pool.block_map(block, spans, threads)
     del buffers
-    return np.concatenate(hits, dtype=np.intp)
+    return np.concatenate(hits)
 
 
 @lru_cache(maxsize=1)

@@ -112,7 +112,7 @@ class LevelSample:
     t: int
     seed: int
     threshold: int  # the keyed-hash threshold of every level 2..t+1
-    pair_ranks: np.ndarray  # the edges' colex ranks u + v(v - 1)/2, ascending
+    pair_ranks: np.ndarray  # int32 colex ranks u + v(v - 1)/2 of the edges, ascending
     present: np.ndarray  # bool per vertex: False once pruning removed it
     tri_count: int = 0
     triangles: np.ndarray | None = None  # (k, 3) when collected
@@ -124,11 +124,9 @@ class LevelSample:
     @functools.cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges_u, edges_v), the int32 ends u < v of the pair ranks, decoded
-        on the hash's threads in blocks of _bits.BLOCK_CELLS // 4 pairs (each
-        takes about four int64 temporaries), or on this thread in one block."""
+        on the hash's threads in blocks of _bits.BLOCK_CELLS // 4 pairs: each
+        takes about four int64 temporaries."""
         ranks, starts = self.pair_ranks, _pair_offsets(self.n)
-        if len(ranks) <= _bits.BLOCK_CELLS // 4:
-            return tuple(a.astype(np.int32) for a in _decode_pair_ranks(ranks, starts))
         us = np.empty(len(ranks), dtype=np.int32)
         vs = np.empty_like(us)
 
@@ -245,10 +243,13 @@ def _decode_pair_ranks(ranks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarra
     return ranks - starts[v], v
 
 
-def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The colex ranks of the accepted pairs, ascending, from one hash call
-    on all C(n, 2) ranks, and _pair_offsets(n): _decode_pair_ranks's input."""
-    return rank_u53_np(level_key(seed, 2), range(math.comb(n, 2)), threshold), _pair_offsets(n)
+def _sample_edges_np(n: int, threshold: int, seed: int) -> tuple[np.ndarray]:
+    """(ranks,): the int32 colex ranks of the accepted pairs, ascending, from
+    one hash call on all C(n, 2) ranks, which fit int32 for n up to
+    MAX_SAMPLE_VERTICES.  A one-item tuple, as perfbench's layer counts the
+    accepted edges as len(result[0])."""
+    ranks = rank_u53_np(level_key(seed, 2), range(math.comb(n, 2)), threshold)
+    return (ranks.astype(np.int32, copy=False),)
 
 
 def _triangle_pass(
@@ -347,7 +348,7 @@ def sample_levels(
             f"n = {n} is over the sampler's limit of {MAX_SAMPLE_VERTICES} vertices"
         )
     thr = probability_threshold(p)
-    ranks, _ = _sample_edges_np(n, thr, seed)
+    (ranks,) = _sample_edges_np(n, thr, seed)
     sample = LevelSample(n, t, seed, thr, ranks, np.ones(n, dtype=bool))
     if t >= 2 and n >= 3:
         sample.tri_count, sample.triangles = _triangle_pass(sample, thr, collect=collect)
@@ -463,9 +464,21 @@ class ExperimentReport:
 
     def csv_row(self) -> str:
         p = self.params
-        return (
-            f"{self.seed},{p.n},{p.s},{p.m},{p.t},{p.p!r},{self.total_faces},{self.top_faces},"
-            f"{self.f_m_exact},{self.bad_sets_removed},{self.vertices_removed}"
+        return ",".join(
+            str(x)
+            for x in (
+                self.seed,
+                p.n,
+                p.s,
+                p.m,
+                p.t,
+                repr(p.p),
+                self.total_faces,
+                self.top_faces,
+                self.f_m_exact,
+                self.bad_sets_removed,
+                self.vertices_removed,
+            )
         )
 
 
@@ -654,11 +667,24 @@ class ProbeResult:
     exceeds_k: bool
 
     def csv_lines(self) -> list[str]:
-        return ["seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked"] + [
-            f"{i.seed},{i.n},{sum(i.faces_by_dim)},{i.max_trace_seen},{self.g_k_m},"
-            f"{int(i.premise_ok)},{i.pruning},{i.subsets_checked}"
-            for i in self.instances
-        ]
+        lines = ["seed,n,faces_total,max_trace,gk_m,premise_ok,pruning,subsets_checked"]
+        for inst in self.instances:
+            lines.append(
+                ",".join(
+                    str(x)
+                    for x in (
+                        inst.seed,
+                        inst.n,
+                        sum(inst.faces_by_dim),
+                        inst.max_trace_seen,
+                        self.g_k_m,
+                        int(inst.premise_ok),
+                        inst.pruning,
+                        inst.subsets_checked,
+                    )
+                )
+            )
+        return lines
 
 
 def _probe_spot_sets(sample: LevelSample, m: int) -> dict[str, tuple[int, ...]]:

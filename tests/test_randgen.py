@@ -281,7 +281,7 @@ def test_edge_pass_hashes_in_one_pair_of_buffers_per_thread(monkeypatch):
     assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(want[0]) > 500
     # no pair to hash, and one
-    assert [len(ranks) for ranks, _ in (_sample_edges_np(k, 1 << 53, 4) for k in (1, 2))] == [0, 1]
+    assert [len(ranks) for (ranks,) in (_sample_edges_np(k, 1 << 53, 4) for k in (1, 2))] == [0, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 60, 400])
@@ -295,6 +295,7 @@ def test_edges_on_three_threads_equal_the_serial_edges(monkeypatch, n):
     for seed, serial in enumerate(want):
         got = sample_levels(n, 1, p, seed)
         assert np.array_equal(got.pair_ranks, serial.pair_ranks), seed
+        assert got.pair_ranks.dtype == serial.pair_ranks.dtype == np.int32
         got_u, got_v = got.endpoints
         assert got_u.dtype == got_v.dtype == np.int32
         assert np.array_equal(got_u, serial.edges_u) and np.array_equal(got_v, serial.edges_v), seed
