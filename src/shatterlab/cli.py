@@ -381,8 +381,8 @@ def main(argv=None) -> int:
     except (InvalidArgumentError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -13,10 +13,13 @@ child's row is row[X] - row[X & c] for every X at once, and the child's f(m)
 is 2^m minus the least entry of that row over the m-sets X.  So a node
 scores all its candidates with one gather and builds its children with
 another, both in blocks of at most _bits.BLOCK_CELLS entries.  Isomorphic
-children are pruned by canonical form, computed for all of a node's children
-in one call from their member indicators.  An exhaustive enumeration of all
-downward-closed families, built by doubling the vertex count, is the oracle
-for small n.
+children are pruned by canonical form, one call for each block of a node's
+children.  While a family's code fits one 64-bit word (n <= 6), a node also
+carries its code under each of the n! vertex permutations; a child's codes are
+its parent's OR-ed with the candidate's down-set codes, and its form is their
+maximum.  For n = 7 and 8 the forms come from the children's member
+indicators.  An exhaustive enumeration of all downward-closed families, built
+by doubling the vertex count, is the oracle for small n.
 """
 
 from __future__ import annotations
@@ -62,12 +65,25 @@ _WORD_BITS = _word_bits()
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> np.ndarray:
+def _perm_tables(n: int, down_sets: bool = False) -> np.ndarray:
     """Read-only array (2^n, n!): column p maps each mask to its image under
     the p-th permutation of {0..n-1}, in itertools order, so the images of a
     member are one contiguous row.  For 2^n > 64 the images are uint8 (10 MB
     at n = 8); otherwise a code is one word, and the entry is the image's bit
-    in it, 1 << image, as uint64."""
+    in it, 1 << image, as uint64.
+
+    With down_sets (2^n <= 64 only), entry [c, p] is instead the code of c's
+    down-set under the p-th permutation: the image bits OR-ed over the
+    submasks of c, one vertex per step.  Both tables live in this cache, so
+    cache_clear drops both.
+    """
+    if down_sets:
+        table = _perm_tables(n).copy()
+        for v in range(n):
+            halves = table.reshape(-1, 2, 1 << v, table.shape[1])  # axis 1: bit v
+            halves[:, 1] |= halves[:, 0]
+        table.flags.writeable = False
+        return table
     perms = np.array(list(permutations(range(n))), dtype=np.uint8).reshape(math.factorial(n), n)
     masks = np.arange(1 << n)[:, None]
     table = np.zeros((1 << n, len(perms)), dtype=np.uint8)
@@ -79,7 +95,9 @@ def _perm_tables(n: int) -> np.ndarray:
     return table
 
 
-def canonical_form(n: int, rows: np.ndarray) -> list[int]:
+def canonical_form(
+    n: int, rows: np.ndarray | None = None, *, codes: np.ndarray | None = None
+) -> list[int]:
     """Largest bitset code of each family over all vertex permutations (n <= 8),
     in the order given.
 
@@ -93,9 +111,16 @@ def canonical_form(n: int, rows: np.ndarray) -> list[int]:
     family's code words.  Past one word, codes are compared word by word from
     the top, per family, among the permutations still tied and the best code
     of the earlier blocks.
+
+    Or codes, in place of rows, while a code is one word (n <= 6): a
+    (families, n!) uint64 array whose entry [f, p] is family f's code under
+    the p-th permutation, as the search carries them; each form is then its
+    row's maximum.
     """
     if not 0 <= n <= CANONICAL_MAX_N:
         raise InvalidArgumentError(f"canonical form needs n in 0..{CANONICAL_MAX_N}")
+    if codes is not None:
+        return codes.max(axis=1).tolist()
     family, members = np.nonzero(rows)
     sizes = np.bincount(family, minlength=len(rows))
     if not len(members) or not sizes.all():  # reduceat cannot give an empty segment
@@ -223,6 +248,13 @@ def extremal_max_sets(
 
     A node whose fresh candidates times the C(n, m) m-sets they are scored on
     pass limit raises ResourceLimitError before it scores any of them.
+
+    For n <= 6 every node carries its n! relabelled codes (uint64), and a
+    block of children's codes is built with their rows, at most
+    _bits.BLOCK_CELLS cells (or one child) each.  A node keeps the block its
+    codes came from, so the carried codes are at most (2^n - 1) * n! words
+    per depth, 363 KB at n = 6, and the depth is at most 2^n, as each child
+    gains a member.
     """
     _check_query(n, m, b)
     groups = popcount_groups(n)
@@ -235,11 +267,14 @@ def extremal_max_sets(
     # f(m) <= b: every m-set still misses at least 2^m - b of its subsets
     need = (1 << m) - b
     use_canonical = n <= CANONICAL_MAX_N
+    # while a code is one word, entry [c, p]: c's down-set under permutation p
+    down = _perm_tables(n, True) if 1 << n <= 64 else None
+    cells = 1 << n if down is None else max(1 << n, down.shape[1])
     visited: set = set()
     best_size, best_members = 1, [0]
     nodes = 0
 
-    def rec(row: np.ndarray, candidates: np.ndarray):
+    def rec(row: np.ndarray, candidates: np.ndarray, codes: np.ndarray | None):
         nonlocal best_size, best_members, nodes
         nodes += 1
         if nodes > NODE_LIMIT:
@@ -260,20 +295,27 @@ def extremal_max_sets(
         addable = _addable(row, fresh, msets, need)
         if size + len(addable) <= best_size:
             return  # even absorbing every addable candidate cannot improve
-        for lo, hi in blocks(len(addable), 1 << n):
+        for lo, hi in blocks(len(addable), cells):
             children = _child_rows(row, addable[lo:hi])
-            held = children == 0
-            if use_canonical:
-                sigs = canonical_form(n, held)
+            if down is None:
+                held = children == 0
+                if use_canonical:
+                    sigs = canonical_form(n, held)
+                else:
+                    sigs = map(bytes, np.packbits(held, axis=1))
+                carried = [None] * len(children)
             else:
-                sigs = map(bytes, np.packbits(held, axis=1))
-            for child, sig in zip(children, sigs):
+                # a relabelled union is the union of the relabellings
+                carried = codes | down[addable[lo:hi]]
+                sigs = canonical_form(n, codes=carried)
+            for child, child_codes, sig in zip(children, carried, sigs):
                 if sig in visited:
                     continue
                 visited.add(sig)
-                rec(child, addable)
+                rec(child, addable, child_codes)
 
-    rec(root, order)
+    # {empty set} has code 1 under every permutation
+    rec(root, order, None if down is None else np.ones(down.shape[1], dtype=np.uint64))
     return ExtremalResult(best_size, SetSystem(n, tuple(best_members)), nodes, "branch")
 
 

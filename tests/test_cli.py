@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shatterlab import bounds, dtree, verify
+from shatterlab import bounds, dtree, scan, search, verify
 from shatterlab.cli import main
 from shatterlab.setsystem import SetSystem, parse_json, save_file
 
@@ -642,6 +642,28 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "4000", "--t", "1", "--p", "1/2",
                            "--limit-subsets", "1000")
     assert code == 3 and "resource limit" in err
+
+
+@pytest.mark.parametrize("module, name, raised, argv", [
+    # the floor scan's level rows, where a growth trial with m = 27, n = 34 ran out
+    (scan, "_span_levels",
+     MemoryError("Unable to allocate 160. MiB for an array with shape (3365856, 25) "
+                 "and data type int16"),
+     "growth --s 5 --m 6 --n 30 --trials 1 --threads 1"),
+    (search, "_child_rows", MemoryError(), "search extremal --n 4 --m 2 --b 3"),
+])
+def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys, module, name, raised,
+                                                   argv):
+    reached = []
+
+    def out_of_memory(*args):
+        reached.append(args)
+        raise raised
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code, _, err = run_cli(capsys, *argv.split())
+    assert reached
+    assert (code, err) == (3, f"resource limit: {str(raised) or 'out of memory'}\n")
 
 
 def test_shatter_scan_is_bounded(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -284,10 +285,11 @@ def test_extremal_digest_with_one_row_blocks(monkeypatch):
     default = _bits.BLOCK_CELLS
     real_canonical_form = search_module.canonical_form
 
-    def canonical_form_at_the_default_block(n, rows):
+    def canonical_form_at_the_default_block(n, *rows, **codes):
+        # rows for n >= 7, the carried codes as a keyword for n <= 6
         with monkeypatch.context() as patch:
             patch.setattr(_bits, "BLOCK_CELLS", default)
-            return real_canonical_form(n, rows)
+            return real_canonical_form(n, *rows, **codes)
 
     monkeypatch.setattr(search_module, "canonical_form", canonical_form_at_the_default_block)
     monkeypatch.setattr(_bits, "BLOCK_CELLS", 1)
@@ -343,6 +345,91 @@ def test_child_rows_match_subset_sums_of_the_child(n):
             grown = members | (np.arange(1 << n) & ~cand == 0)
             assert (full - child).tolist() == zeta_transform(grown.astype(np.int32)).tolist()
             assert ((child == 0) == grown).all()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_down_set_codes_or_the_image_bits_of_submasks(n):
+    want = []
+    for c in range(1 << n):
+        row = []
+        for images in reference_tables(n):
+            code = 1 << images[0]
+            for sub in _bits.submasks(c):
+                code |= 1 << images[sub]
+            row.append(code)
+        want.append(row)
+    assert _perm_tables(n, True).tolist() == want
+
+
+def codes_under_every_permutation(n: int, held: np.ndarray) -> list[int]:
+    """The code of the family with member indicator held under each
+    permutation, in itertools order, in pure Python."""
+    members = np.flatnonzero(held).tolist()
+    return [sum(1 << images[m] for m in members) for images in reference_tables(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_carried_codes_give_the_batch_forms(n):
+    # a child is its parent with a candidate's down-set: its codes are the
+    # parent's OR-ed with the candidate's down-set codes
+    rng = random.Random(n)
+    down = _perm_tables(n, True)
+    for _ in range(6):
+        parent = random_closed_family(rng, n)
+        codes = np.array(codes_under_every_permutation(n, parent), dtype=np.uint64)
+        candidates = rng.sample(range(1, 1 << n), min(6, (1 << n) - 1))
+        carried = codes | down[candidates]
+        held = np.array([parent | (np.arange(1 << n) & ~c == 0) for c in candidates])
+        assert carried.tolist() == [codes_under_every_permutation(n, h) for h in held]
+        assert canonical_form(n, codes=carried) == canonical_form(n, held)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_search_forms_its_children_from_carried_codes(monkeypatch, split):
+    # each block of children reaches canonical_form once: as carried codes for
+    # n <= 6, each row a child's code under every permutation, and as member
+    # indicators for n = 7; split blocks hold two children each
+    queries = [(n, m, (1 << m) - 1) for n in range(1, 7) for m in range(1, n + 1)]
+    queries.append((7, 2, 3))
+    want = [extremal_max_sets(*query) for query in queries]
+    real_child_rows = search_module._child_rows
+    built = []
+
+    def child_rows(row, candidates):
+        built.append(real_child_rows(row, candidates))
+        return built[-1]
+
+    def form(n, rows=None, *, codes=None):
+        held = built[-1] == 0
+        if n > 6:
+            assert codes is None and (rows == held).all()
+            return canonical_form(n, rows)
+        assert rows is None
+        table = _perm_tables(n)
+        assert codes.tolist() == [
+            np.bitwise_or.reduce(table[np.flatnonzero(h)]).tolist() for h in held
+        ]
+        got = canonical_form(n, codes=codes)
+        assert got == canonical_form(n, held)
+        return got
+
+    monkeypatch.setattr(search_module, "_child_rows", child_rows)
+    monkeypatch.setattr(search_module, "canonical_form", form)
+    for query, res in zip(queries, want):
+        n = query[0]
+        if split:  # the cells of one child: its row, or for n <= 6 its codes if longer
+            cells = 1 << n if n > 6 else max(1 << n, math.factorial(n))
+            monkeypatch.setattr(_bits, "BLOCK_CELLS", 2 * cells)
+        assert extremal_max_sets(*query) == res
+    assert (max(map(len, built)) == 2) == split
+
+
+def test_perm_table_cache_clear_drops_the_down_set_codes():
+    _perm_tables.cache_clear()
+    extremal_max_sets(4, 2, 3)
+    assert _perm_tables.cache_info().currsize == 2  # the images and down-set codes at n = 4
+    _perm_tables.cache_clear()
+    assert _perm_tables.cache_info().currsize == 0
 
 
 def test_size_bound_is_tested_before_candidates_are_scored(monkeypatch):
