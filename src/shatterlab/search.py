@@ -77,13 +77,6 @@ def _perm_tables(n: int, down_sets: bool = False) -> np.ndarray:
     submasks of c, one vertex per step.  Both tables live in this cache, so
     cache_clear drops both.
     """
-    if down_sets:
-        table = _perm_tables(n).copy()
-        for v in range(n):
-            halves = table.reshape(-1, 2, 1 << v, table.shape[1])  # axis 1: bit v
-            halves[:, 1] |= halves[:, 0]
-        table.flags.writeable = False
-        return table
     perms = np.array(list(permutations(range(n))), dtype=np.uint8).reshape(math.factorial(n), n)
     masks = np.arange(1 << n)[:, None]
     table = np.zeros((1 << n, len(perms)), dtype=np.uint8)
@@ -91,6 +84,10 @@ def _perm_tables(n: int, down_sets: bool = False) -> np.ndarray:
         table |= ((masks >> v) & 1).astype(np.uint8) << perms[:, v]
     if 1 << n <= 64:
         table = _WORD_BITS[0].take(table)
+    if down_sets:
+        for v in range(n):
+            halves = table.reshape(-1, 2, 1 << v, table.shape[1])  # axis 1: bit v
+            halves[:, 1] |= halves[:, 0]
     table.flags.writeable = False
     return table
 

@@ -427,7 +427,7 @@ def test_search_forms_its_children_from_carried_codes(monkeypatch, split):
 def test_perm_table_cache_clear_drops_the_down_set_codes():
     _perm_tables.cache_clear()
     extremal_max_sets(4, 2, 3)
-    assert _perm_tables.cache_info().currsize == 2  # the images and down-set codes at n = 4
+    assert _perm_tables.cache_info().currsize == 1  # the down-set codes at n = 4
     _perm_tables.cache_clear()
     assert _perm_tables.cache_info().currsize == 0
 
